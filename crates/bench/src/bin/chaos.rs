@@ -28,16 +28,9 @@
 //! commit-order log, and — on any invariant violation — dumps it as an
 //! `rtf-replay-v1` artifact so the failing schedule can be replayed.
 //!
-//! With `--async` every client drives its transactions through the async
-//! front-end (`Rtf::run_async` on the minimal `block_on` executor) instead
-//! of the blocking `Rtf::run`, and the fault plan additionally injects
-//! spurious wakeups at the new `core.async.poll` site — the poll path must
-//! tolerate stray polls exactly as the blocking waits tolerate stray
-//! unparks.
-//!
 //! Usage: `chaos [--seed N] [--runs N] [--clients N] [--workers N]
 //!               [--min-injections N] [--min-sites N] [--ordered SHARDS]
-//!               [--async] [--quick]`
+//!               [--quick]`
 //!
 //! Exit status 0 = all invariants held; 1 = a violation (with a message).
 
@@ -57,13 +50,12 @@ struct Config {
     min_injections: u64,
     min_sites: usize,
     ordered: Option<usize>,
-    use_async: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: chaos [--seed N] [--runs N] [--clients N] [--workers N] \
-         [--min-injections N] [--min-sites N] [--ordered SHARDS] [--async] [--quick]"
+         [--min-injections N] [--min-sites N] [--ordered SHARDS] [--quick]"
     );
     std::process::exit(2);
 }
@@ -84,7 +76,6 @@ fn parse_args() -> Config {
         min_injections: 10_000,
         min_sites: 12,
         ordered: None,
-        use_async: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -102,7 +93,6 @@ fn parse_args() -> Config {
             "--min-injections" => cfg.min_injections = val("--min-injections"),
             "--min-sites" => cfg.min_sites = val("--min-sites") as usize,
             "--ordered" => cfg.ordered = Some(val("--ordered") as usize),
-            "--async" => cfg.use_async = true,
             "--quick" => {
                 cfg.runs = 400;
                 cfg.min_injections = 500;
@@ -167,9 +157,6 @@ fn plan(seed: u64) -> FaultPlan {
         .rule(SiteRule::at("taskpool.task.run").panic(4_000).delay(40_000, 100))
         // Teardown: only delays — the scrub must still complete.
         .rule(SiteRule::at("core.teardown.scrub").delay(150_000, 100))
-        // Async poll path (--async runs): stray wakeups schedule polls
-        // that find nothing ready; the future must simply re-park.
-        .rule(SiteRule::at("core.async.poll").spurious(200_000).delay(20_000, 50))
 }
 
 const SLOTS: usize = 32;
@@ -206,7 +193,6 @@ fn run_workload(cfg: &Config) -> (u64, u64, u64) {
             let panicked_runs = Arc::clone(&panicked_runs);
             let runs = cfg.runs / cfg.clients as u64;
             let seed = cfg.seed;
-            let use_async = cfg.use_async;
             std::thread::spawn(move || {
                 for i in 0..runs {
                     // Deterministic per-transaction parameters (the fault
@@ -235,12 +221,7 @@ fn run_workload(cfg: &Config) -> (u64, u64, u64) {
                             tx.write(&total, t + fa + db);
                         }
                     };
-                    let result = if use_async {
-                        rtf_txasync::block_on(tm.run_async(body))
-                    } else {
-                        tm.run(body)
-                    };
-                    match result {
+                    match tm.run(body) {
                         Ok(()) => {
                             ok_runs.fetch_add(1, Ordering::Relaxed);
                             expected[a].fetch_add(da, Ordering::Relaxed);

@@ -21,10 +21,6 @@
 //!   lifecycle balanced: tickets were issued, commits flowed through the
 //!   lane, and `issued == ordered_commits + abandoned` (every ticket
 //!   resolved exactly once);
-//! * `--require-async` — the waker backend of the unified wait layer ran:
-//!   wakers were registered at blocking sites and fired by completions
-//!   (`counters.wakers_registered > 0 && counters.wakers_fired > 0`), with
-//!   no more fires than registrations;
 //! * `--require-sharded` — the sharded commit backbone ran: commits flowed
 //!   through the lane paths (`lane_commits + lane_fallbacks > 0`; which of
 //!   the two dominates is workload-dependent — multi-cell footprints all
@@ -87,7 +83,6 @@ struct Requirements {
     no_dropped_spans: bool,
     stall_probe: bool,
     ordered: bool,
-    async_wakers: bool,
     sharded: bool,
     server: bool,
     /// Path of a live JSONL stream to reconcile against the final snapshot.
@@ -211,21 +206,6 @@ fn check_metrics(doc: &Json, req: &Requirements) {
         // fault plan overwhelmed the retry machinery rather than probing it.
         if failed > completed {
             fail(&format!("server_failed {failed} exceeds server_completed {completed}"));
-        }
-    }
-    if req.async_wakers {
-        let registered = u64_at(doc, &["counters", "wakers_registered"]);
-        let fired = u64_at(doc, &["counters", "wakers_fired"]);
-        if registered == 0 {
-            fail("wakers_registered is zero — no blocking site used the waker backend");
-        }
-        if fired == 0 {
-            fail("wakers_fired is zero — registered wakers were never woken");
-        }
-        // A fire consumes a registration (re-registrations may outnumber
-        // fires; the reverse would mean a waker fired out of thin air).
-        if fired > registered {
-            fail(&format!("wakers fired {fired} > registered {registered}"));
         }
     }
     println!(
@@ -394,7 +374,6 @@ fn main() {
             "--no-dropped-spans" => req.no_dropped_spans = true,
             "--require-stall-probe" => req.stall_probe = true,
             "--require-ordered" => req.ordered = true,
-            "--require-async" => req.async_wakers = true,
             "--require-sharded" => req.sharded = true,
             "--require-server" => req.server = true,
             "--require-live" => {

@@ -3,7 +3,7 @@
 //!
 //! Renders throughput (txs/s), abort rate, commit-latency percentiles with
 //! a p95 sparkline, the abort-hotspot table, ordered-lane and taskpool
-//! queue depths, async poll/wake rates, span-ring health, and the live
+//! queue depths, span-ring health, and the live
 //! wait-graph ("who waits on whom") — everything the snapshot carries.
 //!
 //! Modes:
@@ -176,18 +176,6 @@ fn render(
     ));
     if p95_history.len() > 1 {
         out.push_str(&format!("p95 trend   {}\n", sparkline(p95_history)));
-    }
-    let polls = rate(prev, cur, "async_polls");
-    let wakes = rate(prev, cur, "wakers_fired");
-    let spurious = cur.counter("async_spurious_polls");
-    let total_polls = cur.counter("async_polls");
-    if total_polls > 0 || cur.counter("wakers_registered") > 0 {
-        out.push_str(&format!(
-            "async       {:>8} polls/s  {:>8} wakes/s  spurious {:.1}% of {total_polls} polls\n",
-            fmt_rate(polls),
-            fmt_rate(wakes),
-            if total_polls > 0 { 100.0 * spurious as f64 / total_polls as f64 } else { 0.0 },
-        ));
     }
     let mut depths = Vec::new();
     if let Some(gauges) = cur.metrics.get("gauges").and_then(Json::as_obj) {

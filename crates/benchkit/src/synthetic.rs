@@ -140,21 +140,9 @@ impl SyntheticArray {
     /// accesses (parallelized), then `hot_writes` updates over the
     /// `hot_spots` first elements, uniformly with replacement.
     pub fn run_contended(&self, tm: &Rtf, futures: usize, seed: u64) -> u64 {
-        tm.atomic(self.contended_body(futures, seed))
-    }
-
-    /// The contended transaction as a standalone body closure, so callers
-    /// can drive the *same* workload through any front-end — blocking
-    /// `atomic`/`run` or the async `run_async` (the A6 experiment measures
-    /// exactly that sync-vs-async overhead).
-    pub fn contended_body(
-        &self,
-        futures: usize,
-        seed: u64,
-    ) -> impl Fn(&mut Tx) -> u64 + Send + 'static {
         let cfg = self.cfg;
         let arr = self.arr.clone();
-        move |tx| {
+        tm.atomic(move |tx| {
             let acc = if futures == 0 {
                 scan_chunk(tx, &arr, cfg, seed, cfg.tx_len)
             } else {
@@ -181,7 +169,7 @@ impl SyntheticArray {
                 arr.set(tx, i, v.wrapping_add(acc | 1));
             }
             acc
-        }
+        })
     }
 
     /// Sum of the hot-spot elements (post-run verification).

@@ -22,10 +22,9 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::task::{Context, Poll};
 use std::time::Duration;
 
-use rtf_txbase::{WaitQueue, WakerReg};
+use rtf_txbase::WaitQueue;
 use rtf_txengine::TxData;
 
 use crate::error::{FutureError, TxError};
@@ -40,9 +39,8 @@ enum FutState<A> {
 
 struct Shared<A> {
     state: Mutex<FutState<A>>,
-    /// Settlement waiters — parked threads (sync `wait*`) and registered
-    /// wakers (`IntoFuture`) share this queue; see `rtf_txbase::wait` for
-    /// the epoch protocol that keeps both backends lost-wakeup-free.
+    /// Threads parked in `wait*`; see `rtf_txbase::wait` for the epoch
+    /// protocol that keeps them lost-wakeup-free.
     waiters: WaitQueue,
 }
 
@@ -215,72 +213,6 @@ impl<A: TxData> TxFuture<A> {
             }
         }
     }
-
-    /// Waker-backend probe: resolves like [`TxFuture::wait_result`] but
-    /// registers `cx`'s waker instead of parking. Drives the
-    /// [`IntoFuture`] adapter and [`crate::Rtf::run_async`]'s evaluation of
-    /// child futures.
-    pub(crate) fn poll_settled(
-        &self,
-        cx: &mut Context<'_>,
-        reg: &mut WakerReg,
-    ) -> Poll<Result<Arc<A>, FutureError>> {
-        loop {
-            let token = self.shared.waiters.epoch();
-            match self.try_wait() {
-                Err(FutureError::Pending) => {}
-                settled => {
-                    self.shared.waiters.deregister(reg);
-                    return Poll::Ready(settled);
-                }
-            }
-            if self.shared.waiters.register_waker(token, 0, cx.waker(), reg) {
-                return Poll::Pending;
-            }
-            // Epoch advanced between probe and registration: re-probe.
-        }
-    }
-
-    pub(crate) fn drop_registration(&self, reg: &mut WakerReg) {
-        self.shared.waiters.deregister(reg);
-    }
-}
-
-/// The pollable settlement wait created by `TxFuture`'s [`IntoFuture`]:
-/// resolves to the committed value or the terminal [`FutureError`] without
-/// ever blocking the polling thread.
-///
-/// Dropping it mid-wait withdraws the waker registration, so an abandoned
-/// `await` never leaves a dead entry on the handle's wait queue.
-pub struct FutureWait<A: TxData> {
-    fut: TxFuture<A>,
-    reg: WakerReg,
-}
-
-impl<A: TxData> std::future::Future for FutureWait<A> {
-    type Output = Result<Arc<A>, FutureError>;
-
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        this.fut.poll_settled(cx, &mut this.reg)
-    }
-}
-
-impl<A: TxData> Drop for FutureWait<A> {
-    fn drop(&mut self) {
-        self.fut.drop_registration(&mut self.reg);
-    }
-}
-
-impl<A: TxData> std::future::IntoFuture for TxFuture<A> {
-    type Output = Result<Arc<A>, FutureError>;
-    type IntoFuture = FutureWait<A>;
-
-    /// `handle.await` — the async equivalent of [`TxFuture::wait_result`]:
-    /// no panic channel, the `Err` carries the failure reason.
-    fn into_future(self) -> FutureWait<A> {
-        FutureWait { fut: self, reg: WakerReg::new() }
-    }
 }
 
 #[cfg(test)]
@@ -394,72 +326,6 @@ mod tests {
         f.complete(Arc::new(3));
         f.cancel();
         assert_eq!(*f.wait(), 3);
-    }
-
-    #[test]
-    fn into_future_wakes_and_resolves() {
-        use std::future::{Future, IntoFuture};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::task::{Wake, Waker};
-
-        struct CountWake(AtomicUsize);
-        impl Wake for CountWake {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        let f: TxFuture<u32> = TxFuture::new_pending();
-        let mut wait = Box::pin(f.clone().into_future());
-        let cw = Arc::new(CountWake(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&cw));
-        let mut cx = Context::from_waker(&waker);
-        assert!(wait.as_mut().poll(&mut cx).is_pending());
-        assert_eq!(cw.0.load(Ordering::SeqCst), 0);
-        f.complete(Arc::new(6));
-        assert_eq!(cw.0.load(Ordering::SeqCst), 1, "settle must fire the registered waker");
-        match wait.as_mut().poll(&mut cx) {
-            Poll::Ready(Ok(v)) => assert_eq!(*v, 6),
-            other => panic!("expected Ready(Ok(6)), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn into_future_surfaces_failure_as_err() {
-        use std::future::{Future, IntoFuture};
-        use std::task::{Wake, Waker};
-        struct Noop;
-        impl Wake for Noop {
-            fn wake(self: Arc<Self>) {}
-        }
-        let f: TxFuture<u32> = TxFuture::new_pending();
-        f.cancel();
-        let mut wait = Box::pin(f.into_future());
-        let waker = Waker::from(Arc::new(Noop));
-        let mut cx = Context::from_waker(&waker);
-        match wait.as_mut().poll(&mut cx) {
-            Poll::Ready(Err(FutureError::Cancelled)) => {}
-            other => panic!("expected Ready(Err(Cancelled)), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dropped_await_withdraws_its_waker() {
-        use std::future::{Future, IntoFuture};
-        use std::task::{Wake, Waker};
-        struct Noop;
-        impl Wake for Noop {
-            fn wake(self: Arc<Self>) {}
-        }
-        let f: TxFuture<u32> = TxFuture::new_pending();
-        let mut wait = Box::pin(f.clone().into_future());
-        let waker = Waker::from(Arc::new(Noop));
-        let mut cx = Context::from_waker(&waker);
-        assert!(wait.as_mut().poll(&mut cx).is_pending());
-        drop(wait);
-        // The registration is gone: completing must not find a waiter.
-        f.complete(Arc::new(1));
-        assert_eq!(*f.wait(), 1);
     }
 
     #[test]

@@ -80,7 +80,6 @@
 // (tests are exempt).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::panic))]
 
-mod async_api;
 mod error;
 mod future;
 mod node;
@@ -91,7 +90,6 @@ mod stall;
 mod tree;
 mod tx;
 
-pub use async_api::TxRun;
 pub use error::{FutureError, TxError};
 pub use future::TxFuture;
 pub use ordered::OrderedTicket;

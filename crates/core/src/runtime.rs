@@ -1205,12 +1205,6 @@ impl Rtf {
         }
     }
 
-    /// Shared environment handle (pool, sink, stall thresholds) for the
-    /// async front-end.
-    pub(crate) fn env(&self) -> &Arc<TxEnv> {
-        &self.inner.env
-    }
-
     /// Event counters of this runtime.
     pub fn stats(&self) -> StatSnapshot {
         self.inner.mvstm.stats_snapshot()

@@ -95,11 +95,10 @@ pub struct Conflict;
 /// *helping* through the task pool, which mvstm does not know about —
 /// and because how the thread actually blocks is a stack-wide policy:
 /// core routes the closure into `TicketLane::wait_turn`, whose parking
-/// runs on the unified `rtf_txbase::wait` primitives (epoch-token
-/// `WaitQueue`, successor-only wakes, thread-park or waker backend; see
-/// DESIGN.md §3.14 "Blocking model"). Keeping mvstm behind this closure
-/// boundary is what let the blocking core change backends without this
-/// crate noticing.
+/// runs on the `rtf_txbase::wait` primitive (epoch-token `WaitQueue`,
+/// successor-only wakes; see DESIGN.md §3.14 "Blocking model"). Keeping
+/// mvstm behind this closure boundary is what lets the blocking core
+/// change without this crate noticing.
 pub struct TurnGate<'a> {
     /// Blocks for the turn; `false` abandons the commit.
     pub wait: &'a mut dyn FnMut() -> bool,

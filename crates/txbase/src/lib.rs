@@ -11,9 +11,8 @@
 //!   the `follows()` comparison of §IV-A;
 //! * [`orec`] — ownership records attached to tentative versions (Fig 3b);
 //! * [`stats`] — cache-padded counters for commits, aborts and re-executions;
-//! * [`wait`] — the unified blocking primitives ([`WaitCell`]/[`WaitQueue`])
-//!   every wait/park point in the stack is built on, able to hold either a
-//!   parked thread or an async task's waker.
+//! * [`wait`] — the thread-park [`WaitQueue`] every wait/park point in the
+//!   stack is built on.
 //!
 //! Nothing in this crate touches user values; it is pure metadata and is
 //! reused by the `rtf-mvstm` substrate and the `rtf` core library.
@@ -37,4 +36,4 @@ pub use order::{follows, OrderKey, Ticket, TicketDispenser, TicketLane, TurnWait
 pub use orec::{Orec, OrecStatus};
 pub use sclock::{PublishLadder, ShardedClock};
 pub use stats::{StatSnapshot, TmStats};
-pub use wait::{Parked, WaitCell, WaitQueue, WaiterHandle, WakerReg};
+pub use wait::{Parked, WaitQueue};

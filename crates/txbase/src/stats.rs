@@ -201,17 +201,9 @@ counters! {
     /// arrived (successor-only wakeups should keep this near zero; a herd
     /// shows up here).
     ticket_spurious_wakes,
-    /// Async task wakers registered at a blocking site (the waker backend
-    /// of the unified wait layer).
-    wakers_registered,
-    /// Registered wakers fired by a completion/notify path.
-    wakers_fired,
-    /// `Future::poll` calls on the async front-end's transaction futures
-    /// (`TxRun`).
+    /// Always 0 (there is no async front-end); kept because perfbench reads it.
     async_polls,
-    /// Polls of an already-registered transaction future that found the
-    /// result still pending — the executor woke it for nothing (a spurious
-    /// wake, or a wake raced by another helper).
+    /// Always 0 (there is no async front-end); kept because perfbench reads it.
     async_spurious_polls,
     /// Read-write commits that ran on the single-lane fast path of the
     /// sharded commit backbone (whole footprint hashed to one lane).

@@ -1,22 +1,15 @@
-//! Unified blocking primitives: every wait/park point in the stack funnels
-//! through one of two abstractions, each able to hold either a parked OS
-//! thread or an async task's [`Waker`]:
-//!
-//! * [`WaitCell`] — a single-waiter oneshot slot with the atomic state
-//!   machine `Empty → Registered(waker-or-thread) → Notified`. Used where
-//!   exactly one waiter awaits exactly one completion (the async
-//!   front-end's per-transaction completion cell).
-//! * [`WaitQueue`] — a keyed multi-waiter queue with an *epoch* protocol
-//!   that makes the registered/notified race lost-wakeup-free without
-//!   holding any lock across the caller's predicate check. Used by the
-//!   ticket lane, intra-tree `waitTurn`, future settlement, teardown
-//!   quiescence and the task-pool idle park.
+//! The blocking primitive every wait/park point in the stack funnels
+//! through: [`WaitQueue`], a keyed multi-waiter queue of parked threads with
+//! an *epoch* protocol that makes the registered/notified race
+//! lost-wakeup-free without holding any lock across the caller's predicate
+//! check. Used by the ticket lane, intra-tree `waitTurn`, future
+//! settlement, teardown quiescence and the task-pool idle park.
 //!
 //! ## The epoch protocol (lost-wakeup freedom)
 //!
 //! A condvar couples the predicate's mutex to the wait; [`WaitQueue`]
-//! decouples them so wakers (which cannot block) fit the same shape. The
-//! waiter side is:
+//! decouples them, so one queue serves predicates guarded by any lock (or
+//! by none). The waiter side is:
 //!
 //! ```text
 //! loop {
@@ -30,137 +23,21 @@
 //! even when no waiter matched. A notification that lands between steps 2
 //! and 3 therefore changes the epoch, `park` observes the mismatch under
 //! the waiters lock and returns [`Parked::Raced`] without sleeping, and the
-//! loop re-checks the predicate. The same token check guards
-//! [`WaitQueue::register_waker`], so an async waiter can never park a waker
-//! against a notification that already happened.
+//! loop re-checks the predicate.
 //!
-//! ## Help-before-register
+//! ## Help-before-park
 //!
-//! These types deliberately do **not** run helping closures themselves: the
+//! The queue deliberately does **not** run helping closures itself: the
 //! caller attempts its bounded helping step between the failed predicate
-//! check and the park/register (see `TicketLane::wait_turn`,
+//! check and the park (see `TicketLane::wait_turn`,
 //! `Node::wait_nclock_at_least`). Work executed while helping may retire
 //! the predecessor and notify; the epoch token spans the helping step, so
 //! the subsequent park still cannot lose that wakeup.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::task::Waker;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-
-/// One registered waiter: a parked thread or an async task.
-///
-/// Both wake paths are non-blocking and safe to invoke from any context
-/// (`Thread::unpark` and `Waker::wake` never block), so notifiers may hold
-/// unrelated locks.
-#[derive(Debug)]
-pub enum WaiterHandle {
-    /// A thread parked via `std::thread::park_timeout`.
-    Thread(std::thread::Thread),
-    /// An async task; waking schedules its executor to re-poll.
-    Waker(Waker),
-}
-
-impl WaiterHandle {
-    /// Handle for the calling thread (the thread-park backend).
-    pub fn current_thread() -> WaiterHandle {
-        WaiterHandle::Thread(std::thread::current())
-    }
-
-    fn wake(self) {
-        match self {
-            WaiterHandle::Thread(t) => t.unpark(),
-            WaiterHandle::Waker(w) => w.wake(),
-        }
-    }
-}
-
-const EMPTY: u8 = 0;
-const REGISTERED: u8 = 1;
-const NOTIFIED: u8 = 2;
-
-/// Single-waiter oneshot notification cell.
-///
-/// State machine: `Empty → Registered → Notified`, with `Notified` latched
-/// (a late [`WaitCell::register`] observes it and refuses to park) until
-/// explicitly consumed by [`WaitCell::take_notified`]. The registered
-/// handle lives in a small mutex-protected slot; the state byte is the
-/// lock-free fast path ([`WaitCell::is_notified`]).
-#[derive(Debug, Default)]
-pub struct WaitCell {
-    state: AtomicU8,
-    slot: Mutex<Option<WaiterHandle>>,
-}
-
-impl WaitCell {
-    /// A fresh, empty cell.
-    pub fn new() -> WaitCell {
-        WaitCell::default()
-    }
-
-    /// Registers `handle` to be woken by the next [`WaitCell::notify`].
-    ///
-    /// Returns `false` when the cell is already notified — the caller must
-    /// not park; its predicate is ready. Re-registering replaces the
-    /// previous handle (an async task re-polling with a new waker).
-    pub fn register(&self, handle: WaiterHandle) -> bool {
-        let mut slot = self.slot.lock();
-        if self.state.load(Ordering::Acquire) == NOTIFIED {
-            return false;
-        }
-        *slot = Some(handle);
-        self.state.store(REGISTERED, Ordering::Release);
-        true
-    }
-
-    /// Transitions to `Notified` and wakes the registered waiter, if any.
-    ///
-    /// Returns whether a waiter was actually woken (used to report
-    /// `WakerFired` only for real handoffs). Idempotent: later notifies
-    /// find the state latched and no handle to wake.
-    pub fn notify(&self) -> bool {
-        let handle = {
-            let mut slot = self.slot.lock();
-            let prev = self.state.swap(NOTIFIED, Ordering::AcqRel);
-            if prev == REGISTERED {
-                slot.take()
-            } else {
-                None
-            }
-        };
-        match handle {
-            Some(h) => {
-                h.wake();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Lock-free check for a pending notification.
-    pub fn is_notified(&self) -> bool {
-        self.state.load(Ordering::Acquire) == NOTIFIED
-    }
-
-    /// Consumes a pending notification, returning whether there was one
-    /// (resets `Notified → Empty` so the cell can be reused).
-    pub fn take_notified(&self) -> bool {
-        let mut _slot = self.slot.lock();
-        self.state.compare_exchange(NOTIFIED, EMPTY, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    }
-
-    /// Withdraws a registration that was never notified (waiter dropped or
-    /// gave up). A concurrent notify that already took the handle wins; the
-    /// latched `Notified` state is left untouched.
-    pub fn unregister(&self) {
-        let mut slot = self.slot.lock();
-        if self.state.load(Ordering::Acquire) == REGISTERED {
-            *slot = None;
-            self.state.store(EMPTY, Ordering::Release);
-        }
-    }
-}
 
 /// How a [`WaitQueue::park`] call ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -181,27 +58,9 @@ pub enum Parked {
 struct QueueWaiter {
     id: u64,
     key: u64,
-    handle: WaiterHandle,
-}
-
-/// An async waiter's registration in a [`WaitQueue`], enabling in-place
-/// waker replacement across polls and removal on drop/give-up via
-/// [`WaitQueue::deregister`].
-#[derive(Debug, Default)]
-pub struct WakerReg {
-    id: Option<u64>,
-}
-
-impl WakerReg {
-    /// A registration that is not (yet) enqueued anywhere.
-    pub fn new() -> WakerReg {
-        WakerReg::default()
-    }
-
-    /// Whether this registration currently sits in a queue.
-    pub fn is_registered(&self) -> bool {
-        self.id.is_some()
-    }
+    /// The parked thread; `Thread::unpark` never blocks, so notifiers may
+    /// hold unrelated locks.
+    thread: std::thread::Thread,
 }
 
 /// Keyed multi-waiter wait queue with epoch-based lost-wakeup freedom.
@@ -250,8 +109,7 @@ impl WaitQueue {
     }
 
     /// The current notification epoch. Sample **before** checking the wait
-    /// predicate and pass the sample to [`WaitQueue::park`] /
-    /// [`WaitQueue::register_waker`].
+    /// predicate and pass the sample to [`WaitQueue::park`].
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -273,7 +131,7 @@ impl WaitQueue {
                 return Parked::Raced;
             }
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            q.push(QueueWaiter { id, key, handle: WaiterHandle::current_thread() });
+            q.push(QueueWaiter { id, key, thread: std::thread::current() });
             self.len.store(q.len(), Ordering::Release);
             id
         };
@@ -289,46 +147,6 @@ impl WaitQueue {
             }
             // A notifier removed (and woke) us.
             None => Parked::Notified,
-        }
-    }
-
-    /// Registers `waker` to be woken by the next matching notify, unless
-    /// the epoch moved past `token` (returns `false`: re-check the
-    /// predicate and re-register with a fresh token).
-    ///
-    /// `reg` carries the waiter's identity across polls: while the entry is
-    /// still queued, the waker and key are replaced in place; once a
-    /// notifier consumed it, a fresh entry is created. The caller owns the
-    /// registration's lifetime and must [`WaitQueue::deregister`] on
-    /// drop/give-up so an abandoned task never accumulates dead entries.
-    pub fn register_waker(&self, token: u64, key: u64, waker: &Waker, reg: &mut WakerReg) -> bool {
-        let mut q = self.waiters.lock();
-        if self.epoch.load(Ordering::Relaxed) != token {
-            return false;
-        }
-        if let Some(id) = reg.id {
-            if let Some(w) = q.iter_mut().find(|w| w.id == id) {
-                w.key = key;
-                w.handle = WaiterHandle::Waker(waker.clone());
-                return true;
-            }
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        q.push(QueueWaiter { id, key, handle: WaiterHandle::Waker(waker.clone()) });
-        self.len.store(q.len(), Ordering::Release);
-        reg.id = Some(id);
-        true
-    }
-
-    /// Withdraws `reg`'s entry if it is still queued (waiter dropped or
-    /// settled through another path). Safe to call redundantly.
-    pub fn deregister(&self, reg: &mut WakerReg) {
-        if let Some(id) = reg.id.take() {
-            let mut q = self.waiters.lock();
-            if let Some(i) = q.iter().position(|w| w.id == id) {
-                q.swap_remove(i);
-                self.len.store(q.len(), Ordering::Release);
-            }
         }
     }
 
@@ -353,7 +171,7 @@ impl WaitQueue {
         };
         let n = woken.len();
         for w in woken {
-            w.handle.wake();
+            w.thread.unpark();
         }
         n
     }
@@ -375,7 +193,7 @@ impl WaitQueue {
         };
         match woken {
             Some(w) => {
-                w.handle.wake();
+                w.thread.unpark();
                 true
             }
             None => false,
@@ -387,78 +205,6 @@ impl WaitQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::task::Wake;
-
-    struct CountWake(AtomicUsize);
-    impl Wake for CountWake {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    fn count_waker() -> (Arc<CountWake>, Waker) {
-        let cw = Arc::new(CountWake(AtomicUsize::new(0)));
-        (Arc::clone(&cw), Waker::from(Arc::clone(&cw)))
-    }
-
-    #[test]
-    fn cell_notify_before_register_refuses_to_park() {
-        let cell = WaitCell::new();
-        assert!(!cell.notify(), "nobody to wake yet");
-        assert!(cell.is_notified());
-        assert!(!cell.register(WaiterHandle::current_thread()), "latched notify must refuse");
-        assert!(cell.take_notified());
-        assert!(!cell.take_notified(), "consumed exactly once");
-        assert!(cell.register(WaiterHandle::current_thread()), "reusable after take");
-    }
-
-    #[test]
-    fn cell_notify_wakes_registered_waker_once() {
-        let cell = WaitCell::new();
-        let (cw, waker) = count_waker();
-        assert!(cell.register(WaiterHandle::Waker(waker)));
-        assert!(cell.notify(), "first notify hands off to the waiter");
-        assert!(!cell.notify(), "second notify finds nobody");
-        assert_eq!(cw.0.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn cell_reregister_replaces_the_handle() {
-        let cell = WaitCell::new();
-        let (cw1, w1) = count_waker();
-        let (cw2, w2) = count_waker();
-        assert!(cell.register(WaiterHandle::Waker(w1)));
-        assert!(cell.register(WaiterHandle::Waker(w2)));
-        assert!(cell.notify());
-        assert_eq!(cw1.0.load(Ordering::SeqCst), 0, "stale waker must not fire");
-        assert_eq!(cw2.0.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn cell_unregister_withdraws_quietly() {
-        let cell = WaitCell::new();
-        let (cw, w) = count_waker();
-        assert!(cell.register(WaiterHandle::Waker(w)));
-        cell.unregister();
-        assert!(!cell.notify(), "withdrawn waiter must not count as woken");
-        assert_eq!(cw.0.load(Ordering::SeqCst), 0);
-        assert!(cell.is_notified(), "the notification itself still latches");
-    }
-
-    #[test]
-    fn cell_thread_roundtrip() {
-        let cell = Arc::new(WaitCell::new());
-        let c2 = Arc::clone(&cell);
-        let t = std::thread::spawn(move || {
-            while !c2.is_notified() {
-                if c2.register(WaiterHandle::current_thread()) {
-                    std::thread::park_timeout(Duration::from_millis(50));
-                }
-            }
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        cell.notify();
-        t.join().unwrap();
-    }
 
     #[test]
     fn queue_park_races_with_notify_without_losing_wakeups() {
@@ -515,41 +261,6 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn queue_register_waker_respects_epoch_and_replaces_in_place() {
-        let q = WaitQueue::new();
-        let (cw, waker) = count_waker();
-        let mut reg = WakerReg::new();
-        let stale = q.epoch();
-        q.notify_all();
-        assert!(!q.register_waker(stale, 1, &waker, &mut reg), "stale token must refuse");
-        assert!(!reg.is_registered());
-        let token = q.epoch();
-        assert!(q.register_waker(token, 1, &waker, &mut reg));
-        assert!(reg.is_registered());
-        // Re-poll with a new waker: in-place replacement, still one entry.
-        let (cw2, waker2) = count_waker();
-        let token = q.epoch();
-        assert!(q.register_waker(token, 2, &waker2, &mut reg));
-        assert_eq!(q.notify_where(|k| k == 2), 1);
-        assert_eq!(cw.0.load(Ordering::SeqCst), 0, "replaced waker must not fire");
-        assert_eq!(cw2.0.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn queue_deregister_removes_the_entry() {
-        let q = WaitQueue::new();
-        let (cw, waker) = count_waker();
-        let mut reg = WakerReg::new();
-        let token = q.epoch();
-        assert!(q.register_waker(token, 0, &waker, &mut reg));
-        q.deregister(&mut reg);
-        assert!(!reg.is_registered());
-        assert_eq!(q.notify_all(), 0);
-        assert_eq!(cw.0.load(Ordering::SeqCst), 0);
-        q.deregister(&mut reg); // redundant deregister is a no-op
     }
 
     #[test]

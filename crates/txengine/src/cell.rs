@@ -175,9 +175,12 @@ impl<'a> ListOpGuard<'a> {
 
     /// Acquires the flag only if free (trims are skippable optimizations).
     fn try_acquire(flag: &'a AtomicBool) -> Option<ListOpGuard<'a>> {
+        // Lazy `then`: a guard built for a failed attempt would release the
+        // holder's flag when dropped, letting two trims detach and retire
+        // the same suffix (a double free).
         flag.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
-            .then_some(ListOpGuard(flag))
+            .then(|| ListOpGuard(flag))
     }
 }
 
@@ -652,6 +655,17 @@ mod tests {
         // Replaying the spliced version is still idempotent.
         c.apply_commit(4, erase(40u32), new_write_token(), 0);
         assert_eq!(c.permanent_len(), 4);
+    }
+
+    #[test]
+    fn failed_list_op_acquire_leaves_the_holder_in_place() {
+        let flag = AtomicBool::new(false);
+        let held = ListOpGuard::try_acquire(&flag).expect("free flag");
+        assert!(ListOpGuard::try_acquire(&flag).is_none());
+        assert!(flag.load(Ordering::Acquire), "a failed attempt released the holder's flag");
+        assert!(ListOpGuard::try_acquire(&flag).is_none());
+        drop(held);
+        assert!(ListOpGuard::try_acquire(&flag).is_some());
     }
 
     #[test]

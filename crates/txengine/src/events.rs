@@ -47,10 +47,6 @@ pub enum StallKind {
     /// An ordered-lane transaction blocked waiting for its commit ticket's
     /// turn past the threshold.
     TicketWait,
-    /// An async transaction future (`run_async`) outlived the threshold
-    /// between creation and resolution (warn-only; the inner blocking
-    /// waits own abort authority).
-    AsyncWait,
 }
 
 impl StallKind {
@@ -61,7 +57,6 @@ impl StallKind {
             StallKind::Quiescence => "quiescence",
             StallKind::FutureWait => "future_wait",
             StallKind::TicketWait => "ticket_wait",
-            StallKind::AsyncWait => "async_wait",
         }
     }
 }
@@ -189,16 +184,6 @@ pub enum Event {
     /// Spurious ordered-lane wakeups accumulated by one turn wait (woken
     /// with the turn still pending; flushed once when the turn arrives).
     TicketSpuriousWakes(u64),
-    /// An async task's waker was registered at a blocking site (the waker
-    /// backend of the unified wait layer).
-    WakerRegistered,
-    /// A registered waker was fired by a completion/notify path.
-    WakerFired,
-    /// The async front-end polled a transaction future (`TxRun::poll`).
-    AsyncPoll,
-    /// A poll of an already-registered transaction future found the result
-    /// still pending (the wake was spurious from the future's viewpoint).
-    AsyncSpuriousPoll,
     /// A read-write commit ran on the single-lane fast path of the sharded
     /// commit backbone (its whole footprint hashed to one lane).
     LaneCommit {
@@ -238,8 +223,8 @@ pub enum Event {
     /// inspector. `(a, b)` are kind-specific coordinates: `(lane, seq)` for
     /// [`StallKind::TicketWait`], `(node, nclock target)` for
     /// [`StallKind::WaitTurn`], `(waiting node, 0)` for
-    /// [`StallKind::FutureWait`] / [`StallKind::AsyncWait`], `(live tasks,
-    /// 0)` for [`StallKind::Quiescence`]. Always paired with a
+    /// [`StallKind::FutureWait`], `(live tasks, 0)` for
+    /// [`StallKind::Quiescence`]. Always paired with a
     /// [`Event::WaitEnd`] from the same thread (RAII at the wait site);
     /// sites may nest (a waiter helping the pool can block again inside).
     WaitBegin {
@@ -475,10 +460,6 @@ impl EventSink for StatsSink {
             Event::TicketAbandoned { .. } => s.tickets_abandoned(),
             Event::TicketWaitNs(ns) => s.add_ticket_wait_ns(ns),
             Event::TicketSpuriousWakes(n) => s.add_ticket_spurious_wakes(n),
-            Event::WakerRegistered => s.wakers_registered(),
-            Event::WakerFired => s.wakers_fired(),
-            Event::AsyncPoll => s.async_polls(),
-            Event::AsyncSpuriousPoll => s.async_spurious_polls(),
             Event::LaneCommit { .. } => s.lane_commits(),
             Event::LaneFallback { .. } => s.lane_fallbacks(),
             Event::LaneHelpedDraw => s.lane_helped_draws(),
@@ -627,12 +608,6 @@ mod tests {
         sink.event(Event::TicketAbandoned { lane: 0, seq: 1 });
         sink.event(Event::TicketWaitNs(40));
         sink.event(Event::TicketSpuriousWakes(5));
-        sink.event(Event::WakerRegistered);
-        sink.event(Event::WakerRegistered);
-        sink.event(Event::WakerFired);
-        sink.event(Event::AsyncPoll);
-        sink.event(Event::AsyncPoll);
-        sink.event(Event::AsyncPoll);
         // Detail-only events fall through without touching counters.
         sink.event(Event::TopCommitNs(999));
         sink.event(Event::FutureLifetimeNs(999));
@@ -650,9 +625,6 @@ mod tests {
         assert_eq!(snap.tickets_abandoned, 1);
         assert_eq!(snap.ticket_wait_ns, 40);
         assert_eq!(snap.ticket_spurious_wakes, 5);
-        assert_eq!(snap.wakers_registered, 2);
-        assert_eq!(snap.wakers_fired, 1);
-        assert_eq!(snap.async_polls, 3);
     }
 
     #[test]

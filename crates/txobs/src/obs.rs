@@ -157,10 +157,6 @@ impl MetricsSnapshot {
             ("tickets_abandoned".into(), Json::U64(c.tickets_abandoned)),
             ("ticket_wait_ns".into(), Json::U64(c.ticket_wait_ns)),
             ("ticket_spurious_wakes".into(), Json::U64(c.ticket_spurious_wakes)),
-            ("wakers_registered".into(), Json::U64(c.wakers_registered)),
-            ("wakers_fired".into(), Json::U64(c.wakers_fired)),
-            ("async_polls".into(), Json::U64(c.async_polls)),
-            ("async_spurious_polls".into(), Json::U64(c.async_spurious_polls)),
             ("lane_commits".into(), Json::U64(c.lane_commits)),
             ("lane_fallbacks".into(), Json::U64(c.lane_fallbacks)),
             ("lane_helped_draws".into(), Json::U64(c.lane_helped_draws)),

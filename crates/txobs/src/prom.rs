@@ -78,14 +78,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         ("tickets_abandoned", "Ordered-lane tickets abandoned", c.tickets_abandoned),
         ("ticket_wait_ns", "Nanoseconds waiting for ticket turns", c.ticket_wait_ns),
         ("ticket_spurious_wakes", "Ordered-lane spurious wakeups", c.ticket_spurious_wakes),
-        ("wakers_registered", "Async wakers registered", c.wakers_registered),
-        ("wakers_fired", "Async wakers fired", c.wakers_fired),
-        ("async_polls", "Async transaction future polls", c.async_polls),
-        (
-            "async_spurious_polls",
-            "Polls that found the result still pending",
-            c.async_spurious_polls,
-        ),
         ("lane_commits", "Single-lane fast-path commits (sharded backbone)", c.lane_commits),
         ("lane_fallbacks", "Cross-lane fallback commits", c.lane_fallbacks),
         (
@@ -149,7 +141,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let name = "rtf_wait_sites";
     let _ = writeln!(out, "# HELP {name} Threads currently blocked, by wait kind");
     let _ = writeln!(out, "# TYPE {name} gauge");
-    for kind in ["wait_turn", "quiescence", "future_wait", "ticket_wait", "async_wait"] {
+    for kind in ["wait_turn", "quiescence", "future_wait", "ticket_wait"] {
         let n = snap.waits.iter().filter(|w| w.kind.name() == kind).count();
         let _ = writeln!(out, "{name}{{kind=\"{kind}\"}} {n}");
     }
@@ -247,7 +239,6 @@ mod tests {
     fn exposition_covers_counters_summaries_and_gauges() {
         let mut m = MetricsSnapshot::default();
         m.counters.top_commits = 12;
-        m.counters.async_polls = 3;
         m.commit = HistSnapshot {
             count: 2,
             mean: 1_500.0,
@@ -279,7 +270,6 @@ mod tests {
         for needle in [
             "# TYPE rtf_top_commits_total counter",
             "rtf_top_commits_total 12",
-            "rtf_async_polls_total 3",
             "# TYPE rtf_commit_latency_ns summary",
             "rtf_commit_latency_ns{quantile=\"0.5\"} 1000",
             "rtf_commit_latency_ns_sum 3000",

@@ -100,13 +100,6 @@ pub fn text_report(m: &MetricsSnapshot) -> String {
             fmt_ns(c.retry_backoff_ns)
         ));
     }
-    if c.wakers_registered > 0 || c.async_polls > 0 {
-        out.push_str("async:\n");
-        out.push_str(&format!(
-            "  polls {}  spurious polls {}  wakers registered {}  fired {}\n",
-            c.async_polls, c.async_spurious_polls, c.wakers_registered, c.wakers_fired
-        ));
-    }
     let reads_total = c.read_fast + c.read_slow;
     let fast_pct =
         if reads_total == 0 { 0.0 } else { c.read_fast as f64 * 100.0 / reads_total as f64 };
@@ -171,10 +164,6 @@ mod tests {
         m.counters.read_slow = 2;
         m.counters.tickets_issued = 6;
         m.counters.ordered_commits = 5;
-        m.counters.async_polls = 11;
-        m.counters.async_spurious_polls = 2;
-        m.counters.wakers_registered = 4;
-        m.counters.wakers_fired = 4;
         m.commit.count = 5;
         m.commit.p99 = 1_500;
         m.span_ring_high_water = 17;
@@ -207,8 +196,6 @@ mod tests {
             "stalls detected",
             "ordered lane",
             "tickets issued 6",
-            "async:",
-            "polls 11  spurious polls 2  wakers registered 4  fired 4",
             "ring high-water 17",
             "gauges:",
             "pool_queue_depth 3",

@@ -65,9 +65,7 @@ impl WaitEdge {
         let what = match self.kind {
             StallKind::TicketWait => format!("lane {} seq {}", self.a, self.b),
             StallKind::WaitTurn => format!("node {} nclock>={}", self.a, self.b),
-            StallKind::FutureWait | StallKind::AsyncWait => {
-                format!("node {} awaits a future", self.a)
-            }
+            StallKind::FutureWait => format!("node {} awaits a future", self.a),
             StallKind::Quiescence => format!("{} live tasks", self.a),
         };
         format!(

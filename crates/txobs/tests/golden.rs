@@ -84,10 +84,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
     m.counters.validation_ns = 65_432;
     m.counters.read_fast = 900;
     m.counters.read_slow = 100;
-    m.counters.wakers_registered = 12;
-    m.counters.wakers_fired = 12;
-    m.counters.async_polls = 30;
-    m.counters.async_spurious_polls = 4;
     m.counters.lane_commits = 80;
     m.counters.lane_fallbacks = 6;
     m.counters.lane_helped_draws = 2;

@@ -38,6 +38,6 @@ pub mod workloads;
 pub use admission::{Admission, AdmissionConfig, Decision};
 pub use load::{run_load, LoadConfig, LoadReport, Mix, RequestGen, Zipfian};
 pub use protocol::{OpCode, Request, Response, Status};
-pub use server::{block_on, DrainReport, Server, ServerConfig};
+pub use server::{DrainReport, Server, ServerConfig};
 pub use soak::{run_soak, soak_runtime, SoakConfig, SoakReport};
 pub use workloads::{Op, ServerState, StateConfig};

@@ -13,9 +13,13 @@
 //!   That is the whole backpressure mechanism — no application-level
 //!   window, no unbounded queue per connection.
 //! * `workers` **executor** threads popping admitted jobs from one FIFO
-//!   queue and driving them through the async front-end
-//!   ([`rtf::Rtf::run_async_with_budget`]) under a thread-parking
-//!   `block_on`. Ordered tickets are drawn at *dequeue* time, under the
+//!   queue and running each as a top-level transaction on the executor
+//!   thread itself ([`rtf::Rtf::run_with_budget`] /
+//!   [`rtf::Rtf::run_ticketed_with_budget`]); a thread blocked inside one
+//!   helps the runtime's pool rather than sleeping, so a zero-worker
+//!   runtime still serves. A panic escaping a request is contained at the
+//!   executor and answered [`Status::ErrPanicked`]. Ordered tickets are
+//!   drawn at *dequeue* time, under the
 //!   queue lock: ticket order equals dequeue order (= arrival order, the
 //!   FIFO contract), and — crucially — every outstanding ticket belongs to
 //!   a job an executor is actively running. Drawing at admission instead
@@ -36,18 +40,16 @@
 //! response write just fails).
 
 use std::collections::VecDeque;
-use std::future::Future;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::pin::pin;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rtf::{Event, Rtf};
+use rtf::{Event, Rtf, TxError};
 
 use crate::admission::{Admission, AdmissionConfig, Decision};
 use crate::protocol::{read_frame, write_frame, Request, Response, Status};
@@ -80,28 +82,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             state: StateConfig::default(),
             drain_deadline: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Minimal thread-parking executor for one future: polls, parks between
-/// wakes. The [`rtf::Rtf::run_async_with_budget`] future registers its
-/// waker with the runtime's wait layer, so each transaction completion
-/// unparks exactly this thread.
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    struct ThreadWaker(thread::Thread);
-    impl Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let mut fut = pin!(fut);
-    let waker = Waker::from(Arc::new(ThreadWaker(thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(r) => return r,
-            Poll::Pending => thread::park(),
         }
     }
 }
@@ -528,7 +508,17 @@ fn executor_loop(shared: &Arc<Shared>) {
             continue;
         }
         let budget = budget_for(job.deadline_ms, job.admitted_at);
-        let result = execute(&shared.tm, &shared.state, job.op, budget, ticket);
+        // A panic escaping the request (its body, or a bug below it) is
+        // contained here: the request is answered `ErrPanicked`, its ticket
+        // (dropped while unwinding) is abandoned, and both of its slots are
+        // released below exactly as for any other verdict.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let _ = rtf_txfault::fail_point!("txserver.exec");
+            execute(&shared.tm, &shared.state, job.op, budget, ticket)
+        }))
+        .unwrap_or_else(|_| {
+            Err(TxError::FuturePanicked { message: "request execution panicked".into() })
+        });
         let resp = match &result {
             Ok(body) => Response { req_id: job.req_id, status: Status::Ok, body: body.clone() },
             Err(e) => {

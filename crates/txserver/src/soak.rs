@@ -9,8 +9,8 @@
 //!    and the stall-abort watchdog armed — every failure mode typed;
 //! 2. starts the server and (with the `fault-inject` feature) installs a
 //!    seeded [`rtf_txfault::FaultPlan`] covering the server's own sites
-//!    (`txserver.accept`, `txserver.conn.read`, `txserver.conn.write`) and
-//!    the runtime's commit/teardown/pool sites;
+//!    (`txserver.accept`, `txserver.conn.read`, `txserver.conn.write`,
+//!    `txserver.exec`) and the runtime's commit/teardown sites;
 //! 3. drives seeded closed-loop load plus *disconnector* clients that walk
 //!    away mid-pipeline (their FIN with requests still in flight is what
 //!    exercises ticket abandonment and the conn-reset accounting);
@@ -73,6 +73,8 @@ pub struct SoakReport {
     pub load: LoadReport,
     /// Faults injected across all sites (0 without `fault-inject`).
     pub injected_faults: u64,
+    /// Faults injected per site, for the sites that injected any.
+    pub injected_by_site: Vec<(&'static str, u64)>,
     /// Ordered-lane accounting: tickets issued / committed / abandoned.
     pub tickets: (u64, u64, u64),
     /// Versions garbage-collected (watermark advanced under churn).
@@ -119,10 +121,11 @@ pub fn soak_runtime(seed: u64) -> Rtf {
 fn install_faults(seed: u64) {
     use rtf_txfault::{FaultPlan, SiteRule};
     // Rates are per-hit ppm; caps bound total injections so the drain is
-    // never fighting an unbounded fault stream. Server sites use abort /
-    // delay only (an injected *panic* in a reader/executor thread would
-    // model a server bug, not an environmental fault — the runtime sites
-    // below cover panic containment on the transaction path).
+    // never fighting an unbounded fault stream. Connection sites use abort /
+    // delay only (an injected *panic* in a reader thread would model a
+    // server bug, not an environmental fault); `txserver.exec` panics
+    // inside the executor's containment, the path a panicking request
+    // takes.
     rtf_txfault::install(
         FaultPlan::new(seed)
             .rule(SiteRule::at("txserver.accept").abort(20_000).cap(50))
@@ -131,8 +134,7 @@ fn install_faults(seed: u64) {
             .rule(SiteRule::at("txserver.drain").delay(200_000, 500).cap(20))
             .rule(SiteRule::at("core.subcommit.validate").abort(5_000).cap(500))
             .rule(SiteRule::at("core.teardown.scrub").delay(10_000, 200).cap(200))
-            .rule(SiteRule::at("taskpool.task.run").panic(500).cap(20))
-            .rule(SiteRule::at("core.async.poll").spurious(10_000).cap(500)),
+            .rule(SiteRule::at("txserver.exec").panic(500).cap(20)),
     );
 }
 
@@ -225,7 +227,12 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
 
     // Chaos off before the drain: the soak verifies *recovery to a clean
     // stop*, not behavior under a fault stream that never ends.
-    let injected_faults = rtf_txfault::injected_total();
+    let injected_by_site: Vec<_> = rtf_txfault::stats()
+        .iter()
+        .filter(|r| r.injected() > 0)
+        .map(|r| (r.site, r.injected()))
+        .collect();
+    let injected_faults = injected_by_site.iter().map(|(_, n)| n).sum();
     rtf_txfault::clear();
 
     let tm = server.tm().clone();
@@ -264,6 +271,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         drain,
         load,
         injected_faults,
+        injected_by_site,
         tickets,
         versions_gced: stats.versions_gced,
         elapsed,
@@ -282,6 +290,11 @@ pub fn render_soak(r: &SoakReport) -> String {
         r.elapsed,
         r.injected_faults
     );
+    if !r.injected_by_site.is_empty() {
+        let sites: Vec<_> =
+            r.injected_by_site.iter().map(|(site, n)| format!("{site} {n}")).collect();
+        let _ = writeln!(out, "faults by site: {}", sites.join("  "));
+    }
     let d = &r.drain;
     let _ = writeln!(
         out,

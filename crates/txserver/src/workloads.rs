@@ -7,10 +7,10 @@
 //! * the STAMP Vacation [`Manager`] (reservations and bills);
 //! * the TPC-C [`TpccDb`] (Payment and StockLevel over the public tables).
 //!
-//! All bodies go through [`Rtf::run_with_budget`]-style entry points —
-//! *never* the panicking `atomic` wrappers — so every failure mode the
-//! runtime can produce arrives as a typed [`TxError`] the protocol layer
-//! maps to a wire status. The stock crate executors (`TpccExecutor`,
+//! All bodies run on the calling thread through [`Rtf::run_with_budget`] /
+//! [`Rtf::run_ticketed_with_budget`] — *never* the panicking `atomic`
+//! wrappers — so every failure mode the runtime can produce arrives as a
+//! typed [`TxError`] the protocol layer maps to a wire status. The stock crate executors (`TpccExecutor`,
 //! Vacation `Client`) use `atomic` internally and are therefore bypassed:
 //! the bodies here are written against the tx-level table APIs directly.
 
@@ -164,56 +164,40 @@ pub fn execute(
     budget: RunBudget,
     ticket: Option<rtf::OrderedTicket>,
 ) -> Result<Vec<u8>, TxError> {
+    let kv = &state.kv;
     match op {
         Op::Ping => Ok(Vec::new()),
-        Op::KvGet { key } => {
-            let kv = state.kv.clone();
-            run(tm, budget, ticket, move |tx| match kv.get(tx, &key) {
-                Some(v) => encode_flag_u64(1, v),
-                None => encode_flag_u64(0, 0),
-            })
-        }
-        Op::KvPut { key, value } => {
-            let kv = state.kv.clone();
-            run(tm, budget, ticket, move |tx| match kv.insert(tx, key, value) {
-                Some(old) => encode_flag_u64(1, old),
-                None => encode_flag_u64(0, 0),
-            })
-        }
-        Op::KvDel { key } => {
-            let kv = state.kv.clone();
-            run(tm, budget, ticket, move |tx| match kv.remove(tx, &key) {
-                Some(old) => encode_flag_u64(1, old),
-                None => encode_flag_u64(0, 0),
-            })
-        }
-        Op::KvCas { key, expect, new } => {
-            let kv = state.kv.clone();
-            run(tm, budget, ticket, move |tx| {
-                let cur = kv.get(tx, &key);
-                if cur == Some(expect) {
-                    kv.insert(tx, key, new);
-                    encode_flag_u64(1, new)
-                } else {
-                    encode_flag_u64(0, cur.unwrap_or(0))
-                }
-            })
-        }
-        Op::KvIncr { key, delta } => {
-            let kv = state.kv.clone();
-            run(tm, budget, ticket, move |tx| {
-                let next = kv.get(tx, &key).unwrap_or(0).wrapping_add(delta);
-                kv.insert(tx, key, next);
-                next.to_le_bytes().to_vec()
-            })
-        }
-        Op::VacReserve { customer, kind, resource } => {
-            let m = Arc::clone(&state.vacation);
-            run(tm, budget, ticket, move |tx| vec![m.reserve(tx, customer, kind, resource) as u8])
-        }
+        Op::KvGet { key } => run(tm, budget, ticket, |tx| match kv.get(tx, &key) {
+            Some(v) => encode_flag_u64(1, v),
+            None => encode_flag_u64(0, 0),
+        }),
+        Op::KvPut { key, value } => run(tm, budget, ticket, |tx| match kv.insert(tx, key, value) {
+            Some(old) => encode_flag_u64(1, old),
+            None => encode_flag_u64(0, 0),
+        }),
+        Op::KvDel { key } => run(tm, budget, ticket, |tx| match kv.remove(tx, &key) {
+            Some(old) => encode_flag_u64(1, old),
+            None => encode_flag_u64(0, 0),
+        }),
+        Op::KvCas { key, expect, new } => run(tm, budget, ticket, |tx| {
+            let cur = kv.get(tx, &key);
+            if cur == Some(expect) {
+                kv.insert(tx, key, new);
+                encode_flag_u64(1, new)
+            } else {
+                encode_flag_u64(0, cur.unwrap_or(0))
+            }
+        }),
+        Op::KvIncr { key, delta } => run(tm, budget, ticket, |tx| {
+            let next = kv.get(tx, &key).unwrap_or(0).wrapping_add(delta);
+            kv.insert(tx, key, next);
+            next.to_le_bytes().to_vec()
+        }),
+        Op::VacReserve { customer, kind, resource } => run(tm, budget, ticket, |tx| {
+            vec![state.vacation.reserve(tx, customer, kind, resource) as u8]
+        }),
         Op::VacBill { customer } => {
-            let m = Arc::clone(&state.vacation);
-            run(tm, budget, ticket, move |tx| match m.query_bill(tx, customer) {
+            run(tm, budget, ticket, |tx| match state.vacation.query_bill(tx, customer) {
                 Some(bill) => {
                     let mut out = vec![1u8];
                     out.extend_from_slice(&bill.to_le_bytes());
@@ -222,18 +206,12 @@ pub fn execute(
                 None => vec![0u8, 0, 0, 0, 0],
             })
         }
-        Op::TpccPayment { w, d, c, amount } => {
-            let db = Arc::clone(&state.tpcc);
-            run(tm, budget, ticket, move |tx| {
-                payment_body(tx, &db, w, d, c, amount).to_le_bytes().to_vec()
-            })
-        }
-        Op::TpccStockLevel { w, d, threshold } => {
-            let db = Arc::clone(&state.tpcc);
-            run(tm, budget, ticket, move |tx| {
-                stock_level_body(tx, &db, w, d, threshold).to_le_bytes().to_vec()
-            })
-        }
+        Op::TpccPayment { w, d, c, amount } => run(tm, budget, ticket, |tx| {
+            payment_body(tx, &state.tpcc, w, d, c, amount).to_le_bytes().to_vec()
+        }),
+        Op::TpccStockLevel { w, d, threshold } => run(tm, budget, ticket, |tx| {
+            stock_level_body(tx, &state.tpcc, w, d, threshold).to_le_bytes().to_vec()
+        }),
     }
 }
 
@@ -241,14 +219,11 @@ fn run(
     tm: &Rtf,
     budget: RunBudget,
     ticket: Option<rtf::OrderedTicket>,
-    body: impl Fn(&mut Tx) -> Vec<u8> + Send + 'static,
+    body: impl Fn(&mut Tx) -> Vec<u8>,
 ) -> Result<Vec<u8>, TxError> {
-    // Through the async front-end (waker-based wait layer), driven by the
-    // executor thread's parking `block_on`: the worker never spins, and a
-    // zero-worker runtime pool still completes via poll-path helping.
     match ticket {
-        Some(t) => crate::server::block_on(tm.run_ticketed_async_with_budget(budget, t, body)),
-        None => crate::server::block_on(tm.run_async_with_budget(budget, body)),
+        Some(t) => tm.run_ticketed_with_budget(budget, t, body),
+        None => tm.run_with_budget(budget, body),
     }
 }
 

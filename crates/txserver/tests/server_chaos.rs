@@ -1,14 +1,20 @@
-//! Chaos satellite: a client that disconnects mid-ticketed-transaction.
+//! Serving under faults.
 //!
-//! The scenario the PR pins down: an ordered request is admitted, its
-//! commit ticket is drawn, and then the client vanishes before reading
-//! (or even before the executor runs). The server must abandon the ticket
-//! cleanly — the lane retires the turn, no tentative record leaks, the GC
-//! watermark keeps advancing — and the accounting must still reconcile.
+//! * A client that disconnects mid-ticketed-transaction: an ordered
+//!   request is admitted, its commit ticket is drawn, and then the client
+//!   vanishes before reading (or even before the executor runs). The
+//!   server must abandon the ticket cleanly — the lane retires the turn,
+//!   no tentative record leaks, the GC watermark keeps advancing — and the
+//!   accounting must still reconcile.
+//! * A request that panics inside the executor (failpoint
+//!   `txserver.exec`, armed only with `--features fault-inject`): the
+//!   client gets a typed `ErrPanicked`, and the executor keeps serving.
 
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use rtf_txfault::{FaultPlan, SiteRule};
 use rtf_txserver::protocol::{
     read_frame, write_frame, OpCode, Request, Response, Status, FLAG_ORDERED,
 };
@@ -35,6 +41,13 @@ fn chaos_server_config() -> ServerConfig {
     }
 }
 
+/// Serializes the tests of this binary: a fault plan is process-wide, so an
+/// armed site must not fire inside a neighbouring test's server.
+fn lock() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn ordered_incr(req_id: u64, key: u64) -> Request {
     let mut body = key.to_le_bytes().to_vec();
     body.extend_from_slice(&1u64.to_le_bytes());
@@ -43,6 +56,7 @@ fn ordered_incr(req_id: u64, key: u64) -> Request {
 
 #[test]
 fn disconnect_mid_ticketed_pipeline_abandons_tickets_without_leaks() {
+    let _gate = lock();
     let tm = rtf::Rtf::builder()
         .workers(2)
         .ordered(2)
@@ -131,4 +145,47 @@ fn disconnect_mid_ticketed_pipeline_abandons_tickets_without_leaks() {
 
     // The rude disconnects were observed and counted.
     assert!(report.conn_resets > 0, "mid-flight disconnects not detected");
+}
+
+#[test]
+fn panicking_request_is_answered_and_the_executor_keeps_serving() {
+    if !rtf_txfault::enabled() {
+        eprintln!("skipped: build with --features fault-inject");
+        return;
+    }
+    let _gate = lock();
+    // One executor and one in-flight slot per connection: if the panic
+    // leaked either slot, or killed the executor, the next request on the
+    // same connection would never be answered.
+    let config = ServerConfig { exec_workers: 1, per_conn_inflight: 1, ..chaos_server_config() };
+    let server = Server::start(rtf::Rtf::builder().workers(1).build(), config).unwrap();
+    let mut c = TcpStream::connect(server.local_addr()).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut roundtrip = |req: Request| {
+        write_frame(&mut c, &req.encode()).unwrap();
+        Response::decode(&read_frame(&mut c).unwrap().expect("response frame")).unwrap()
+    };
+    let incr = |req_id| Request { flags: 0, ..ordered_incr(req_id, 5) };
+
+    rtf_txfault::install(
+        FaultPlan::new(3).rule(SiteRule::at("txserver.exec").panic(1_000_000).cap(1)),
+    );
+    let r = roundtrip(incr(1));
+    let injected = rtf_txfault::injected_total();
+    rtf_txfault::clear();
+    assert_eq!(injected, 1, "the txserver.exec panic never fired");
+    assert_eq!((r.req_id, r.status), (1, Status::ErrPanicked));
+
+    for id in 2..6u64 {
+        let r = roundtrip(incr(id));
+        assert_eq!((r.req_id, r.status), (id, Status::Ok));
+        // The panicked increment left no effect: values count from 1.
+        assert_eq!(u64::from_le_bytes(r.body.try_into().unwrap()), id - 1);
+    }
+    drop(c);
+
+    let report = server.shutdown();
+    assert_eq!((report.admitted, report.completed, report.drained), (5, 5, 0));
+    assert_eq!(report.failed, 1);
+    assert!(report.reconciled, "leftover in-flight {}", report.leftover_inflight);
 }

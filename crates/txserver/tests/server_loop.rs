@@ -5,7 +5,9 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use rtf_txserver::protocol::{read_frame, write_frame, OpCode, Request, Response, Status};
-use rtf_txserver::{AdmissionConfig, Server, ServerConfig, SoakConfig, StateConfig};
+use rtf_txserver::{
+    AdmissionConfig, LoadConfig, Mix, RequestGen, Server, ServerConfig, SoakConfig, StateConfig,
+};
 
 fn test_server_config() -> ServerConfig {
     ServerConfig {
@@ -114,6 +116,79 @@ fn vacation_and_tpcc_over_the_wire() {
     assert_eq!(r.status, Status::Ok);
 
     assert!(server.shutdown().reconciled);
+}
+
+/// A runtime without pool workers still serves: each executor runs its
+/// request on its own thread, and any wait inside helps the pool instead
+/// of sleeping. KV, Vacation and TPC-C requests, unordered and with
+/// `FLAG_ORDERED` on an ordered runtime, must all answer `Ok`.
+#[test]
+fn zero_worker_runtime_serves_every_op_family() {
+    let mix = Mix {
+        kv_get: 1,
+        kv_put: 1,
+        kv_incr: 1,
+        kv_cas: 1,
+        vac_reserve: 1,
+        vac_bill: 1,
+        tpcc_payment: 1,
+        tpcc_stock: 1,
+    };
+    for ordered in [false, true] {
+        let mut builder = rtf::Rtf::builder().workers(0);
+        if ordered {
+            builder = builder.ordered(1);
+        }
+        let config = ServerConfig { state: StateConfig::default(), ..test_server_config() };
+        let server = Server::start(builder.build(), config).unwrap();
+        let load = LoadConfig { ordered, mix: mix.clone(), ..Default::default() };
+        let addr = server.local_addr();
+        let clients: Vec<_> = (0..2u64)
+            .map(|stream| {
+                let load = load.clone();
+                std::thread::spawn(move || {
+                    let mut c = TcpStream::connect(addr).unwrap();
+                    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    let mut gen = RequestGen::new(&load, stream);
+                    let mut ops = Vec::new();
+                    // 40 pipelined bursts of 4, so both executors stay busy.
+                    for _ in 0..40 {
+                        let burst: Vec<_> = (0..4).map(|_| gen.next_request()).collect();
+                        for r in &burst {
+                            write_frame(&mut c, &r.encode()).unwrap();
+                        }
+                        // Two executors may answer a burst out of order.
+                        let mut answered: Vec<_> = (0..burst.len())
+                            .map(|_| {
+                                let frame = read_frame(&mut c).unwrap().unwrap();
+                                let resp = Response::decode(&frame).unwrap();
+                                assert_eq!(resp.status, Status::Ok, "request {}", resp.req_id);
+                                resp.req_id
+                            })
+                            .collect();
+                        answered.sort_unstable();
+                        assert_eq!(answered, burst.iter().map(|r| r.req_id).collect::<Vec<_>>());
+                        ops.extend(burst.iter().map(|r| (r.op, r.ordered())));
+                    }
+                    ops
+                })
+            })
+            .collect();
+        let ops: Vec<_> = clients.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        for family in [OpCode::KvIncr, OpCode::VacReserve, OpCode::TpccPayment] {
+            assert!(ops.iter().any(|(op, _)| *op == family), "no {family:?} request was sent");
+        }
+        assert_eq!(ops.iter().any(|(_, o)| *o), ordered, "FLAG_ORDERED use");
+        let tm = server.tm().clone();
+        let report = server.shutdown();
+        assert_eq!((report.admitted, report.completed, report.failed), (320, 320, 0));
+        assert!(report.reconciled, "ordered={ordered}: drain did not reconcile");
+        if ordered {
+            let s = tm.stats();
+            assert!(s.ordered_commits > 0, "no request committed through the ordered lane");
+            assert_eq!(s.tickets_issued, s.ordered_commits + s.tickets_abandoned);
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Model-check-style tests for the unified blocking primitives
-//! (`rtf_txbase::wait`): the `WaitCell` register/notify/drop races and the
-//! `WaitQueue` epoch-token protocol's lost-wakeup freedom.
+//! Model-check-style tests for the thread-park wait queue
+//! (`rtf_txbase::wait`): the `WaitQueue` epoch-token protocol's
+//! lost-wakeup freedom.
 //!
 //! Compiled only under `--cfg loom` so the tier-1 `cargo test` run is
 //! unaffected:
@@ -20,138 +20,9 @@
 use loom::thread;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Wake, Waker};
 use std::time::Duration;
 
-use rtf_txbase::{Parked, WaitCell, WaitQueue, WaiterHandle, WakerReg};
-
-/// A countable waker for asserting exactly-once fire semantics.
-struct CountWake(AtomicUsize);
-
-impl Wake for CountWake {
-    fn wake(self: Arc<Self>) {
-        self.0.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-fn count_waker() -> (Arc<CountWake>, Waker) {
-    let cw = Arc::new(CountWake(AtomicUsize::new(0)));
-    let waker = Waker::from(Arc::clone(&cw));
-    (cw, waker)
-}
-
-/// The oneshot race itself: registration and notification on two threads in
-/// every order. Whatever the interleaving, the waker fires exactly once OR
-/// the registration observes the latch and refuses — never both, never
-/// neither (the lost-wakeup case).
-#[test]
-fn cell_register_vs_notify_never_loses_the_wakeup() {
-    loom::model(|| {
-        let cell = Arc::new(WaitCell::new());
-        let (count, waker) = count_waker();
-
-        let registrar = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                thread::yield_now();
-                cell.register(WaiterHandle::Waker(waker))
-            })
-        };
-        let notifier = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                thread::yield_now();
-                cell.notify()
-            })
-        };
-        let registered = registrar.join().unwrap();
-        let woke = notifier.join().unwrap();
-        let fired = count.0.load(Ordering::SeqCst);
-        if registered {
-            // The slot was armed before the notify: the notify must have
-            // taken and fired it.
-            assert!(woke, "registered waker not taken by the notify");
-            assert_eq!(fired, 1, "registered waker must fire exactly once");
-        } else {
-            // The latch won: the registrar was refused and must re-check
-            // its predicate; no waker was ever armed to fire.
-            assert!(!woke, "refused registration cannot have been woken");
-            assert_eq!(fired, 0);
-        }
-        assert!(cell.is_notified(), "cell must end latched either way");
-    });
-}
-
-/// Withdrawal vs notification: an `unregister` racing a `notify` must end
-/// with a latched cell and at most one fire — and a fire only if the notify
-/// took the handle before the withdrawal removed it.
-#[test]
-fn cell_unregister_vs_notify_is_at_most_once() {
-    loom::model(|| {
-        let cell = Arc::new(WaitCell::new());
-        let (count, waker) = count_waker();
-        assert!(cell.register(WaiterHandle::Waker(waker)));
-
-        let withdrawer = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                thread::yield_now();
-                cell.unregister();
-            })
-        };
-        let notifier = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.notify())
-        };
-        withdrawer.join().unwrap();
-        let woke = notifier.join().unwrap();
-        let fired = count.0.load(Ordering::SeqCst);
-        assert_eq!(fired, usize::from(woke), "fire count must match the notify's claim");
-        assert!(fired <= 1);
-        assert!(cell.is_notified(), "notify latches whether or not a handle remained");
-    });
-}
-
-/// Thread backend, same race: a parked thread and a notifier. The consume
-/// step (`take_notified`) must hand the latch to exactly one observer.
-#[test]
-fn cell_thread_park_vs_notify_consumes_once() {
-    loom::model(|| {
-        let cell = Arc::new(WaitCell::new());
-        let done = Arc::new(AtomicBool::new(false));
-
-        let waiter = {
-            let cell = Arc::clone(&cell);
-            let done = Arc::clone(&done);
-            thread::spawn(move || {
-                // The waiter's standard protocol: check, register, re-check
-                // via the register verdict, park until latched.
-                while !cell.is_notified() {
-                    if !cell.register(WaiterHandle::current_thread()) {
-                        break;
-                    }
-                    if cell.is_notified() {
-                        break;
-                    }
-                    std::thread::park_timeout(Duration::from_micros(50));
-                }
-                assert!(cell.take_notified(), "waiter must consume the latch");
-                done.store(true, Ordering::SeqCst);
-            })
-        };
-        let notifier = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                thread::yield_now();
-                cell.notify();
-            })
-        };
-        notifier.join().unwrap();
-        waiter.join().unwrap();
-        assert!(done.load(Ordering::SeqCst));
-        assert!(!cell.is_notified(), "take_notified must have cleared the latch");
-    });
-}
+use rtf_txbase::{Parked, WaitQueue};
 
 /// The queue's epoch-token protocol: a waiter samples its token, checks the
 /// predicate, and parks; a notifier sets the predicate and notifies. In
@@ -238,54 +109,5 @@ fn queue_notify_where_admits_the_matching_key_under_races() {
         w1.join().unwrap();
         w2.join().unwrap();
         assert!(!q.has_waiters());
-    });
-}
-
-/// Waker registration vs notify on the queue backend: `register_waker`'s
-/// epoch check must refuse (forcing a predicate re-check) whenever the
-/// notify already happened, and an accepted registration must be fired.
-#[test]
-fn queue_register_waker_vs_notify_never_strands_the_task() {
-    loom::model(|| {
-        let q = Arc::new(WaitQueue::new());
-        let ready = Arc::new(AtomicBool::new(false));
-        let (count, waker) = count_waker();
-
-        let registrar = {
-            let q = Arc::clone(&q);
-            let ready = Arc::clone(&ready);
-            thread::spawn(move || {
-                let mut reg = WakerReg::default();
-                // One simulated poll: token, predicate, register-or-recheck.
-                loop {
-                    let token = q.epoch();
-                    if ready.load(Ordering::Acquire) {
-                        q.deregister(&mut reg);
-                        return false; // resolved without parking
-                    }
-                    if q.register_waker(token, 0, &waker, &mut reg) {
-                        return true; // pending; the notify must fire us
-                    }
-                }
-            })
-        };
-        let notifier = {
-            let q = Arc::clone(&q);
-            let ready = Arc::clone(&ready);
-            thread::spawn(move || {
-                thread::yield_now();
-                ready.store(true, Ordering::Release);
-                q.notify_all();
-            })
-        };
-        let parked = registrar.join().unwrap();
-        notifier.join().unwrap();
-        let fired = count.0.load(Ordering::SeqCst);
-        if parked {
-            assert_eq!(fired, 1, "accepted waker registration must be fired by the notify");
-        } else {
-            assert_eq!(fired, 0, "a refused/raced registration leaves no waker to fire");
-        }
-        assert!(!q.has_waiters(), "no entry may outlive its wait");
     });
 }

@@ -27,22 +27,24 @@ fn payload(seed: u64, k: u64) -> u64 {
 /// round-robin, each folding its payload into its lane's hash chain and
 /// bumping a contended shared total.
 fn record_run(seed: u64, shards: usize, tickets: usize, threads: usize) -> ReplayArtifact {
-    record_run_lanes(seed, shards, tickets, threads, 1)
+    record_run_lanes(seed, shards, tickets, threads, 1, 2)
 }
 
-/// Same workload with an explicit commit-lane count: the sharded commit
-/// backbone must not perturb the artifact — the ordered gate fixes the
-/// commit order, and lanes only change *how* write-backs are scheduled.
+/// Same workload with an explicit commit-lane count and pool size: the
+/// sharded commit backbone must not perturb the artifact — the ordered gate
+/// fixes the commit order, and lanes only change *how* write-backs are
+/// scheduled — and neither may a pool without workers.
 fn record_run_lanes(
     seed: u64,
     shards: usize,
     tickets: usize,
     threads: usize,
     lanes: usize,
+    workers: usize,
 ) -> ReplayArtifact {
     let log = CommitLog::new();
     let tm = Rtf::builder()
-        .workers(2)
+        .workers(workers)
         .ordered(shards)
         .commit_lanes(lanes)
         .event_sink(Arc::clone(&log) as _)
@@ -89,8 +91,8 @@ fn record_run_lanes(
 }
 
 /// The tentpole claim: same seed ⇒ identical artifact, across ≥3 runs
-/// *and* across different thread counts (commit order is data, not
-/// scheduling).
+/// *and* across different thread counts and pool sizes (commit order is
+/// data, not scheduling).
 #[test]
 fn same_seed_is_bit_identical_across_runs_and_thread_counts() {
     for (seed, shards) in [(1u64, 1usize), (7, 2), (0xC0FFEE, 1)] {
@@ -101,6 +103,8 @@ fn same_seed_is_bit_identical_across_runs_and_thread_counts() {
             let run = record_run(seed, shards, 120, threads);
             assert_eq!(baseline.diff(&run), None, "seed {seed:#x} diverged at {threads} threads");
         }
+        let run = record_run_lanes(seed, shards, 120, 3, 1, 0);
+        assert_eq!(baseline.diff(&run), None, "seed {seed:#x} diverged on a zero-worker pool");
     }
 }
 
@@ -133,9 +137,9 @@ fn different_seeds_diverge() {
 #[test]
 fn sharded_chain_replays_bit_identical_to_single_chain() {
     for (seed, shards) in [(1u64, 1usize), (7, 2)] {
-        let baseline = record_run_lanes(seed, shards, 120, 3, 1);
+        let baseline = record_run_lanes(seed, shards, 120, 3, 1, 2);
         for (threads, lanes) in [(3, 4), (1, 4), (6, 4), (3, 16)] {
-            let run = record_run_lanes(seed, shards, 120, threads, lanes);
+            let run = record_run_lanes(seed, shards, 120, threads, lanes, 2);
             assert_eq!(
                 baseline.diff(&run),
                 None,

@@ -7,29 +7,62 @@
 //! out.
 
 use rtf::{Rtf, TreeSemantics, VBox};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
-/// A slowed-down future reads a box its continuation writes.
-/// Strong ordering: the future serializes first and MUST read the old
-/// value. Parallel nesting: the continuation commits first (nothing makes
-/// it wait), the future's validation detects the committed write and
-/// re-executes, observing the continuation's value.
+/// A one-shot latch: `open` releases every current and later `wait`.
+#[derive(Default)]
+struct Latch(Mutex<bool>, Condvar);
+
+impl Latch {
+    fn open(&self) {
+        *self.0.lock().unwrap() = true;
+        self.1.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.0.lock().unwrap();
+        while !*open {
+            open = self.1.wait(open).unwrap();
+        }
+    }
+}
+
+/// A held-back future reads a box its continuation writes. Handshakes,
+/// not sleeps, order the two: the continuation writes only once the
+/// future's body has started, and the future reads only once released:
+///
+/// * Strong ordering: released when the continuation has *written* (its
+///   commit then waits for the future). The future serializes first and
+///   MUST read the old value.
+/// * Parallel nesting: released when the continuation has *committed*
+///   (`fork` returned; nothing made it wait). The future's validation
+///   detects the committed write, it re-executes, and it observes the
+///   continuation's value.
 fn slow_future_reads_conts_write(semantics: TreeSemantics) -> u64 {
     let tm = Rtf::builder().workers(2).semantics(semantics).build();
     let x = VBox::new(0u64);
+    let started = Arc::new(Latch::default());
+    let released = Arc::new(Latch::default());
+    let release_in_cont = semantics == TreeSemantics::StrongOrdering;
     tm.atomic(|tx| {
         let x_fut = x.clone();
-        let x_cont = x.clone();
+        let (fut_started, fut_released) = (Arc::clone(&started), Arc::clone(&released));
         let h = tx.fork(
             move |tx| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                fut_started.open();
+                fut_released.wait();
                 *tx.read(&x_fut)
             },
-            move |tx, f| {
-                tx.write(&x_cont, 5);
+            |tx, f| {
+                started.wait();
+                tx.write(&x, 5);
+                if release_in_cont {
+                    released.open();
+                }
                 f.clone()
             },
         );
+        released.open();
         *tx.eval(&h)
     })
 }
