@@ -59,6 +59,14 @@ pub struct Inbox {
     /// Reads served from the *permanent* store by committed descendants;
     /// needed for the top-level (inter-tree) validation at root commit.
     pub perm_reads: Vec<(Arc<VBoxCell>, WriteToken)>,
+    /// `ParallelNesting` only: the non-own-write reads of committed
+    /// descendants, re-validated at every sub-commit on the way up
+    /// ([`crate::rw::validate_nested_reads`]). A write committed in one
+    /// branch becomes visible to another branch only in their common
+    /// ancestor, so a read can be checked against it only when the
+    /// reader's subtree commits into that ancestor (nested read-set merge,
+    /// as in JVSTM's parallel nesting).
+    pub nested_reads: Vec<(Arc<VBoxCell>, WriteToken)>,
     /// Cells written by committed descendants (tree-abort cleanup).
     pub written_cells: Vec<Arc<VBoxCell>>,
 }
@@ -88,6 +96,10 @@ pub struct Node {
     pub fork_count: AtomicU32,
     /// Contributions from committed children.
     pub inbox: Mutex<Inbox>,
+    /// Serializes the validate-then-propagate step of children committing
+    /// into this node (`ParallelNesting` only; strong ordering serializes
+    /// sibling commits through `waitTurn`).
+    pub commit_gate: Mutex<()>,
     /// Set when the node's subtree is being torn down; running descendants
     /// poll it at operation boundaries and unwind.
     cancelled: AtomicBool,
@@ -108,6 +120,7 @@ impl Node {
             nclock_waiters: WaitQueue::new(),
             fork_count: AtomicU32::new(0),
             inbox: Mutex::new(Inbox::default()),
+            commit_gate: Mutex::new(()),
             cancelled: AtomicBool::new(false),
         })
     }
@@ -150,6 +163,7 @@ impl Node {
             nclock_waiters: WaitQueue::new(),
             fork_count: AtomicU32::new(0),
             inbox: Mutex::new(Inbox::default()),
+            commit_gate: Mutex::new(()),
             cancelled: AtomicBool::new(false),
         })
     }

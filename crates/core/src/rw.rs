@@ -312,6 +312,71 @@ where
     rtf_txengine::validate_reads_detailed(reads, |r| SubValidation::for_read(tree, node, r))
 }
 
+/// Validation of one read carried up from a committed descendant of `node`
+/// (`ParallelNesting` only; see `Inbox::nested_reads`), at `node`'s commit
+/// into its parent. Writes owned by `node` come from its own subtree, whose
+/// internal consistency the lower commits already checked: such an entry
+/// only counts as the one the read observed. Writes owned by a proper
+/// ancestor are committed siblings of the subtree and must not be newer
+/// than the observed one.
+struct NestedValidation<'a> {
+    tree: &'a TreeCtx,
+    node: &'a Node,
+    token: WriteToken,
+}
+
+impl Visibility for NestedValidation<'_> {
+    fn tentative(&self, entry: &TentativeEntry) -> Option<Source> {
+        if entry.tree != self.tree.tree_id {
+            return None;
+        }
+        let (owner, _ver, status) = orec_snapshot(&entry.orec);
+        if status == OrecStatus::Aborted {
+            return None;
+        }
+        let visible = if owner == self.node.id {
+            entry.token == self.token
+        } else {
+            self.node.anc_ver.contains_key(&owner)
+        };
+        visible.then_some(Source::Tentative)
+    }
+
+    fn local(&self, id: CellId) -> Option<(Val, WriteToken)> {
+        self.tree.root_ws_get(id)
+    }
+
+    fn snapshot(&self) -> Version {
+        self.tree.start_version
+    }
+
+    fn tentative_tree(&self) -> Option<TreeId> {
+        Some(self.tree.tree_id)
+    }
+}
+
+/// Re-validates the reads `node`'s committed descendants carried up
+/// (`Inbox::nested_reads`) against the writes its ancestors now own. This is
+/// where two branches of the tree meet: a future that committed into an
+/// ancestor after the subtree read the same box is a lost update unless the
+/// subtree re-executes.
+pub fn validate_nested_reads<'a, I>(
+    tree: &TreeCtx,
+    node: &Node,
+    reads: I,
+) -> Result<(), ConflictSite>
+where
+    I: IntoIterator<Item = &'a (Arc<VBoxCell>, WriteToken)>,
+{
+    for (cell, token) in reads {
+        let res = resolve_read(&NestedValidation { tree, node, token: *token }, cell);
+        if res.token != *token {
+            return Err(ConflictSite { cell: cell.id(), writer_tree: res.writer_tree });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

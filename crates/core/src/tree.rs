@@ -96,8 +96,9 @@ pub struct TreeCtx {
     root_ws: RwLock<WriteSet>,
     /// Boxes carrying tentative entries of this tree.
     touched: Mutex<TouchedSet>,
-    /// Count of committed read-write sub-transactions (§IV-E: backs the
-    /// read-only future validation skip).
+    /// Advances by two per committed read-write sub-transaction, once on
+    /// each side of its parent's `nclock` bump (§IV-E: backs the read-only
+    /// future validation skip).
     pub rw_commit_clock: AtomicU64,
     /// Sequential fallback mode: futures run inline, writes go to `root_ws`.
     pub fallback: bool,

@@ -47,9 +47,9 @@ use rtf_txengine::{
 use crate::error::TxError;
 use crate::future::TxFuture;
 use crate::node::{Node, NodeKind};
-use crate::rw::{sub_read_traced, sub_write, validate_reads_detailed};
+use crate::rw::{sub_read_traced, sub_write, validate_nested_reads, validate_reads_detailed};
 use crate::stall::{StallAction, StallThresholds, StallWatch};
-use crate::tree::{PoisonKind, TreeCtx};
+use crate::tree::{PoisonKind, TreeCtx, TreeSemantics};
 
 /// Unwind payload used for tree teardown; never escapes the crate.
 pub(crate) struct PoisonSignal;
@@ -101,15 +101,32 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    fn new(node: Arc<Node>, tree: &TreeCtx, env: &TxEnv) -> Frame {
+    fn new(node: Arc<Node>, ro_snapshot: u64, env: &TxEnv) -> Frame {
         Frame {
             node,
             reads: ReadLog::new(),
             written: Vec::new(),
             wrote: false,
-            ro_snapshot: tree.rw_commit_clock.load(Ordering::Acquire),
+            ro_snapshot,
             born_ns: if env.sink.spans_enabled() { obs_now_ns() } else { 0 },
         }
+    }
+
+    /// A frame for the root attempt of `tree`.
+    fn root(tree: &TreeCtx, env: &TxEnv) -> Frame {
+        let ro_snapshot = tree.rw_commit_clock.load(Ordering::Acquire);
+        Frame::new(Arc::clone(&tree.root), ro_snapshot, env)
+    }
+
+    /// A frame for a fresh child attempt of `parent`. The §IV-E snapshot is
+    /// taken *before* the node snapshots its ancestors' `nclock`s: every
+    /// commit whose second clock increment the snapshot counts has already
+    /// bumped its parent's `nclock` (see `commit_frame`), so the node sees
+    /// its writes. Taken after, a commit landing in between would be
+    /// counted yet invisible, and a stale read could skip validation.
+    fn child(parent: &Arc<Node>, kind: NodeKind, tree: &TreeCtx, env: &TxEnv) -> Frame {
+        let ro_snapshot = tree.rw_commit_clock.load(Ordering::Acquire);
+        Frame::new(Node::new_child(parent, kind), ro_snapshot, env)
     }
 }
 
@@ -158,13 +175,11 @@ impl Drop for Tx {
 
 impl Tx {
     pub(crate) fn new_for_root(env: Arc<TxEnv>, tree: Arc<TreeCtx>, ro_mode: bool) -> Tx {
-        let root = Arc::clone(&tree.root);
-        let frame = Frame::new(root, &tree, &env);
+        let frame = Frame::root(&tree, &env);
         Tx { env, tree, frames: vec![frame], ro_mode, reads_fast: 0, reads_slow: 0 }
     }
 
-    fn new_for_node(env: Arc<TxEnv>, tree: Arc<TreeCtx>, node: Arc<Node>, ro_mode: bool) -> Tx {
-        let frame = Frame::new(node, &tree, &env);
+    fn new_for_frame(env: Arc<TxEnv>, tree: Arc<TreeCtx>, frame: Frame, ro_mode: bool) -> Tx {
         Tx { env, tree, frames: vec![frame], ro_mode, reads_fast: 0, reads_slow: 0 }
     }
 
@@ -317,15 +332,15 @@ impl Tx {
         self.spawn_future_task(&parent, fork_idx, handle.clone(), body);
         parent.fork_count.store(fork_idx + 1, Ordering::Relaxed);
         // The cursor descends into the continuation.
-        let cnode = Node::new_child(&parent, NodeKind::Continuation { fork_idx });
+        let frame =
+            Frame::child(&parent, NodeKind::Continuation { fork_idx }, &self.tree, &self.env);
         tx_trace!(
             self.env.sink,
             "submit: parent {:?} fork {} cont {:?}",
             parent.id,
             fork_idx,
-            cnode.id
+            frame.node.id
         );
-        let frame = Frame::new(cnode, &self.tree, &self.env);
         self.frames.push(frame);
         handle
     }
@@ -363,8 +378,8 @@ impl Tx {
         let depth = self.frames.len();
         loop {
             self.check_poison();
-            let cnode = Node::new_child(&parent, NodeKind::Continuation { fork_idx });
-            let frame = Frame::new(cnode, &self.tree, &self.env);
+            let frame =
+                Frame::child(&parent, NodeKind::Continuation { fork_idx }, &self.tree, &self.env);
             self.frames.push(frame);
             let out = cont(self, &handle);
             match self.commit_frames_down_to(depth) {
@@ -661,7 +676,7 @@ fn commit_frame(
     // waitTurn: everything serialized before this subtree must have
     // committed. Unordered parallel nesting (ablation A4) has no such
     // constraint: a sub-transaction serializes when it commits.
-    let wait_turn = tree.semantics == crate::tree::TreeSemantics::StrongOrdering;
+    let wait_turn = tree.semantics == TreeSemantics::StrongOrdering;
     if let Some((target, threshold)) = node.wait_turn_target().filter(|_| wait_turn) {
         if rtf_txfault::fail_point!("core.wait_turn").is_abort() && !blocking {
             // Injected fault: pretend the turn is not ready, forcing the
@@ -739,6 +754,10 @@ fn commit_frame(
     if tree.is_poisoned() {
         std::panic::panic_any(PoisonSignal);
     }
+    // Without `waitTurn`, siblings may commit into `parent` concurrently:
+    // each must validate against the others' propagated writes.
+    let nesting = !wait_turn;
+    let _gate = nesting.then(|| parent.commit_gate.lock());
 
     let inbox = std::mem::take(&mut *node.inbox.lock());
     if rtf_txfault::fail_point!("core.subcommit.validate").is_abort() {
@@ -751,8 +770,10 @@ fn commit_frame(
 
     // §IV-E: a read-only sub-transaction may skip validation iff no
     // read-write sub-transaction of the tree committed since it started.
+    // Reads carried up from descendants are always checked.
     let can_skip = env.ro_opt
         && !wrote_any
+        && inbox.nested_reads.is_empty()
         && tree.rw_commit_clock.load(Ordering::Acquire) == frame.ro_snapshot;
     tx_trace!(
         env.sink,
@@ -772,7 +793,8 @@ fn commit_frame(
             env.sink.event(Event::RoValidationTaken);
         }
         let tv = obs_now_ns();
-        let outcome = validate_reads_detailed(tree, node, frame.reads.iter());
+        let outcome = validate_reads_detailed(tree, node, frame.reads.iter())
+            .and_then(|()| validate_nested_reads(tree, node, inbox.nested_reads.iter()));
         let tv_end = obs_now_ns();
         env.sink.event(Event::ValidationNs(tv_end.saturating_sub(tv)));
         phase_span(SpanKind::Validation, tv, tv_end, outcome.is_ok());
@@ -820,6 +842,16 @@ fn commit_frame(
         );
         pin.written_cells.extend(inbox.written_cells);
         pin.written_cells.extend(frame.written.iter().cloned());
+        if nesting {
+            pin.nested_reads.extend(inbox.nested_reads);
+            pin.nested_reads.extend(
+                frame
+                    .reads
+                    .iter()
+                    .filter(|r| r.source != Source::OwnWrite)
+                    .map(|r| (Arc::clone(&r.cell), r.token)),
+            );
+        }
     }
     if wrote_any {
         // Count every write-carrying sub-commit — own writes *or* adopted
@@ -827,9 +859,19 @@ fn commit_frame(
         // write only becomes visible to later sub-transactions once it has
         // propagated into a common ancestor, and that propagation step is
         // this (possibly itself read-only) node's commit.
+        //
+        // The clock moves twice, around the `nclock` bump. The first
+        // increment precedes it, so a `waitTurn` waiter woken by the bump
+        // never takes the skip on a snapshot older than this commit. The
+        // second follows it: a frame snapshots the clock before its node
+        // snapshots `anc_ver` (`Frame::child`), so a snapshot equal to the
+        // final value implies the bump — and the writes — are visible.
         tree.rw_commit_clock.fetch_add(1, Ordering::AcqRel);
+        parent.bump_nclock();
+        tree.rw_commit_clock.fetch_add(1, Ordering::AcqRel);
+    } else {
+        parent.bump_nclock();
     }
-    parent.bump_nclock();
     env.sink.event(Event::SubCommit);
     if spans && frame.born_ns != 0 {
         let kind = match node.kind {
@@ -935,19 +977,23 @@ where
         }
         if stage.pending.is_none() {
             // Execute (or re-execute) the body in a fresh node attempt.
-            let node =
-                Node::new_child(&stage.parent, NodeKind::Future { fork_idx: stage.fork_idx });
+            let frame = Frame::child(
+                &stage.parent,
+                NodeKind::Future { fork_idx: stage.fork_idx },
+                &stage.tree,
+                &stage.env,
+            );
             tx_trace!(
                 stage.env.sink,
                 "task run future {:?} parent {:?} fork {}",
-                node.id,
+                frame.node.id,
                 stage.parent.id,
                 stage.fork_idx
             );
-            let mut tx = Tx::new_for_node(
+            let mut tx = Tx::new_for_frame(
                 Arc::clone(&stage.env),
                 Arc::clone(&stage.tree),
-                node,
+                frame,
                 stage.ro_mode,
             );
             let body = &stage.body;

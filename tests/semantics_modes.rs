@@ -112,6 +112,64 @@ fn nesting_is_still_serializable_within_a_tree() {
     assert_eq!(*counter.read_committed(), 100);
 }
 
+/// Polls `h` without helping the pool (the caller must never pick up a
+/// future that waits for it), failing instead of hanging.
+fn spin_until_done<A: rtf::TxData>(h: &rtf::TxFuture<A>) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !h.is_done() {
+        assert!(std::time::Instant::now() < deadline, "future did not complete");
+        std::thread::yield_now();
+    }
+}
+
+/// Two futures increment one box from different nodes of the continuation
+/// chain: the first hangs off the root, the second off the first
+/// continuation. When the second commits first (into that continuation),
+/// the first cannot see its write and commits into the root on a stale
+/// read. The two branches meet only when the continuation commits into the
+/// root; the second future's read must be re-validated there, or one
+/// increment is lost. Handshakes force that interleaving on the first
+/// attempt; later attempts let the first future commit before the second
+/// one reads.
+#[test]
+fn nesting_revalidates_reads_where_branches_meet() {
+    let tm = Rtf::builder().workers(2).semantics(TreeSemantics::ParallelNesting).build();
+    let counter = VBox::new(0u64);
+    let attempts = std::cell::Cell::new(0u32);
+    tm.atomic(|tx| {
+        attempts.set(attempts.get() + 1);
+        let forced = attempts.get() == 1;
+        let first_read = Arc::new(Latch::default());
+        let go = Arc::new(Latch::default());
+        let (c, read, first_go) = (counter.clone(), Arc::clone(&first_read), Arc::clone(&go));
+        let first = tx.submit(move |tx| {
+            let v = *tx.read(&c);
+            if forced {
+                read.open();
+                first_go.wait();
+            }
+            tx.write(&c, v + 1);
+        });
+        let (c, second_go) = (counter.clone(), Arc::clone(&go));
+        let second = tx.submit(move |tx| {
+            if forced {
+                first_read.wait();
+            } else {
+                second_go.wait();
+            }
+            let v = *tx.read(&c);
+            tx.write(&c, v + 1);
+        });
+        let (earlier, later) = if forced { (&second, &first) } else { (&first, &second) };
+        spin_until_done(earlier);
+        go.open();
+        spin_until_done(later);
+    });
+    assert_eq!(*counter.read_committed(), 2, "an increment was lost where the branches meet");
+    assert!(attempts.get() >= 2, "the first attempt must be caught and re-executed");
+    assert!(tm.stats().continuation_restarts >= 1);
+}
+
 /// Nesting mode and strong mode agree on conflict-free parallel work,
 /// and opacity across top-level transactions holds in both.
 #[test]
