@@ -9,7 +9,8 @@
 //!   admission, and — for admitted requests — claims one of the
 //!   connection's in-flight slots *before* reading the next frame. When
 //!   the budget is exhausted the reader simply stops reading: bytes pile
-//!   up in the kernel buffer, TCP flow control pushes back to the client.
+//!   up in the kernel buffer (past the reader's own bounded read buffer),
+//!   TCP flow control pushes back to the client.
 //!   That is the whole backpressure mechanism — no application-level
 //!   window, no unbounded queue per connection.
 //! * `workers` **executor** threads popping admitted jobs from one FIFO
@@ -40,7 +41,7 @@
 //! response write just fails).
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -399,8 +400,11 @@ fn accept_loop(
     }
 }
 
-fn reader_loop(mut stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
+fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
     let sink = shared.tm.event_sink();
+    // One read syscall takes in every frame a pipelining client has sent,
+    // rather than two per frame (prefix, then payload).
+    let mut stream = BufReader::new(stream);
     loop {
         if rtf_txfault::fail_point!("txserver.conn.read").is_abort() {
             conn.mark_reset(&shared.tm);
