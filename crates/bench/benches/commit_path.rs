@@ -1,13 +1,10 @@
-//! Commit-path micro-benchmarks for the sharded commit backbone
-//! (DESIGN.md §3.16): single-chain vs laned single-footprint commits,
-//! disjoint-footprint commit scaling across threads, the cross-lane
-//! fallback cost, and contended TM-level increments over the lanes axis.
-//! Raw outputs before/after the sharding change are recorded in
-//! `bench_results/` (`commit_path_*.txt`), mirroring `read_path.rs`.
+//! Commit-path micro-benchmarks for the helping commit chain (DESIGN.md
+//! §3.7): one uncontended commit, disjoint-footprint commits across
+//! threads, a two-box commit, and contended TM-level increments.
 //!
 //! The parallel samples use `iter_custom` with a barrier-to-last-join
-//! clock, one burst per criterion sample, so lane parallelism (or the lack
-//! of it on the single chain) is what the number measures.
+//! clock, one burst per criterion sample, so the chain's serialization of
+//! concurrent commits is what the number measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtf::{Rtf, VBox};
@@ -15,34 +12,29 @@ use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// A TM with `lanes` commit lanes and a small worker pool.
-fn tm(lanes: usize) -> Rtf {
-    Rtf::builder().workers(2).commit_lanes(lanes).build()
+/// A TM with a small worker pool.
+fn tm() -> Rtf {
+    Rtf::builder().workers(2).build()
 }
 
 /// Uncontended single-box read-modify-write commit: the envelope cost of
-/// one commit through the chain (lanes = 1 is the legacy algorithm; lanes
-/// = 4 adds the lane hash + dispenser draw + ladder mark).
+/// one commit through the chain.
 fn bench_single_commit(c: &mut Criterion) {
-    for lanes in [1usize, 4] {
-        let tm = tm(lanes);
-        let b = VBox::new(0u64);
-        c.bench_function(&format!("commit_path/rw_commit_lanes_{lanes}"), |bench| {
-            bench.iter(|| {
-                tm.atomic(|tx| {
-                    let v = *tx.read(&b);
-                    tx.write(&b, black_box(v + 1));
-                })
+    let tm = tm();
+    let b = VBox::new(0u64);
+    c.bench_function("commit_path/rw_commit", |bench| {
+        bench.iter(|| {
+            tm.atomic(|tx| {
+                let v = *tx.read(&b);
+                tx.write(&b, black_box(v + 1));
             })
-        });
-    }
+        })
+    });
 }
 
 /// `threads` workers each committing `per_thread` disjoint single-box
-/// transactions, timed barrier-to-join: the throughput the sharding
-/// tentpole targets. On the single chain every commit serializes on one
-/// tail CAS + clock increment; with lanes, disjoint footprints commit in
-/// parallel lanes.
+/// transactions, timed barrier-to-join: every commit serializes on one
+/// tail CAS + clock increment even though footprints never overlap.
 fn timed_disjoint_commits(
     tm: &Rtf,
     boxes: &Arc<Vec<VBox<u64>>>,
@@ -78,105 +70,68 @@ fn timed_disjoint_commits(
 
 fn bench_disjoint_scaling(c: &mut Criterion) {
     let threads = 8usize;
-    for lanes in [1usize, 4, 16] {
-        let tm = tm(lanes);
-        // One private box per thread: footprints never overlap, so every
-        // commit is a single-lane fast path and conflicts are impossible —
-        // the measured serialization is the backbone's, not the workload's.
-        let boxes: Arc<Vec<VBox<u64>>> = Arc::new((0..threads).map(|_| VBox::new(0u64)).collect());
-        c.bench_function(
-            &format!("commit_path/disjoint_{threads}threads_lanes_{lanes}"),
-            |bench| {
-                bench
-                    .iter_custom(|iters| timed_disjoint_commits(&tm, &boxes, threads, iters.max(1)))
-            },
-        );
-    }
+    let tm = tm();
+    // One private box per thread: footprints never overlap, so conflicts
+    // are impossible — the measured serialization is the chain's, not the
+    // workload's.
+    let boxes: Arc<Vec<VBox<u64>>> = Arc::new((0..threads).map(|_| VBox::new(0u64)).collect());
+    c.bench_function(&format!("commit_path/disjoint_{threads}threads"), |bench| {
+        bench.iter_custom(|iters| timed_disjoint_commits(&tm, &boxes, threads, iters.max(1)))
+    });
 }
 
-/// The reconciling cross-lane fallback: a transaction whose write set spans
-/// two boxes in *different* lanes pays the write-lock + quiesce protocol.
-/// Compared against the same two-box commit on the single chain (where it
-/// is an ordinary enqueue).
-fn bench_cross_lane(c: &mut Criterion) {
-    for lanes in [1usize, 4] {
-        let tm = tm(lanes);
-        // Find two boxes in different lanes using the real lane hash (a
-        // standalone chain with the same lane count maps identically); any
-        // pair works at lanes = 1.
-        let probe =
-            rtf_mvstm::CommitChain::with_lanes(rtf_mvstm::CommitStrategy::LockFreeHelping, lanes);
-        let pool: Vec<VBox<u64>> = (0..32).map(|_| VBox::new(0u64)).collect();
-        let (x, y) = {
-            let mut pair = (pool[0].clone(), pool[1].clone());
-            'outer: for i in 0..pool.len() {
-                for j in (i + 1)..pool.len() {
-                    if lanes == 1
-                        || probe.lane_of_id(pool[i].cell().id())
-                            != probe.lane_of_id(pool[j].cell().id())
-                    {
-                        pair = (pool[i].clone(), pool[j].clone());
-                        break 'outer;
-                    }
-                }
-            }
-            pair
-        };
-        c.bench_function(&format!("commit_path/two_box_commit_lanes_{lanes}"), |bench| {
-            bench.iter(|| {
-                tm.atomic(|tx| {
-                    let a = *tx.read(&x);
-                    let b = *tx.read(&y);
-                    tx.write(&x, black_box(a + 1));
-                    tx.write(&y, black_box(b + 1));
-                })
+/// A transaction reading and writing two boxes: one enqueue carrying a
+/// two-entry write-set.
+fn bench_two_box(c: &mut Criterion) {
+    let tm = tm();
+    let (x, y) = (VBox::new(0u64), VBox::new(0u64));
+    c.bench_function("commit_path/two_box_commit", |bench| {
+        bench.iter(|| {
+            tm.atomic(|tx| {
+                let a = *tx.read(&x);
+                let b = *tx.read(&y);
+                tx.write(&x, black_box(a + 1));
+                tx.write(&y, black_box(b + 1));
             })
-        });
-    }
+        })
+    });
 }
 
-/// Contended increments of one shared counter across `threads` workers —
-/// the case lanes cannot help (same footprint ⇒ same lane) but must not
-/// regress: retry + validation dominate, the backbone only adds its fixed
-/// envelope.
+/// Contended increments of one shared counter across `threads` workers:
+/// retry + validation dominate, the chain only adds its fixed envelope.
 fn bench_contended(c: &mut Criterion) {
     let threads = 4usize;
-    for lanes in [1usize, 4] {
-        let tm = tm(lanes);
-        let counter = VBox::new(0u64);
-        c.bench_function(
-            &format!("commit_path/contended_{threads}threads_lanes_{lanes}"),
-            |bench| {
-                bench.iter_custom(|iters| {
-                    let barrier = Arc::new(Barrier::new(threads + 1));
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            let tm = tm.clone();
+    let tm = tm();
+    let counter = VBox::new(0u64);
+    c.bench_function(&format!("commit_path/contended_{threads}threads"), |bench| {
+        bench.iter_custom(|iters| {
+            let barrier = Arc::new(Barrier::new(threads + 1));
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let tm = tm.clone();
+                    let counter = counter.clone();
+                    let barrier = Arc::clone(&barrier);
+                    let per_thread = iters.max(1);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        for _ in 0..per_thread {
                             let counter = counter.clone();
-                            let barrier = Arc::clone(&barrier);
-                            let per_thread = iters.max(1);
-                            std::thread::spawn(move || {
-                                barrier.wait();
-                                for _ in 0..per_thread {
-                                    let counter = counter.clone();
-                                    tm.atomic(move |tx| {
-                                        let v = *tx.read(&counter);
-                                        tx.write(&counter, black_box(v + 1));
-                                    });
-                                }
-                            })
-                        })
-                        .collect();
-                    barrier.wait();
-                    let start = Instant::now();
-                    for h in handles {
-                        h.join().unwrap();
-                    }
-                    start.elapsed()
+                            tm.atomic(move |tx| {
+                                let v = *tx.read(&counter);
+                                tx.write(&counter, black_box(v + 1));
+                            });
+                        }
+                    })
                 })
-            },
-        );
-    }
+                .collect();
+            barrier.wait();
+            let start = Instant::now();
+            for h in handles {
+                h.join().unwrap();
+            }
+            start.elapsed()
+        })
+    });
 }
 
 criterion_group! {
@@ -185,6 +140,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_single_commit, bench_disjoint_scaling, bench_cross_lane, bench_contended
+    targets = bench_single_commit, bench_disjoint_scaling, bench_two_box, bench_contended
 }
 criterion_main!(benches);

@@ -1,50 +1,14 @@
 //! Ablations of design choices called out in DESIGN.md:
-//! A1 — lock-free helping commit vs a global commit mutex;
 //! A2 — the §IV-E read-only future validation skip;
 //! A4 — strong ordering vs parallel nesting;
-//! A5 — the deterministic ordered-commit lane's throughput cost;
-//! A7 — the sharded commit backbone (per-shard clocks + commit lanes).
+//! A5 — the deterministic ordered-commit lane's throughput cost.
 
-use rtf::{CommitStrategy, TreeSemantics};
+use rtf::TreeSemantics;
 use rtf_benchkit::measure::fmt_f64;
 use rtf_benchkit::{run_clients, SyntheticArray, SyntheticConfig, Table};
 use rtf_tstructs::TArray;
 
 use crate::cli::Args;
-
-/// A1: concurrent disjoint/contended counter increments under both commit
-/// strategies.
-pub fn ablation_commit(args: &Args) -> Table {
-    let clients_set: Vec<usize> = if args.quick { vec![1, 2, 4] } else { vec![1, 2, 4, 8] };
-    let ops = args.ops.unwrap_or(if args.quick { 500 } else { 3_000 });
-    let mut t = Table::new(
-        "A1 — top-level commit strategy: throughput (txs/s)",
-        &["clients", "lock-free helping", "global mutex", "speedup"],
-    );
-    for clients in clients_set {
-        let thr = |strategy: CommitStrategy| {
-            let tm = args.tm().workers(0).commit_strategy(strategy).build();
-            // Mostly disjoint counters with a pinch of sharing.
-            let counters: TArray<u64> = TArray::new(clients * 4, |_| 0);
-            run_clients(clients, ops, |c, i| {
-                tm.atomic(|tx| {
-                    let own = c * 4 + i % 4;
-                    let v = *counters.get(tx, own);
-                    counters.set(tx, own, v + 1);
-                    if i % 16 == 0 {
-                        let v = *counters.get(tx, 0);
-                        counters.set(tx, 0, v + 1);
-                    }
-                });
-            })
-            .throughput()
-        };
-        let lf = thr(CommitStrategy::LockFreeHelping);
-        let gm = thr(CommitStrategy::GlobalMutex);
-        t.row(vec![clients.to_string(), fmt_f64(lf), fmt_f64(gm), fmt_f64(lf / gm)]);
-    }
-    t
-}
 
 /// A2: read-only futures with and without the validation skip.
 pub fn ablation_roflag(args: &Args) -> Table {
@@ -193,99 +157,6 @@ pub fn ablation_ordered(args: &Args) -> Table {
             fmt_f64(unordered / one_lane),
             fmt_f64(wait_ms),
         ]);
-    }
-    t
-}
-
-/// A7: the sharded commit backbone — single chain vs 4 vs 16 commit lanes
-/// on two workloads bracketing the design space. *Disjoint*: each client
-/// increments its own counter, so every commit is a single-lane fast path
-/// and lanes remove the global tail/clock serialization (the case the
-/// tentpole targets). *Contended fig 5b*: the hot-spot synthetic, where
-/// footprints overlap and the backbone must at least break even. Lane
-/// counters (fast-path / cross-lane fallback / helped draws) come from the
-/// run itself, so the table is honest about which path actually executed.
-pub fn ablation_sharding(args: &Args) -> Table {
-    let clients_set: Vec<usize> = if args.quick { vec![2, 4] } else { vec![4, 8, 16] };
-    let lanes_set = [1usize, 4, 16];
-    let mut t = Table::new(
-        "A7 — sharded commit backbone: throughput by commit-lane count",
-        &[
-            "workload",
-            "clients",
-            "lanes",
-            "throughput (txs/s)",
-            "vs 1 lane (x)",
-            "lane commits",
-            "fallbacks",
-            "helped draws",
-        ],
-    );
-
-    // Disjoint counters: pure commit-rate scaling.
-    let ops = args.ops.unwrap_or(if args.quick { 2_000 } else { 10_000 });
-    for &clients in &clients_set {
-        let mut base = None;
-        for &lanes in &lanes_set {
-            let tm = args.tm().workers(0).commit_lanes(lanes).build();
-            let counters: TArray<u64> = TArray::new(clients, |_| 0);
-            let before = tm.stats();
-            let m = run_clients(clients, ops, |c, _| {
-                tm.atomic(|tx| {
-                    let v = *counters.get(tx, c);
-                    counters.set(tx, c, v + 1);
-                });
-            });
-            let d = tm.stats().since(&before);
-            let thr = m.throughput();
-            let base_thr = *base.get_or_insert(thr);
-            t.row(vec![
-                "disjoint".into(),
-                clients.to_string(),
-                lanes.to_string(),
-                fmt_f64(thr),
-                fmt_f64(thr / base_thr),
-                d.lane_commits.to_string(),
-                d.lane_fallbacks.to_string(),
-                d.lane_helped_draws.to_string(),
-            ]);
-        }
-    }
-
-    // Contended fig 5b synthetic: overlap forces validation traffic and
-    // (at lanes > 1) cross-lane fallbacks.
-    let futures = 2;
-    let ops = args.ops.unwrap_or(if args.quick { 40 } else { 200 });
-    let cfg = SyntheticConfig {
-        array_size: args.array_size.unwrap_or(1 << 14),
-        tx_len: if args.quick { 64 } else { 512 },
-        iters_between: 100,
-        hot_spots: 20,
-        hot_writes: 10,
-    };
-    for &clients in &clients_set {
-        let mut base = None;
-        for &lanes in &lanes_set {
-            let tm = args.tm().workers(clients * futures).commit_lanes(lanes).build();
-            let data = SyntheticArray::new(cfg);
-            let before = tm.stats();
-            let m = run_clients(clients, ops, |c, i| {
-                data.run_contended(&tm, futures, (c * ops + i) as u64);
-            });
-            let d = tm.stats().since(&before);
-            let thr = m.throughput();
-            let base_thr = *base.get_or_insert(thr);
-            t.row(vec![
-                "fig5b-contended".into(),
-                clients.to_string(),
-                lanes.to_string(),
-                fmt_f64(thr),
-                fmt_f64(thr / base_thr),
-                d.lane_commits.to_string(),
-                d.lane_fallbacks.to_string(),
-                d.lane_helped_draws.to_string(),
-            ]);
-        }
     }
     t
 }

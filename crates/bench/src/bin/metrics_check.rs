@@ -21,13 +21,6 @@
 //!   lifecycle balanced: tickets were issued, commits flowed through the
 //!   lane, and `issued == ordered_commits + abandoned` (every ticket
 //!   resolved exactly once);
-//! * `--require-sharded` — the sharded commit backbone ran: commits flowed
-//!   through the lane paths (`lane_commits + lane_fallbacks > 0`; which of
-//!   the two dominates is workload-dependent — multi-cell footprints all
-//!   take the cross-lane fallback), the `commit_lane_depth` gauge was
-//!   registered (lanes > 1 configured), and the lane counters are
-//!   consistent with the overall commit count
-//!   (`lane_commits + lane_fallbacks <= top_commits`);
 //! * `--require-server` — the network-facing server layer ran and its
 //!   admission accounting reconciled exactly: requests were admitted
 //!   (`counters.server_admitted > 0`), every admitted request was resolved
@@ -83,7 +76,6 @@ struct Requirements {
     no_dropped_spans: bool,
     stall_probe: bool,
     ordered: bool,
-    sharded: bool,
     server: bool,
     /// Path of a live JSONL stream to reconcile against the final snapshot.
     live_stream: Option<String>,
@@ -159,29 +151,6 @@ fn check_metrics(doc: &Json, req: &Requirements) {
                 "ticket lifecycle leak: issued {issued} != commits {ordered_commits} + \
                  abandoned {abandoned}"
             ));
-        }
-    }
-    if req.sharded {
-        let lane_commits = u64_at(doc, &["counters", "lane_commits"]);
-        let lane_fallbacks = u64_at(doc, &["counters", "lane_fallbacks"]);
-        let top_commits = u64_at(doc, &["counters", "top_commits"]);
-        if lane_commits + lane_fallbacks == 0 {
-            fail("lane_commits and lane_fallbacks both zero — the lane paths never ran");
-        }
-        // Every lane commit is a top-level read-write commit; the two lane
-        // paths partition them (the remainder went through lanes == 1 TMs
-        // aggregated into the same observer, which a sharded smoke run
-        // should not have).
-        if lane_commits + lane_fallbacks > top_commits {
-            fail(&format!(
-                "lane path counters exceed top_commits: {lane_commits} + {lane_fallbacks} > \
-                 {top_commits}"
-            ));
-        }
-        // The depth gauge is registered iff the runtime was built with
-        // lanes > 1 — its presence proves the sharded config was active.
-        if doc.path(&["gauges", "commit_lane_depth"]).and_then(Json::as_u64).is_none() {
-            fail("commit_lane_depth gauge missing — runtime was not built with lanes > 1");
         }
     }
     if req.server {
@@ -374,7 +343,6 @@ fn main() {
             "--no-dropped-spans" => req.no_dropped_spans = true,
             "--require-stall-probe" => req.stall_probe = true,
             "--require-ordered" => req.ordered = true,
-            "--require-sharded" => req.sharded = true,
             "--require-server" => req.server = true,
             "--require-live" => {
                 req.live_stream = Some(args.next().unwrap_or_else(|| {

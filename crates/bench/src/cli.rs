@@ -18,8 +18,6 @@ pub struct Args {
     pub csv: Option<PathBuf>,
     /// Synthetic array size override.
     pub array_size: Option<usize>,
-    /// Commit lanes of the sharded backbone (1 = single chain).
-    pub lanes: Option<usize>,
     /// Observer attached to every TM the harness builds (set by the
     /// binaries via [`crate::sidecar::MetricsSidecar`], not a CLI flag).
     pub obs: Option<Arc<TxObs>>,
@@ -47,13 +45,9 @@ impl Args {
                 "--threads" => args.threads = Some(parse_num(&take("--threads"))),
                 "--ops" => args.ops = Some(parse_num(&take("--ops"))),
                 "--array-size" => args.array_size = Some(parse_num(&take("--array-size"))),
-                "--lanes" => args.lanes = Some(parse_num(&take("--lanes")).max(1)),
                 "--csv" => args.csv = Some(PathBuf::from(take("--csv"))),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --quick  --threads N  --ops N  --array-size N  --lanes N  \
-                         --csv DIR"
-                    );
+                    eprintln!("flags: --quick  --threads N  --ops N  --array-size N  --csv DIR");
                     std::process::exit(0);
                 }
                 other => {
@@ -69,7 +63,7 @@ impl Args {
     /// sweep builds its TMs through this so one sidecar aggregates the
     /// whole figure.
     pub fn tm(&self) -> RtfBuilder {
-        let b = rtf::Rtf::builder().commit_lanes(self.lanes.unwrap_or(1));
+        let b = rtf::Rtf::builder();
         match &self.obs {
             Some(obs) => b.observer(Arc::clone(obs)),
             None => b,
@@ -117,12 +111,6 @@ mod tests {
         assert_eq!(a.ops, Some(2000));
         assert_eq!(a.csv.as_deref(), Some(std::path::Path::new("/tmp/x")));
         assert_eq!(a.thread_budget(), 8);
-    }
-
-    #[test]
-    fn lanes_flag_floors_at_one() {
-        assert_eq!(parse(&["--lanes", "4"]).lanes, Some(4));
-        assert_eq!(parse(&["--lanes", "0"]).lanes, Some(1));
     }
 
     #[test]

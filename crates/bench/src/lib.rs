@@ -9,7 +9,6 @@
 //! | `fig5c` | Fig 5c — contended synthetic: mean latency (incl. retries), abort counts |
 //! | `fig6_vacation` | Fig 6a–c — Vacation throughput / latency / abort rate vs threads × futures |
 //! | `fig6_tpcc` | Fig 6d–f — TPC-C throughput / latency / abort rate vs threads × futures |
-//! | `ablation_commit` | A1 — lock-free helping vs global-mutex commit |
 //! | `ablation_roflag` | A2 — §IV-E read-only future validation skip on/off |
 //! | `ablation_ordering` | A4 — strong ordering vs parallel nesting |
 //! | `ablation_ordered` | A5 — ordered-commit lane vs unordered, 1 vs 4 lanes |

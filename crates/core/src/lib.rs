@@ -98,7 +98,6 @@ pub use tree::TreeSemantics;
 pub use tx::Tx;
 
 // Re-export the data layer so `rtf` alone suffices for applications.
-pub use rtf_mvstm::CommitStrategy;
 pub use rtf_txbase::{StatSnapshot, Ticket};
 pub use rtf_txengine::{Event, EventSink, TxData, VBox};
 

@@ -17,8 +17,8 @@
 //!
 //! Teardown paths re-enter the loop: top-level validation conflicts,
 //! implicit-continuation restarts (D1), and inter-tree conflicts — the
-//! latter switching to the sequential fallback mode (`rootWriteSet`, D3)
-//! after `fallback_threshold` consecutive occurrences.
+//! latter two switching to the sequential fallback mode (`rootWriteSet`,
+//! D3) after `fallback_threshold` consecutive occurrences.
 
 // Audited `clippy::panic` exemption: this module's panics are the
 // runtime's typed unwind channels (`PoisonSignal` / `CancelSignal` /
@@ -29,8 +29,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rtf_mvstm::{CommitStrategy, MvStm, TurnGate, TxData};
-use rtf_taskpool::{ContentionPlacer, Pool, PoolRunner};
+use rtf_mvstm::{MvStm, TurnGate, TxData};
+use rtf_taskpool::{Pool, PoolRunner};
 use rtf_txbase::{OrecStatus, StatSnapshot, TicketDispenser, TmStats};
 use rtf_txengine::{
     obs_now_ns, Event, EventSink, ExpBackoff, ReadRecord, ReadSet, RetryBudget, RetryDriver,
@@ -143,17 +143,11 @@ pub struct RtfConfig {
     pub workers: usize,
     /// Enable the §IV-E read-only future validation skip (ablation A2).
     pub ro_opt: bool,
-    /// Top-level commit strategy (ablation A1).
-    pub commit_strategy: CommitStrategy,
-    /// Commit lanes of the sharded backbone (rounded up to a power of two).
-    /// `1` (the default) is the classic single-chain JVSTM commit with
-    /// dense version numbers; more lanes let disjoint-footprint commits
-    /// proceed in parallel, with per-lane clock shards and a worker group
-    /// per lane for contention-aware placement (ablation A7).
-    pub commit_lanes: usize,
-    /// Consecutive inter-tree aborts of one `atomic` call after which the
-    /// re-execution runs in sequential fallback mode. The paper falls back
-    /// on the first conflict; raise this to keep retrying in parallel mode.
+    /// Consecutive inter-tree aborts and continuation restarts of one
+    /// `atomic` call after which the re-execution runs in sequential
+    /// fallback mode (a [`Tx::restart`] counts as a continuation restart).
+    /// The paper falls back on the first conflict; raise this to keep
+    /// retrying in parallel mode.
     pub fallback_threshold: u32,
     /// Intra-transaction serialization discipline (ablation A4 compares
     /// the paper's strong ordering with unordered parallel nesting).
@@ -201,8 +195,6 @@ impl Default for RtfConfig {
         RtfConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             ro_opt: true,
-            commit_strategy: CommitStrategy::LockFreeHelping,
-            commit_lanes: 1,
             fallback_threshold: 1,
             semantics: TreeSemantics::StrongOrdering,
             observer: None,
@@ -225,8 +217,6 @@ impl std::fmt::Debug for RtfConfig {
         f.debug_struct("RtfConfig")
             .field("workers", &self.workers)
             .field("ro_opt", &self.ro_opt)
-            .field("commit_strategy", &self.commit_strategy)
-            .field("commit_lanes", &self.commit_lanes)
             .field("fallback_threshold", &self.fallback_threshold)
             .field("semantics", &self.semantics)
             .field("observer", &self.observer.is_some())
@@ -261,23 +251,8 @@ impl RtfBuilder {
         self
     }
 
-    /// Chooses the top-level commit strategy.
-    pub fn commit_strategy(mut self, s: CommitStrategy) -> Self {
-        self.config.commit_strategy = s;
-        self
-    }
-
-    /// Sets the number of commit lanes of the sharded backbone (rounded up
-    /// to a power of two; 1 = the classic single chain). With more than one
-    /// lane the worker pool is partitioned into one group per lane and the
-    /// hotspot-driven placer ([`Rtf::refresh_placement`]) can pin
-    /// conflicting transaction families to the lane that owns their data.
-    pub fn commit_lanes(mut self, n: usize) -> Self {
-        self.config.commit_lanes = n.max(1);
-        self
-    }
-
-    /// Sets the inter-tree abort count that triggers sequential fallback.
+    /// Sets the count of consecutive inter-tree aborts and continuation
+    /// restarts that triggers sequential fallback.
     pub fn fallback_threshold(mut self, n: u32) -> Self {
         self.config.fallback_threshold = n.max(1);
         self
@@ -468,13 +443,9 @@ impl Rtf {
         }
         extras.extend(observers.iter().map(TxObs::sink));
         extras.extend(config.extra_sinks.iter().cloned());
-        let mvstm = MvStm::with_config(config.commit_strategy, extras, config.commit_lanes);
+        let mvstm = MvStm::with_extras(extras);
         let sink = Arc::clone(mvstm.sink());
-        // One worker group per commit lane (ungrouped with a single lane):
-        // the placer can then pin a transaction family's futures to the
-        // group aligned with the lane that owns its hot data.
-        let pool_runner =
-            Pool::start_with_groups(config.workers, mvstm.commit_lanes(), Arc::clone(&sink));
+        let pool_runner = Pool::start_with_sink(config.workers, Arc::clone(&sink));
         let stall = StallThresholds::resolve(config.stall_warn, config.stall_abort);
         let dispenser = config.ordered.map(|shards| Arc::new(TicketDispenser::new(shards)));
         let env = Arc::new(TxEnv { pool: pool_runner.pool(), sink, ro_opt: config.ro_opt, stall });
@@ -484,10 +455,8 @@ impl Rtf {
         for obs in &observers {
             let pool = env.pool.clone();
             obs.register_gauge("pool_queue_depth", move || pool.pending() as u64);
-            if mvstm.commit_lanes() > 1 {
-                let chain = mvstm.chain_arc();
-                obs.register_gauge("commit_lane_depth", move || chain.max_lane_depth());
-            }
+            let chain = mvstm.chain_arc();
+            obs.register_gauge("commit_lane_depth", move || chain.depth());
             if let Some(d) = &dispenser {
                 let d = Arc::clone(d);
                 obs.register_gauge("ordered_lane_depth", move || {
@@ -575,18 +544,12 @@ impl Rtf {
         self.inner.dispenser.is_some()
     }
 
-    /// Number of commit lanes in the sharded backbone (1 = single chain).
-    pub fn commit_lanes(&self) -> usize {
-        self.inner.mvstm.commit_lanes()
-    }
-
-    /// Deepest unhelped suffix across commit lanes right now — the same
-    /// signal exported as the `commit_lane_depth` gauge. Admission
-    /// controllers use it as a saturation indicator: a persistently deep
-    /// lane means committers are producing records faster than helping
-    /// drains them.
+    /// Enqueued-but-unwritten commit records right now — the same signal
+    /// exported as the `commit_lane_depth` gauge. Admission controllers
+    /// use it as a saturation indicator: a persistently deep chain means
+    /// committers are producing records faster than helping drains them.
     pub fn commit_lane_depth(&self) -> u64 {
-        self.inner.mvstm.chain().max_lane_depth()
+        self.inner.mvstm.chain().depth()
     }
 
     /// Tasks submitted to the worker pool but not yet started (approximate;
@@ -601,31 +564,6 @@ impl Rtf {
     /// in the same [`StatSnapshot`] / export pipeline as the engine's.
     pub fn event_sink(&self) -> Arc<dyn EventSink> {
         Arc::clone(&self.inner.env.sink)
-    }
-
-    /// Rebuilds the contention-aware placement table from the attached
-    /// observers' abort-hotspot reports: each hot cell is pinned to the
-    /// worker group aligned with the commit lane that owns it, so futures
-    /// of transactions already writing that cell are routed to that group
-    /// ([`Pool::group_for_keys`] at spawn). Call it periodically (or
-    /// between benchmark phases) — the table is a snapshot, not a live
-    /// view. No-op without multiple commit lanes or without an observer.
-    /// Returns the number of pinned cells.
-    pub fn refresh_placement(&self) -> usize {
-        if self.inner.mvstm.commit_lanes() <= 1 {
-            return 0;
-        }
-        let chain = self.inner.mvstm.chain();
-        let mut placer = ContentionPlacer::new();
-        for obs in &self.inner.observers {
-            for h in obs.metrics().hotspots {
-                let lane = chain.lane_of_id(rtf_mvstm::CellId::from_raw(h.cell as usize));
-                placer.pin(h.cell, lane);
-            }
-        }
-        let pinned = placer.len();
-        self.inner.env.pool.install_placer(placer);
-        pinned
     }
 
     /// Draws a commit ticket *now*, before the transaction body exists —
@@ -797,9 +735,12 @@ impl Rtf {
             None => RunBackoff::Spin(ExpBackoff),
         };
         let mut retry = RetryDriver::with_policy(policy).with_budget(budget);
-        let mut consecutive_inter_tree = 0u32;
+        // Inter-tree aborts and continuation restarts both count: a
+        // continuation that keeps missing its own future's write would
+        // otherwise restart forever in parallel mode.
+        let mut consecutive_restarts = 0u32;
         loop {
-            let fallback = consecutive_inter_tree >= inner.config.fallback_threshold;
+            let fallback = consecutive_restarts >= inner.config.fallback_threshold;
             if fallback {
                 sink.event(Event::FallbackRun);
             }
@@ -898,6 +839,7 @@ impl Rtf {
                     // the whole top-level transaction restarts (D1).
                     self.teardown(&tree);
                     sink.event(Event::ContinuationRestart);
+                    consecutive_restarts += 1;
                     top_span(false);
                 }
                 Err(payload) => {
@@ -913,10 +855,11 @@ impl Rtf {
                         match tree.take_poison() {
                             Some(PoisonKind::InterTree) => {
                                 sink.event(Event::InterTreeAbort);
-                                consecutive_inter_tree += 1;
+                                consecutive_restarts += 1;
                             }
                             Some(PoisonKind::ContinuationRestart) => {
                                 sink.event(Event::ContinuationRestart);
+                                consecutive_restarts += 1;
                             }
                             Some(PoisonKind::UserPanic(p)) => {
                                 if p.is::<CancelSignal>() {

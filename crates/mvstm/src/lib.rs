@@ -47,10 +47,10 @@ pub mod txn;
 
 use std::sync::Arc;
 
-use rtf_txbase::{ActiveTxnRegistry, ShardedClock, StatSnapshot, TmStats, Version};
+use rtf_txbase::{ActiveTxnRegistry, GlobalClock, StatSnapshot, TmStats, Version};
 use rtf_txengine::{EventSink, RetryDriver, StatsSink, TeeSink};
 
-pub use commit::{CommitChain, CommitStrategy, CommitWrite, Conflict, TurnGate};
+pub use commit::{CommitChain, CommitWrite, Conflict, TurnGate};
 pub use rtf_txengine::{
     downcast, erase, retry_backoff, tentative_insert, CellId, PermVersion, ReadSet, TentativeEntry,
     TxData, VBox, VBoxCell, Val, WriteSet,
@@ -66,7 +66,7 @@ pub use txn::{TopTxn, TopVisibility};
 /// consistent — but mixing instances over the same boxes forfeits the
 /// opacity guarantee, so don't.
 pub struct MvStm {
-    clock: ShardedClock,
+    clock: GlobalClock,
     registry: ActiveTxnRegistry,
     chain: Arc<CommitChain>,
     stats: Arc<TmStats>,
@@ -74,37 +74,16 @@ pub struct MvStm {
 }
 
 impl MvStm {
-    /// TM with the default (lock-free helping) commit strategy.
+    /// TM with only the built-in statistics sink.
     pub fn new() -> Self {
-        Self::with_strategy(CommitStrategy::LockFreeHelping)
+        Self::with_extras(Vec::new())
     }
 
-    /// TM with an explicit commit strategy (ablation A1 uses `GlobalMutex`).
-    pub fn with_strategy(strategy: CommitStrategy) -> Self {
-        Self::with_strategy_and_extras(strategy, Vec::new())
-    }
-
-    /// TM with an explicit commit strategy plus extra instrumentation sinks
-    /// (observers, tracers) teed behind the built-in [`StatsSink`]. This is
-    /// how the core runtime attaches the observability layer: one sink
-    /// serves both the top-level and sub-transaction paths.
-    pub fn with_strategy_and_extras(
-        strategy: CommitStrategy,
-        extras: Vec<Arc<dyn EventSink>>,
-    ) -> Self {
-        Self::with_config(strategy, extras, 1)
-    }
-
-    /// Fully configured TM: commit strategy, extra sinks, and the number of
-    /// commit lanes of the sharded backbone. `lanes == 1` (the default
-    /// everywhere else) is the single-chain JVSTM algorithm with dense
-    /// version numbers; `lanes > 1` engages per-shard clock epochs, the
-    /// publish ladder and footprint-keyed commit lanes (see `commit`).
-    pub fn with_config(
-        strategy: CommitStrategy,
-        extras: Vec<Arc<dyn EventSink>>,
-        lanes: usize,
-    ) -> Self {
+    /// TM with extra instrumentation sinks (observers, tracers) teed behind
+    /// the built-in [`StatsSink`]. This is how the core runtime attaches
+    /// the observability layer: one sink serves both the top-level and
+    /// sub-transaction paths.
+    pub fn with_extras(extras: Vec<Arc<dyn EventSink>>) -> Self {
         let stats = Arc::new(TmStats::default());
         let stats_sink: Arc<dyn EventSink> = Arc::new(StatsSink::new(Arc::clone(&stats)));
         let sink = if extras.is_empty() {
@@ -114,13 +93,10 @@ impl MvStm {
             sinks.extend(extras);
             Arc::new(TeeSink::new(sinks))
         };
-        let chain = Arc::new(CommitChain::with_lanes(strategy, lanes));
         MvStm {
-            // One clock shard per commit lane: each lane's publishes land on
-            // their own padded epoch line.
-            clock: ShardedClock::new(chain.lane_count()),
+            clock: GlobalClock::new(),
             registry: ActiveTxnRegistry::new(),
-            chain,
+            chain: Arc::new(CommitChain::new()),
             sink,
             stats,
         }
@@ -164,16 +140,10 @@ impl MvStm {
         out
     }
 
-    /// The (possibly sharded) version clock.
+    /// The version clock.
     #[inline]
-    pub fn clock(&self) -> &ShardedClock {
+    pub fn clock(&self) -> &GlobalClock {
         &self.clock
-    }
-
-    /// Number of commit lanes in the backbone.
-    #[inline]
-    pub fn commit_lanes(&self) -> usize {
-        self.chain.lane_count()
     }
 
     /// The active-transaction registry (GC watermark source).
@@ -189,7 +159,7 @@ impl MvStm {
     }
 
     /// Shared handle to the commit chain (gauge closures in the core
-    /// runtime sample lane depths without borrowing the runtime).
+    /// runtime sample its depth without borrowing the runtime).
     #[inline]
     pub fn chain_arc(&self) -> Arc<CommitChain> {
         Arc::clone(&self.chain)

@@ -28,24 +28,6 @@
 //! a global [`Injector`] feeds per-worker [`Worker`] deques with batch
 //! stealing; parked workers sleep on the stack-wide `WaitQueue` primitive
 //! (`rtf_txbase::wait`), kept off the fast path by an atomic waiter count.
-//!
-//! # Worker groups and contention-aware placement
-//!
-//! A pool may be partitioned into *worker groups* (one per commit lane of
-//! the sharded backbone, in `rtf` terms): each group has its own injector,
-//! workers are assigned round-robin, and a worker prefers its group's
-//! backlog — own deque, own group injector, global injector, then stealing
-//! from everyone (so grouping is an *affinity*, never a partition: work
-//! never strands in a group whose workers are busy elsewhere).
-//!
-//! The [`ContentionPlacer`] maps placement keys (the `rtf` core feeds it
-//! hot cell ids from the observability layer's hotspot table, keyed to the
-//! commit lane that owns each cell) to groups. Spawn sites that know which
-//! data their task will fight over route through
-//! [`Pool::group_for_keys`] + [`Pool::spawn_ordered_in`], which pins
-//! conflicting transaction families to the worker group aligned with the
-//! commit lane their hot data hashes to — keeping their commits on one
-//! lane's fast path instead of spraying cross-lane traffic.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -147,51 +129,8 @@ impl Drop for FenceGuard {
     }
 }
 
-/// Hotspot-driven placement table: placement key → worker group.
-///
-/// Built by whoever can see both the contention profile and the group
-/// topology (the `rtf` core reads the observability layer's hotspot table
-/// and keys each hot cell to the commit lane that owns it); the pool only
-/// stores and consults the finished map. Installed via
-/// [`Pool::install_placer`]; consulted via [`Pool::group_for_keys`].
-#[derive(Debug, Default, Clone)]
-pub struct ContentionPlacer {
-    map: rtf_txbase::FxHashMap<u64, usize>,
-}
-
-impl ContentionPlacer {
-    /// An empty table (routes nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pins placement key `key` to `group`.
-    pub fn pin(&mut self, key: u64, group: usize) {
-        self.map.insert(key, group);
-    }
-
-    /// The group `key` is pinned to, if any.
-    pub fn group_for(&self, key: u64) -> Option<usize> {
-        self.map.get(&key).copied()
-    }
-
-    /// Number of pinned keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no key is pinned.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 struct Shared {
     injector: Injector<Job>,
-    /// Group-local injectors (empty when the pool is ungrouped). A group's
-    /// workers prefer their own injector; everyone else can still steal
-    /// from it, so groups bias placement without partitioning capacity.
-    group_injectors: Box<[Injector<Job>]>,
     stealers: Vec<Stealer<Job>>,
     /// Idle workers park here (epoch-token protocol, see
     /// `rtf_txbase::wait`); `has_waiters` keeps the spawn path lock-free
@@ -199,10 +138,6 @@ struct Shared {
     idle: WaitQueue,
     pending: AtomicUsize,
     shutdown: AtomicBool,
-    /// Placement table; `has_placer` keeps the no-placement spawn path to
-    /// one relaxed load.
-    placer: parking_lot::RwLock<Option<Arc<ContentionPlacer>>>,
-    has_placer: AtomicBool,
     sink: Arc<dyn EventSink>,
 }
 
@@ -241,32 +176,14 @@ impl Pool {
     /// Like [`Pool::start`], but reporting helping/fence activity through
     /// `sink` ([`Event::PoolTaskHelped`], [`Event::PoolFenceDeferrals`]).
     pub fn start_with_sink(workers: usize, sink: Arc<dyn EventSink>) -> PoolRunner {
-        Self::start_with_groups(workers, 1, sink)
-    }
-
-    /// Like [`Pool::start_with_sink`], partitioned into `groups` worker
-    /// groups (1 = ungrouped; see the module docs on placement). Workers
-    /// are assigned to groups round-robin; a group with no worker (more
-    /// groups than workers) still drains through stealing and helping.
-    pub fn start_with_groups(
-        workers: usize,
-        groups: usize,
-        sink: Arc<dyn EventSink>,
-    ) -> PoolRunner {
-        let groups = groups.max(1);
         let worker_deques: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_fifo()).collect();
         let stealers = worker_deques.iter().map(|w| w.stealer()).collect();
-        let group_injectors: Box<[Injector<Job>]> =
-            if groups > 1 { (0..groups).map(|_| Injector::new()).collect() } else { Box::new([]) };
         let shared = Arc::new(Shared {
             injector: Injector::new(),
-            group_injectors,
             stealers,
             idle: WaitQueue::new(),
             pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            placer: parking_lot::RwLock::new(None),
-            has_placer: AtomicBool::new(false),
             sink,
         });
         let pool = Pool { shared: Arc::clone(&shared) };
@@ -275,75 +192,30 @@ impl Pool {
             .enumerate()
             .map(|(idx, local)| {
                 let shared = Arc::clone(&shared);
-                let group = if groups > 1 { Some(idx % groups) } else { None };
                 std::thread::Builder::new()
                     .name(format!("rtf-worker-{idx}"))
-                    .spawn(move || worker_loop(shared, local, group))
+                    .spawn(move || worker_loop(shared, local))
                     .expect("failed to spawn rtf worker thread")
             })
             .collect();
         PoolRunner { pool, handles }
     }
 
-    /// Number of worker groups (1 when ungrouped).
-    pub fn groups(&self) -> usize {
-        self.shared.group_injectors.len().max(1)
-    }
-
-    /// Installs (replaces) the contention-placement table.
-    pub fn install_placer(&self, placer: ContentionPlacer) {
-        let nonempty = !placer.is_empty();
-        *self.shared.placer.write() = Some(Arc::new(placer));
-        self.shared.has_placer.store(nonempty, Ordering::Release);
-    }
-
-    /// Routes a set of placement keys through the installed placer: the
-    /// first key the table pins decides the group. `None` when no placer is
-    /// installed, none of the keys is pinned, or the pool is ungrouped —
-    /// callers then spawn un-placed.
-    pub fn group_for_keys(&self, keys: impl IntoIterator<Item = u64>) -> Option<usize> {
-        if self.shared.group_injectors.is_empty() || !self.shared.has_placer.load(Ordering::Acquire)
-        {
-            return None;
-        }
-        let guard = self.shared.placer.read();
-        let placer = guard.as_ref()?;
-        let groups = self.shared.group_injectors.len();
-        keys.into_iter().find_map(|k| placer.group_for(k)).map(|g| g % groups)
-    }
-
     /// Enqueues a task for asynchronous execution.
     pub fn spawn(&self, task: Task) {
-        self.push_job(None, Job { tag: None, run: task });
+        self.push_job(Job { tag: None, run: task });
     }
 
     /// Enqueues a task carrying its serialization position, so helping
     /// threads can tell whether running it inline is safe (see the module
     /// docs on the helping inversion).
     pub fn spawn_ordered(&self, tag: OrderTag, task: Task) {
-        self.push_job(None, Job { tag: Some(tag), run: task });
+        self.push_job(Job { tag: Some(tag), run: task });
     }
 
-    /// [`Pool::spawn_ordered`] with group affinity: the task lands on
-    /// `group`'s injector, so that group's workers pick it up first (other
-    /// workers can still steal it).
-    pub fn spawn_ordered_in(&self, group: usize, tag: OrderTag, task: Task) {
-        self.push_job(Some(group), Job { tag: Some(tag), run: task });
-    }
-
-    /// [`Pool::spawn`] with group affinity.
-    pub fn spawn_in(&self, group: usize, task: Task) {
-        self.push_job(Some(group), Job { tag: None, run: task });
-    }
-
-    fn push_job(&self, group: Option<usize>, job: Job) {
+    fn push_job(&self, job: Job) {
         self.shared.pending.fetch_add(1, Ordering::Release);
-        match group {
-            Some(g) if !self.shared.group_injectors.is_empty() => {
-                self.shared.group_injectors[g % self.shared.group_injectors.len()].push(job);
-            }
-            _ => self.shared.injector.push(job),
-        }
+        self.shared.injector.push(job);
         // Wake one parked worker, if any. The waiter check keeps the
         // common (all-workers-busy) path lock-free; the residual
         // probe-then-park race is bounded by the workers' park timeout.
@@ -372,7 +244,7 @@ impl Pool {
         let mut chosen: Option<Job> = None;
         let limit = shared.pending.load(Ordering::Acquire);
         for _ in 0..=limit {
-            match find_task(shared, None, None) {
+            match find_task(shared, None) {
                 Some(job) if fences_allow(&job.tag) => {
                     chosen = Some(job);
                     break;
@@ -463,50 +335,23 @@ impl Drop for PoolRunner {
     }
 }
 
-fn find_task(shared: &Shared, local: Option<&Worker<Job>>, group: Option<usize>) -> Option<Job> {
+fn find_task(shared: &Shared, local: Option<&Worker<Job>>) -> Option<Job> {
     if let Some(local) = local {
         if let Some(t) = local.pop() {
             return Some(t);
         }
     }
-    // Repeat while the injectors/stealers report transient contention.
-    // Probe order encodes the affinity: own group's injector, the global
-    // injector, every other group's injector, then worker deques.
-    fn probe(
-        injector: &Injector<Job>,
-        local: Option<&Worker<Job>>,
-        retry: &mut bool,
-    ) -> Option<Job> {
-        let steal = match local {
-            Some(local) => injector.steal_batch_and_pop(local),
-            None => injector.steal(),
-        };
-        match steal {
-            Steal::Success(t) => Some(t),
-            Steal::Retry => {
-                *retry = true;
-                None
-            }
-            Steal::Empty => None,
-        }
-    }
+    // Repeat while the injector/stealers report transient contention.
     loop {
         let mut retry = false;
-        if let Some(g) = group {
-            if let Some(t) = probe(&shared.group_injectors[g], local, &mut retry) {
-                return Some(t);
-            }
-        }
-        if let Some(t) = probe(&shared.injector, local, &mut retry) {
-            return Some(t);
-        }
-        for (i, inj) in shared.group_injectors.iter().enumerate() {
-            if Some(i) == group {
-                continue;
-            }
-            if let Some(t) = probe(inj, local, &mut retry) {
-                return Some(t);
-            }
+        let steal = match local {
+            Some(local) => shared.injector.steal_batch_and_pop(local),
+            None => shared.injector.steal(),
+        };
+        match steal {
+            Steal::Success(t) => return Some(t),
+            Steal::Retry => retry = true,
+            Steal::Empty => {}
         }
         for s in &shared.stealers {
             match s.steal() {
@@ -555,12 +400,12 @@ impl Drop for WorkerRespawn {
             let shared = Arc::clone(&self.shared);
             let _ = std::thread::Builder::new()
                 .name("rtf-worker-respawn".into())
-                .spawn(move || worker_loop(shared, Worker::new_fifo(), None));
+                .spawn(move || worker_loop(shared, Worker::new_fifo()));
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, group: Option<usize>) {
+fn worker_loop(shared: Arc<Shared>, local: Worker<Job>) {
     let _respawn = WorkerRespawn { shared: Arc::clone(&shared) };
     loop {
         // Token before the queue probe: a push (notify) landing between the
@@ -569,7 +414,7 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, group: Option<usize>) {
         let token = shared.idle.epoch();
         // Workers run any task unconditionally: an idle worker's stack holds
         // no suspended frames, so no fence applies.
-        if let Some(job) = find_task(&shared, Some(&local), group) {
+        if let Some(job) = find_task(&shared, Some(&local)) {
             shared.pending.fetch_sub(1, Ordering::Release);
             run_contained(&shared, job.run);
             continue;
@@ -724,79 +569,6 @@ mod tests {
         drop(pool);
         assert!(!ran.load(Ordering::Acquire), "no worker should have run the task");
         assert!(dropped.load(Ordering::Acquire), "queued closure must be destroyed");
-    }
-
-    #[test]
-    fn grouped_pool_runs_group_spawns_and_helping_drains_them() {
-        // 2 groups, 2 workers: group spawns complete; with 0 workers,
-        // help_one (which scans group injectors too) drains them.
-        let runner = Pool::start_with_groups(2, 2, Arc::new(NullSink));
-        let pool = runner.pool();
-        assert_eq!(pool.groups(), 2);
-        let counter = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = mpsc::channel();
-        for i in 0..60 {
-            let counter = Arc::clone(&counter);
-            let tx = tx.clone();
-            pool.spawn_in(
-                i % 2,
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    tx.send(()).unwrap();
-                }),
-            );
-        }
-        for _ in 0..60 {
-            rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 60);
-
-        let runner0 = Pool::start_with_groups(0, 4, Arc::new(NullSink));
-        let pool0 = runner0.pool();
-        let flag = Arc::new(AtomicBool::new(false));
-        {
-            let flag = Arc::clone(&flag);
-            pool0.spawn_in(3, Box::new(move || flag.store(true, Ordering::Relaxed)));
-        }
-        assert!(pool0.help_one(None), "helping must find group-injected work");
-        assert!(flag.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn group_work_is_stolen_across_groups() {
-        // One worker, two groups: the worker belongs to group 0 but must
-        // still execute work injected into group 1 (affinity, not
-        // partition).
-        let runner = Pool::start_with_groups(1, 2, Arc::new(NullSink));
-        let pool = runner.pool();
-        let (tx, rx) = mpsc::channel();
-        for _ in 0..10 {
-            let tx = tx.clone();
-            pool.spawn_in(1, Box::new(move || tx.send(()).unwrap()));
-        }
-        for _ in 0..10 {
-            rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        }
-    }
-
-    #[test]
-    fn placer_routes_known_keys_and_ignores_unknown() {
-        let runner = Pool::start_with_groups(0, 4, Arc::new(NullSink));
-        let pool = runner.pool();
-        assert_eq!(pool.group_for_keys([1, 2, 3]), None, "no placer installed");
-        let mut placer = ContentionPlacer::new();
-        placer.pin(42, 3);
-        placer.pin(7, 1);
-        pool.install_placer(placer);
-        assert_eq!(pool.group_for_keys([42]), Some(3));
-        assert_eq!(pool.group_for_keys([999, 7]), Some(1), "first pinned key wins");
-        assert_eq!(pool.group_for_keys([999]), None, "unknown keys stay unplaced");
-        // Ungrouped pools never place.
-        let flat = Pool::start_with_groups(0, 1, Arc::new(NullSink));
-        let mut placer = ContentionPlacer::new();
-        placer.pin(42, 3);
-        flat.pool().install_placer(placer);
-        assert_eq!(flat.pool().group_for_keys([42]), None);
     }
 
     #[test]

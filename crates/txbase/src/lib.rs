@@ -25,7 +25,6 @@ pub mod fxmap;
 pub mod ids;
 pub mod order;
 pub mod orec;
-pub mod sclock;
 pub mod stats;
 pub mod wait;
 
@@ -34,6 +33,5 @@ pub use fxmap::{FxHashMap, FxHashSet};
 pub use ids::{new_node_id, new_tree_id, new_write_token, NodeId, TreeId, Version, WriteToken};
 pub use order::{follows, OrderKey, Ticket, TicketDispenser, TicketLane, TurnWait};
 pub use orec::{Orec, OrecStatus};
-pub use sclock::{PublishLadder, ShardedClock};
 pub use stats::{StatSnapshot, TmStats};
 pub use wait::{Parked, WaitQueue};

@@ -205,16 +205,10 @@ counters! {
     async_polls,
     /// Always 0 (there is no async front-end); kept because perfbench reads it.
     async_spurious_polls,
-    /// Read-write commits that ran on the single-lane fast path of the
-    /// sharded commit backbone (whole footprint hashed to one lane).
+    /// Always 0 (there are no commit lanes); kept because perfbench reads it.
     lane_commits,
-    /// Commits whose footprint spanned several lanes and fell back to the
-    /// reconciling cross-lane order (write-lock + quiesce).
+    /// Always 0 (there are no commit lanes); kept because perfbench reads it.
     lane_fallbacks,
-    /// Version draws completed on behalf of another lane committer (the
-    /// sharded analogue of `helped_writebacks`); each one leaves a
-    /// harmless gap in the version space.
-    lane_helped_draws,
     /// Nanoseconds retry drivers spent sleeping in capped-exponential
     /// conflict backoff between attempts (0 when backoff is disabled).
     retry_backoff_ns,

@@ -780,16 +780,22 @@ mod tests {
         // Stress the lock-free read path against concurrent prepends and
         // trims: every read at a snapshot `s` must return the value
         // committed at the newest version <= s (values mirror versions).
+        // Readers register before loading their snapshot and the writer
+        // trims at the registry's watermark, like the real begin and
+        // write-back paths (`TopTxn::new`, `CommitChain`).
+        use rtf_txbase::ActiveTxnRegistry;
         use std::sync::atomic::AtomicU64;
         let b = VBox::new(0u64);
         let c = Arc::clone(b.cell());
         let published = Arc::new(AtomicU64::new(0));
+        let registry = Arc::new(ActiveTxnRegistry::new());
         let writer = {
             let c = Arc::clone(&c);
             let published = Arc::clone(&published);
+            let registry = Arc::clone(&registry);
             std::thread::spawn(move || {
                 for v in 1..=2000u64 {
-                    let watermark = published.load(Ordering::Relaxed).saturating_sub(4);
+                    let watermark = registry.min_active(published.load(Ordering::Relaxed));
                     c.apply_commit(v, erase(v), new_write_token(), watermark);
                     published.store(v, Ordering::Release);
                 }
@@ -799,8 +805,10 @@ mod tests {
             .map(|_| {
                 let c = Arc::clone(&c);
                 let published = Arc::clone(&published);
+                let registry = Arc::clone(&registry);
                 std::thread::spawn(move || {
                     for _ in 0..4000 {
+                        let _reg = registry.register(published.load(Ordering::Acquire));
                         let snap = published.load(Ordering::Acquire);
                         let (val, _) = c.read_at(snap);
                         let got = *downcast::<u64>(val);

@@ -184,21 +184,6 @@ pub enum Event {
     /// Spurious ordered-lane wakeups accumulated by one turn wait (woken
     /// with the turn still pending; flushed once when the turn arrives).
     TicketSpuriousWakes(u64),
-    /// A read-write commit ran on the single-lane fast path of the sharded
-    /// commit backbone (its whole footprint hashed to one lane).
-    LaneCommit {
-        /// Which commit lane served the fast path.
-        lane: u32,
-    },
-    /// A commit's footprint spanned several lanes and took the reconciling
-    /// cross-lane fallback (write-lock + quiesce + direct write-back).
-    LaneFallback {
-        /// How many lanes the footprint touched.
-        lanes: u32,
-    },
-    /// A lane committer completed the version draw of another committer's
-    /// enqueued record (abandoning its own freshly drawn number as a gap).
-    LaneHelpedDraw,
     /// A retry driver slept in capped-exponential conflict backoff before
     /// re-executing (0 ns never happens: immediate retries emit nothing).
     RetryBackoffNs(u64),
@@ -460,9 +445,6 @@ impl EventSink for StatsSink {
             Event::TicketAbandoned { .. } => s.tickets_abandoned(),
             Event::TicketWaitNs(ns) => s.add_ticket_wait_ns(ns),
             Event::TicketSpuriousWakes(n) => s.add_ticket_spurious_wakes(n),
-            Event::LaneCommit { .. } => s.lane_commits(),
-            Event::LaneFallback { .. } => s.lane_fallbacks(),
-            Event::LaneHelpedDraw => s.lane_helped_draws(),
             Event::RetryBackoffNs(ns) => {
                 s.retry_backoffs();
                 s.add_retry_backoff_ns(ns);

@@ -73,16 +73,6 @@ pub struct SeededBackoff {
     seed: u64,
 }
 
-/// `splitmix64` — the standard 64-bit finalizer used for all deterministic
-/// derivations in this workspace (same constants as `rtf-txfault`).
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl SeededBackoff {
     /// A policy sleeping `[base/2, base)` on the first retry, doubling up to
     /// `cap`, jittered by `seed`.
@@ -111,7 +101,9 @@ impl SeededBackoff {
         // Uniform in [window/2, window): half the window is deterministic
         // spacing, half is jitter — enough spread to break abort convoys
         // without collapsing short windows to zero.
-        let draw = splitmix64(self.seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F));
+        let draw = rtf_txfault::splitmix64(
+            self.seed ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F),
+        );
         let half = window / 2;
         Duration::from_nanos(half + draw % half.max(1))
     }

@@ -157,9 +157,6 @@ impl MetricsSnapshot {
             ("tickets_abandoned".into(), Json::U64(c.tickets_abandoned)),
             ("ticket_wait_ns".into(), Json::U64(c.ticket_wait_ns)),
             ("ticket_spurious_wakes".into(), Json::U64(c.ticket_spurious_wakes)),
-            ("lane_commits".into(), Json::U64(c.lane_commits)),
-            ("lane_fallbacks".into(), Json::U64(c.lane_fallbacks)),
-            ("lane_helped_draws".into(), Json::U64(c.lane_helped_draws)),
             ("retry_backoff_ns".into(), Json::U64(c.retry_backoff_ns)),
             ("retry_backoffs".into(), Json::U64(c.retry_backoffs)),
             ("server_admitted".into(), Json::U64(c.server_admitted)),

@@ -78,13 +78,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         ("tickets_abandoned", "Ordered-lane tickets abandoned", c.tickets_abandoned),
         ("ticket_wait_ns", "Nanoseconds waiting for ticket turns", c.ticket_wait_ns),
         ("ticket_spurious_wakes", "Ordered-lane spurious wakeups", c.ticket_spurious_wakes),
-        ("lane_commits", "Single-lane fast-path commits (sharded backbone)", c.lane_commits),
-        ("lane_fallbacks", "Cross-lane fallback commits", c.lane_fallbacks),
-        (
-            "lane_helped_draws",
-            "Version draws helped for other lane committers",
-            c.lane_helped_draws,
-        ),
         ("retry_backoff_ns", "Nanoseconds slept in conflict retry backoff", c.retry_backoff_ns),
         ("retry_backoffs", "Retry attempts that slept in backoff", c.retry_backoffs),
         ("server_admitted", "Server requests admitted", c.server_admitted),

@@ -74,13 +74,6 @@ pub fn text_report(m: &MetricsSnapshot) -> String {
             c.ticket_spurious_wakes
         ));
     }
-    if c.lane_commits > 0 || c.lane_fallbacks > 0 {
-        out.push_str("commit lanes:\n");
-        out.push_str(&format!(
-            "  fast-path commits {}  cross-lane fallbacks {}  helped draws {}\n",
-            c.lane_commits, c.lane_fallbacks, c.lane_helped_draws
-        ));
-    }
     if c.server_admitted > 0 || c.server_shed > 0 {
         out.push_str("server:\n");
         out.push_str(&format!(

@@ -84,9 +84,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
     m.counters.validation_ns = 65_432;
     m.counters.read_fast = 900;
     m.counters.read_slow = 100;
-    m.counters.lane_commits = 80;
-    m.counters.lane_fallbacks = 6;
-    m.counters.lane_helped_draws = 2;
     let conflicts = ConflictTable::default();
     for _ in 0..3 {
         conflicts.record(rtf_txengine::ConflictKind::SubValidation, 0xbeef, 4);

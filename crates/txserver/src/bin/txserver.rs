@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! txserver [--addr HOST:PORT] [--workers N] [--exec N] [--ordered N]
-//!          [--lanes N] [--max-inflight N] [--rate R] [--drain-ms N]
+//!          [--max-inflight N] [--rate R] [--drain-ms N]
 //! txserver --soak [--seed S] [--duration-secs N] [--conns N]
 //!          [--disconnectors N] [--no-faults]
 //! ```
@@ -73,7 +73,6 @@ fn main() {
     let mut server_cfg = ServerConfig { addr: "127.0.0.1:7478".into(), ..Default::default() };
     let mut rt_workers = 4usize;
     let mut ordered = 2usize;
-    let mut lanes = 2usize;
     let mut seed = 1u64;
 
     let mut args = std::env::args().skip(1);
@@ -91,7 +90,6 @@ fn main() {
             "--workers" => rt_workers = parse(&mut args, "--workers"),
             "--exec" => server_cfg.exec_workers = parse(&mut args, "--exec"),
             "--ordered" => ordered = parse(&mut args, "--ordered"),
-            "--lanes" => lanes = parse(&mut args, "--lanes"),
             "--max-inflight" => {
                 server_cfg.admission.max_inflight = parse(&mut args, "--max-inflight")
             }
@@ -132,9 +130,6 @@ fn main() {
         .stall_abort(Duration::from_secs(5));
     if ordered > 0 {
         builder = builder.ordered(ordered);
-    }
-    if lanes > 1 {
-        builder = builder.commit_lanes(lanes);
     }
     if let Some(live) = LiveConfig::from_env() {
         builder = builder.live_metrics(live);

@@ -18,18 +18,15 @@ use rtf_benchkit::measure::LatencyStats;
 
 use crate::protocol::{read_frame, write_frame, OpCode, Request, Response, Status, FLAG_ORDERED};
 
-/// `splitmix64` — the workspace's standard seedable stream (same constants
-/// as `rtf_txfault::decision_stream`).
-fn splitmix64(state: &mut u64) -> u64 {
+/// Next draw of the seedable `splitmix64` stream kept in `state`.
+fn next_u64(state: &mut u64) -> u64 {
+    let r = rtf_txfault::splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    r
 }
 
 fn next_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+    (next_u64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// YCSB-style Zipfian generator over `0..n` with skew `theta`
@@ -61,7 +58,7 @@ impl Zipfian {
     /// Next key, advancing `state`.
     pub fn sample(&self, state: &mut u64) -> u64 {
         if self.theta == 0.0 {
-            return splitmix64(state) % self.n;
+            return next_u64(state) % self.n;
         }
         let u = next_f64(state);
         let uz = u * self.zetan;
@@ -259,7 +256,7 @@ impl RequestGen {
     /// Next request in the stream.
     pub fn next_request(&mut self) -> Request {
         let key = self.zipf.sample(&mut self.state);
-        let r = splitmix64(&mut self.state) % self.mix_total as u64;
+        let r = next_u64(&mut self.state) % self.mix_total as u64;
         let mut cut = 0u64;
         let mut pick = |parts: u32| {
             cut += parts as u64;
@@ -269,7 +266,7 @@ impl RequestGen {
             (OpCode::KvGet, key.to_le_bytes().to_vec())
         } else if pick(self.mix.kv_put) {
             let mut b = key.to_le_bytes().to_vec();
-            b.extend_from_slice(&splitmix64(&mut self.state).to_le_bytes());
+            b.extend_from_slice(&next_u64(&mut self.state).to_le_bytes());
             (OpCode::KvPut, b)
         } else if pick(self.mix.kv_incr) {
             let mut b = key.to_le_bytes().to_vec();
@@ -278,12 +275,12 @@ impl RequestGen {
         } else if pick(self.mix.kv_cas) {
             let mut b = key.to_le_bytes().to_vec();
             b.extend_from_slice(&0u64.to_le_bytes());
-            b.extend_from_slice(&splitmix64(&mut self.state).to_le_bytes());
+            b.extend_from_slice(&next_u64(&mut self.state).to_le_bytes());
             (OpCode::KvCas, b)
         } else if pick(self.mix.vac_reserve) {
             let mut b = (key % 64).to_le_bytes().to_vec();
             b.push((key % 3) as u8);
-            b.extend_from_slice(&(splitmix64(&mut self.state) % 64).to_le_bytes());
+            b.extend_from_slice(&(next_u64(&mut self.state) % 64).to_le_bytes());
             (OpCode::VacReserve, b)
         } else if pick(self.mix.vac_bill) {
             (OpCode::VacBill, (key % 64).to_le_bytes().to_vec())

@@ -95,8 +95,8 @@ pub enum Status {
     /// Admission token bucket empty: arrival rate above the configured
     /// sustained rate. Retry after backoff.
     ShedAdmission = 1,
-    /// Server saturated (in-flight cap, deep commit lanes, or a backed-up
-    /// worker pool). Retry after backoff.
+    /// Server saturated (in-flight cap, a deep commit-chain backlog, or a
+    /// backed-up worker pool). Retry after backoff.
     ShedSaturated = 2,
     /// Server is draining for shutdown; this request was not started (or
     /// was still queued when the drain deadline expired). Do not retry

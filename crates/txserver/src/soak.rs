@@ -19,8 +19,8 @@
 //!      leftover in-flight slots (no leaked admissions);
 //!    * `tickets_issued == ordered_commits + tickets_abandoned` (no wedged
 //!      ordered lane);
-//!    * commit lanes fully helped (`commit_lane_depth == 0` — no leaked
-//!      tentative records);
+//!    * commit chain fully helped (`commit_lane_depth == 0` — no leaked
+//!      commit records);
 //!    * the run finished inside its wall-clock bound (zero hangs).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,13 +93,12 @@ impl SoakReport {
 }
 
 /// The runtime a soak server runs on: ordered (so disconnectors exercise
-/// ticket abandonment), sharded commit backbone, bounded retries with
-/// seeded backoff, stall watchdog in abort mode.
+/// ticket abandonment), bounded retries with seeded backoff, stall
+/// watchdog in abort mode.
 pub fn soak_runtime(seed: u64) -> Rtf {
     let mut builder = Rtf::builder()
         .workers(4)
         .ordered(2)
-        .commit_lanes(2)
         .max_retries(64)
         .retry_deadline(Duration::from_secs(2))
         .retry_backoff(BackoffConfig {
@@ -257,7 +256,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         ));
     }
     if lane_depth != 0 {
-        violations.push(format!("commit lanes not quiesced: depth {lane_depth} after drain"));
+        violations.push(format!("commit chain not quiesced: depth {lane_depth} after drain"));
     }
     if drain.admitted == 0 {
         violations.push("no requests admitted — load never reached the server".into());

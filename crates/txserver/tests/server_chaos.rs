@@ -60,7 +60,6 @@ fn disconnect_mid_ticketed_pipeline_abandons_tickets_without_leaks() {
     let tm = rtf::Rtf::builder()
         .workers(2)
         .ordered(2)
-        .commit_lanes(2)
         .max_retries(64)
         .retry_deadline(Duration::from_secs(2))
         .build();
@@ -136,8 +135,8 @@ fn disconnect_mid_ticketed_pipeline_abandons_tickets_without_leaks() {
     );
     assert!(stats.tickets_issued > 0, "ordered path never exercised");
 
-    // No tentative commit-lane records leaked: lanes fully helped/retired.
-    assert_eq!(tm.commit_lane_depth(), 0, "commit lanes not quiesced after drain");
+    // No commit records leaked: the chain is fully helped.
+    assert_eq!(tm.commit_lane_depth(), 0, "commit chain not quiesced after drain");
 
     // The GC watermark advanced under churn — abandoned work didn't pin
     // old versions forever.

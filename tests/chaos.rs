@@ -197,6 +197,10 @@ fn seeded_chaos_preserves_counter_exactness() {
     rtf_txfault::install(
         FaultPlan::new(0xDECAF)
             .rule(SiteRule::at("mvstm.commit.validate").abort(150_000))
+            // Stalled enqueues and write-backs must be recovered by other
+            // committers helping the chain.
+            .rule(SiteRule::at("mvstm.commit.enqueue").delay(80_000, 30))
+            .rule(SiteRule::at("mvstm.commit.writeback").delay(60_000, 40))
             .rule(SiteRule::at("core.subcommit.validate").abort(100_000))
             .rule(SiteRule::at("core.wait_turn").abort(30_000).spurious(150_000))
             .rule(SiteRule::at("core.future.body").abort(60_000).panic(10_000))
@@ -412,87 +416,4 @@ fn seeded_chaos_through_ordered_lane_dumps_replayable_schedule_on_failure() {
         "commit log drifted from the ordered_commits counter"
     );
     assert_eq!(stats.tickets_issued, 600, "every run draws exactly one ticket");
-}
-
-/// The seeded chaos workload on the sharded commit backbone: transfers
-/// between 16 accounts on a `commit_lanes(4)` runtime, with injected
-/// aborts at the lane-routing failpoint (`mvstm.commit.lane`) and delays
-/// at the write-back on top of the usual schedule. Conservation is the
-/// exactness invariant; the lane counters prove both the fast path and
-/// the cross-lane fallback executed *under* fault injection.
-#[test]
-fn seeded_chaos_on_sharded_lanes_preserves_conservation() {
-    let _g = lock();
-    if !rtf_txfault::enabled() {
-        eprintln!("skipped: requires --features fault-inject");
-        return;
-    }
-    rtf_txfault::install(
-        FaultPlan::new(0x5AD5)
-            .rule(SiteRule::at("mvstm.commit.validate").abort(100_000))
-            .rule(SiteRule::at("mvstm.commit.lane").abort(120_000))
-            .rule(SiteRule::at("mvstm.commit.writeback").delay(60_000, 40))
-            .rule(SiteRule::at("mvstm.commit.enqueue").delay(80_000, 30))
-            .rule(SiteRule::at("core.future.body").abort(40_000).panic(8_000))
-            .rule(SiteRule::at("txengine.cell.*").abort(20_000)),
-    );
-    let outcome = bounded(120, move || {
-        let tm = Arc::new(
-            Rtf::builder()
-                .workers(4)
-                .commit_lanes(4)
-                .stall_warn(Duration::from_millis(200))
-                .stall_abort(Duration::from_secs(10))
-                .build(),
-        );
-        let accounts: Arc<Vec<VBox<i64>>> = Arc::new((0..16).map(|_| VBox::new(1000i64)).collect());
-        let panicked = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let tm = Arc::clone(&tm);
-                let accounts = Arc::clone(&accounts);
-                let panicked = Arc::clone(&panicked);
-                std::thread::spawn(move || {
-                    for i in 0..200usize {
-                        let from = accounts[(t * 3 + i) % 16].clone();
-                        let to = accounts[(t * 7 + i * 5 + 1) % 16].clone();
-                        let r = tm.run({
-                            let (from, to) = (from.clone(), to.clone());
-                            move |tx| {
-                                if std::ptr::eq(from.cell().as_ref(), to.cell().as_ref()) {
-                                    return;
-                                }
-                                // A future computes the amount so injected
-                                // future panics hit this workload too.
-                                let f = tx.submit(move |_tx| 25i64);
-                                let amount = *tx.eval(&f);
-                                let fv = *tx.read(&from);
-                                let tv = *tx.read(&to);
-                                tx.write(&from, fv - amount);
-                                tx.write(&to, tv + amount);
-                            }
-                        });
-                        match r {
-                            Ok(()) => {}
-                            Err(TxError::FuturePanicked { .. }) => {
-                                panicked.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("unexpected chaos failure: {e}"),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client thread crashed");
-        }
-        let total: i64 = accounts.iter().map(|a| *a.read_committed()).sum();
-        (total, tm.stats(), rtf_txfault::injected_total())
-    });
-    rtf_txfault::clear();
-    let (total, stats, injected) = outcome;
-    assert_eq!(total, 16 * 1000, "chaos broke conservation on the sharded chain");
-    assert!(injected > 0, "the schedule must actually have injected faults");
-    assert!(stats.lane_commits > 0, "no fast-path lane commit under chaos: {stats:?}");
-    assert!(stats.lane_fallbacks > 0, "no cross-lane fallback under chaos: {stats:?}");
 }

@@ -193,42 +193,3 @@ fn one_observer_aggregates_many_tms() {
     assert_eq!(m.commit.count, 3);
     assert_eq!(m.spans_recorded, 0, "spans off ⇒ nothing recorded");
 }
-
-/// Contention-aware placement closes the loop from the observer's hotspot
-/// table back into the scheduler: after a contended run on a sharded
-/// runtime, `refresh_placement` pins every observed hotspot cell to its
-/// commit lane's worker group, and subsequent work still commits correctly.
-#[test]
-fn hotspot_placement_pins_contended_cells_to_lanes() {
-    let obs = TxObs::new(ObsConfig::default());
-    let tm = Rtf::builder().workers(4).commit_lanes(4).observer(Arc::clone(&obs)).build();
-    assert_eq!(tm.commit_lanes(), 4);
-
-    // No hotspots yet: nothing to pin.
-    assert_eq!(tm.refresh_placement(), 0);
-
-    // Contend until the scheduler actually produces a conflict (the table
-    // aggregates across rounds, so this converges quickly).
-    let mut rounds = 0;
-    while obs.metrics().hotspots.is_empty() {
-        assert!(rounds < 50, "no conflict after {rounds} contended rounds");
-        assert_eq!(contended_run(&tm, 4, 40), 160);
-        rounds += 1;
-    }
-
-    // The conflicts produced at least one hotspot; placement pins each of
-    // them to a lane-derived worker group.
-    let pinned = tm.refresh_placement();
-    assert!(pinned > 0, "hotspots present but nothing pinned");
-
-    // The placer must not perturb correctness: the same workload keeps
-    // serializing with placement installed.
-    let total = contended_run(&tm, 4, 40);
-    assert_eq!(total, 160);
-
-    // A single-chain runtime has nothing to place.
-    let obs1 = TxObs::new(ObsConfig::default());
-    let tm1 = Rtf::builder().workers(2).observer(Arc::clone(&obs1)).build();
-    contended_run(&tm1, 2, 20);
-    assert_eq!(tm1.refresh_placement(), 0, "lanes == 1 never pins");
-}

@@ -157,3 +157,27 @@ fn nested_rollback_is_contained() {
     assert_eq!(tm.stats().top_commits, 1);
     assert_eq!(*b.read_committed(), 5);
 }
+
+/// A cursor continuation that reads a box before its own future writes it
+/// misses that write on every parallel attempt when no worker runs the
+/// future early (zero workers: it runs only at `eval`). Continuation
+/// restarts therefore count toward `fallback_threshold`: the next attempt
+/// runs in sequential fallback mode, where the future executes at its
+/// submission point and the read sees its write.
+#[test]
+fn repeated_continuation_restarts_fall_back_instead_of_livelocking() {
+    let tm = Rtf::builder().workers(0).max_retries(200).build();
+    let x = VBox::new(0u64);
+    let before = tm.stats();
+    let r = tm.run(|tx| {
+        let x2 = x.clone();
+        let f = tx.submit(move |tx| tx.write(&x2, 7u64));
+        let v = *tx.read(&x);
+        tx.eval(&f);
+        v
+    });
+    assert_eq!(r, Ok(7));
+    let d = tm.stats().since(&before);
+    assert_eq!(d.continuation_restarts, 1, "{d:?}");
+    assert_eq!(d.fallback_runs, 1, "{d:?}");
+}

@@ -130,7 +130,9 @@ fn spin_until_done<A: rtf::TxData>(h: &rtf::TxFuture<A>) {
 /// root; the second future's read must be re-validated there, or one
 /// increment is lost. Handshakes force that interleaving on the first
 /// attempt; later attempts let the first future commit before the second
-/// one reads.
+/// one reads. The restart counts toward `fallback_threshold`, so the
+/// re-execution runs in fallback mode, where futures run inline at their
+/// submission point and must not wait for the handshake.
 #[test]
 fn nesting_revalidates_reads_where_branches_meet() {
     let tm = Rtf::builder().workers(2).semantics(TreeSemantics::ParallelNesting).build();
@@ -139,6 +141,7 @@ fn nesting_revalidates_reads_where_branches_meet() {
     tm.atomic(|tx| {
         attempts.set(attempts.get() + 1);
         let forced = attempts.get() == 1;
+        let inline = tx.is_fallback();
         let first_read = Arc::new(Latch::default());
         let go = Arc::new(Latch::default());
         let (c, read, first_go) = (counter.clone(), Arc::clone(&first_read), Arc::clone(&go));
@@ -154,7 +157,7 @@ fn nesting_revalidates_reads_where_branches_meet() {
         let second = tx.submit(move |tx| {
             if forced {
                 first_read.wait();
-            } else {
+            } else if !inline {
                 second_go.wait();
             }
             let v = *tx.read(&c);

@@ -147,62 +147,19 @@ fn random_programs_match_sequential() {
     }
 }
 
-/// The sharded commit backbone must preserve the equivalence: the same
-/// random future-trees run against a `commit_lanes > 1` runtime
-/// (footprint-keyed lanes, per-shard clock epochs, publish ladder) still
-/// equal their sequential interpretation — state *and* accumulator.
-#[test]
-fn random_programs_match_sequential_on_sharded_chain() {
-    for (seed, lanes) in [(0u64, 4usize), (3, 4), (6, 16), (9, 4), (13, 16), (17, 4)] {
-        let mut rng = StdRng::seed_from_u64(0x5E00 + seed);
-        let prog = gen_prog(&mut rng, 8);
-
-        let mut expect_state = [0u64; BOXES];
-        for (i, s) in expect_state.iter_mut().enumerate() {
-            *s = (i as u64 + 1) * 100;
-        }
-        let expect_acc = interp(&prog, &mut expect_state, 7);
-
-        let tm = Rtf::builder().workers(3).commit_lanes(lanes).build();
-        assert_eq!(tm.commit_lanes(), lanes);
-        let boxes: Arc<Vec<VBox<u64>>> =
-            Arc::new((0..BOXES).map(|i| VBox::new((i as u64 + 1) * 100)).collect());
-        let got_acc = tm.atomic(|tx| run_tm(tx, &prog, &boxes, 7));
-
-        assert_eq!(got_acc, expect_acc, "accumulator diverged (seed {seed}, lanes {lanes})");
-        for (i, b) in boxes.iter().enumerate() {
-            assert_eq!(
-                *b.read_committed(),
-                expect_state[i],
-                "box {i} diverged (seed {seed}, lanes {lanes})"
-            );
-        }
-    }
-}
-
 /// Ordered mode extends the equivalence *across* transactions: a batch of
 /// random programs run as ticketed top-level transactions must equal the
 /// sequential execution of those programs in ticket order — and the commit
 /// log must be exactly the ticket order — even though worker threads race
-/// through them out of order. Exercised against both the single chain and
-/// the sharded backbone (`lanes` axis): the ordered gate pins the commit
-/// order either way.
+/// through them out of order.
 #[test]
 fn ordered_mode_batch_matches_sequential_spec_in_ticket_order() {
     for seed in 0..8u64 {
-        ordered_batch_case(seed, 1);
+        ordered_batch_case(seed);
     }
 }
 
-/// Same cross-transaction spec, sharded chain.
-#[test]
-fn ordered_mode_batch_matches_sequential_spec_on_sharded_chain() {
-    for (seed, lanes) in [(0u64, 4usize), (2, 4), (4, 16), (6, 4)] {
-        ordered_batch_case(seed, lanes);
-    }
-}
-
-fn ordered_batch_case(seed: u64, lanes: usize) {
+fn ordered_batch_case(seed: u64) {
     use rtf::CommitLog;
     {
         let mut rng = StdRng::seed_from_u64(0x08D0 + seed);
@@ -220,12 +177,7 @@ fn ordered_batch_case(seed: u64, lanes: usize) {
         // slice in increasing ticket order, so turn waits cannot
         // deadlock).
         let log = CommitLog::new();
-        let tm = Rtf::builder()
-            .workers(2)
-            .ordered(1)
-            .commit_lanes(lanes)
-            .event_sink(Arc::clone(&log) as _)
-            .build();
+        let tm = Rtf::builder().workers(2).ordered(1).event_sink(Arc::clone(&log) as _).build();
         let boxes: Arc<Vec<VBox<u64>>> =
             Arc::new((0..BOXES).map(|i| VBox::new((i as u64 + 1) * 100)).collect());
         let threads = 3;
