@@ -1,9 +1,7 @@
 //! Ablations of design choices called out in DESIGN.md:
 //! A2 — the §IV-E read-only future validation skip;
-//! A4 — strong ordering vs parallel nesting;
 //! A5 — the deterministic ordered-commit lane's throughput cost.
 
-use rtf::TreeSemantics;
 use rtf_benchkit::measure::fmt_f64;
 use rtf_benchkit::{run_clients, SyntheticArray, SyntheticConfig, Table};
 use rtf_tstructs::TArray;
@@ -51,53 +49,6 @@ pub fn ablation_roflag(args: &Args) -> Table {
             fmt_f64(m.throughput()),
             d.ro_validation_skips.to_string(),
             d.ro_validation_taken.to_string(),
-        ]);
-    }
-    t
-}
-
-/// A4: the cost of strong ordering — the paper's submission-point
-/// serialization vs unordered parallel nesting (JVSTM-style, paper §VI) on
-/// the contended synthetic workload.
-pub fn ablation_ordering(args: &Args) -> Table {
-    let clients = 2;
-    let futures = 3;
-    let ops = args.ops.unwrap_or(if args.quick { 40 } else { 200 });
-    let cfg = SyntheticConfig {
-        array_size: args.array_size.unwrap_or(1 << 14),
-        tx_len: if args.quick { 64 } else { 512 },
-        iters_between: 100,
-        hot_spots: 20,
-        hot_writes: 10,
-    };
-    let mut t = Table::new(
-        "A4 — intra-transaction serialization discipline (contended synthetic)",
-        &[
-            "semantics",
-            "throughput (txs/s)",
-            "partial rollbacks",
-            "waitTurn wait (ms total)",
-            "validation (ms total)",
-        ],
-    );
-    for (name, semantics) in [
-        ("strong ordering", TreeSemantics::StrongOrdering),
-        ("parallel nesting", TreeSemantics::ParallelNesting),
-    ] {
-        let tm =
-            args.tm().workers(clients * futures).semantics(semantics).fallback_threshold(2).build();
-        let data = SyntheticArray::new(cfg);
-        let before = tm.stats();
-        let m = run_clients(clients, ops, |c, i| {
-            data.run_contended(&tm, futures, (c * ops + i) as u64);
-        });
-        let d = tm.stats().since(&before);
-        t.row(vec![
-            name.into(),
-            fmt_f64(m.throughput()),
-            d.sub_validation_aborts.to_string(),
-            fmt_f64(d.wait_turn_ns as f64 / 1e6),
-            fmt_f64(d.validation_ns as f64 / 1e6),
         ]);
     }
     t

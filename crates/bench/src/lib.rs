@@ -10,7 +10,6 @@
 //! | `fig6_vacation` | Fig 6a–c — Vacation throughput / latency / abort rate vs threads × futures |
 //! | `fig6_tpcc` | Fig 6d–f — TPC-C throughput / latency / abort rate vs threads × futures |
 //! | `ablation_roflag` | A2 — §IV-E read-only future validation skip on/off |
-//! | `ablation_ordering` | A4 — strong ordering vs parallel nesting |
 //! | `ablation_ordered` | A5 — ordered-commit lane vs unordered, 1 vs 4 lanes |
 //! | `ordered_replay` | record/replay determinism check for the ordered lane |
 //! | `chaos` | seeded fault-injection runner (`--ordered SHARDS` for the lane) |

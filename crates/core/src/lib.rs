@@ -93,8 +93,7 @@ mod tx;
 pub use error::{FutureError, TxError};
 pub use future::TxFuture;
 pub use ordered::OrderedTicket;
-pub use runtime::{BackoffConfig, Cancelled, Rtf, RtfBuilder, RtfConfig, RunBudget};
-pub use tree::TreeSemantics;
+pub use runtime::{BackoffConfig, Rtf, RtfBuilder, RtfConfig, RunBudget};
 pub use tx::Tx;
 
 // Re-export the data layer so `rtf` alone suffices for applications.
@@ -732,10 +731,10 @@ mod tests {
         let tm = Rtf::builder().workers(2).ordered(1).build();
         let b = VBox::new(5u64);
         assert_eq!(tm.atomic_ro(|tx| *tx.read(&b)), 5);
-        let r = tm.try_atomic(|tx| {
+        let r = tm.run(|tx| {
             tx.cancel();
         });
-        assert!(r.is_err());
+        assert_eq!(r, Err(TxError::Cancelled));
         tm.atomic(|tx| {
             let v = *tx.read(&b);
             tx.write(&b, v + 1);

@@ -43,20 +43,8 @@ use crate::error::{panic_message, TxError};
 use crate::future::TxFuture;
 use crate::ordered::OrderedTicket;
 use crate::stall::{StallAction, StallThresholds, StallWatch};
-use crate::tree::{PoisonKind, TreeCtx, TreeSemantics};
+use crate::tree::{PoisonKind, TreeCtx};
 use crate::tx::{install_quiet_poison_hook, CancelSignal, PoisonSignal, Tx, TxEnv};
-
-/// The transaction was deliberately cancelled via [`Tx::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
-/// Internal outcome of [`Rtf::run_top_level`]: either a deliberate
-/// cancellation or a structured fault. The panicking entry points
-/// (`atomic`) convert faults into panics; [`Rtf::run`] returns them.
-enum RunStop {
-    Cancelled,
-    Fault(TxError),
-}
 
 /// The retry-pacing policy of one top-level run: the default spin ladder,
 /// or the configured seeded backoff ([`RtfBuilder::retry_backoff`]).
@@ -147,11 +135,11 @@ pub struct RtfConfig {
     /// `atomic` call after which the re-execution runs in sequential
     /// fallback mode (a [`Tx::restart`] counts as a continuation restart).
     /// The paper falls back on the first conflict; raise this to keep
-    /// retrying in parallel mode.
+    /// retrying in parallel mode. Fallback runs every future body inline at
+    /// its submission point, so a body that blocks on something a later
+    /// part of the same transaction provides outside the TM deadlocks there
+    /// (see [`Tx::submit`]).
     pub fallback_threshold: u32,
-    /// Intra-transaction serialization discipline (ablation A4 compares
-    /// the paper's strong ordering with unordered parallel nesting).
-    pub semantics: TreeSemantics,
     /// Explicit observability layer attached to this runtime's event
     /// stream. Independent of the env-driven observer (`RTF_METRICS` /
     /// `RTF_CHROME_TRACE`), which attaches automatically.
@@ -196,7 +184,6 @@ impl Default for RtfConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             ro_opt: true,
             fallback_threshold: 1,
-            semantics: TreeSemantics::StrongOrdering,
             observer: None,
             max_retries: None,
             retry_deadline: None,
@@ -218,7 +205,6 @@ impl std::fmt::Debug for RtfConfig {
             .field("workers", &self.workers)
             .field("ro_opt", &self.ro_opt)
             .field("fallback_threshold", &self.fallback_threshold)
-            .field("semantics", &self.semantics)
             .field("observer", &self.observer.is_some())
             .field("max_retries", &self.max_retries)
             .field("retry_deadline", &self.retry_deadline)
@@ -255,13 +241,6 @@ impl RtfBuilder {
     /// restarts that triggers sequential fallback.
     pub fn fallback_threshold(mut self, n: u32) -> Self {
         self.config.fallback_threshold = n.max(1);
-        self
-    }
-
-    /// Chooses the intra-transaction serialization discipline (default:
-    /// the paper's strong ordering).
-    pub fn semantics(mut self, s: TreeSemantics) -> Self {
-        self.config.semantics = s;
         self
     }
 
@@ -500,13 +479,13 @@ impl Rtf {
     pub fn atomic<R>(&self, body: impl Fn(&mut Tx) -> R) -> R {
         match self.run_top_level(body, false, false, None, RunBudget::default()) {
             Ok(r) => r,
-            Err(RunStop::Cancelled) => panic!(
-                "Tx::cancel inside Rtf::atomic — use Rtf::try_atomic for cancellable transactions"
-            ),
+            Err(TxError::Cancelled) => {
+                panic!("Tx::cancel inside Rtf::atomic — use Rtf::run for cancellable transactions")
+            }
             // Only reachable when the caller armed a retry budget or the
             // stall-abort watchdog on a panicking entry point; the payload
             // is the structured error (catchable, quiet-hook-suppressed).
-            Err(RunStop::Fault(e)) => std::panic::panic_any(e),
+            Err(e) => std::panic::panic_any(e),
         }
     }
 
@@ -533,10 +512,7 @@ impl Rtf {
         budget: RunBudget,
         body: impl Fn(&mut Tx) -> R,
     ) -> Result<R, TxError> {
-        self.run_top_level(body, false, true, None, budget).map_err(|stop| match stop {
-            RunStop::Cancelled => TxError::Cancelled,
-            RunStop::Fault(e) => e,
-        })
+        self.run_top_level(body, false, true, None, budget)
     }
 
     /// Whether this runtime commits through the ordered-execution lane.
@@ -603,20 +579,7 @@ impl Rtf {
         ticket: OrderedTicket,
         body: impl Fn(&mut Tx) -> R,
     ) -> Result<R, TxError> {
-        self.run_top_level(body, false, true, Some(ticket), budget).map_err(|stop| match stop {
-            RunStop::Cancelled => TxError::Cancelled,
-            RunStop::Fault(e) => e,
-        })
-    }
-
-    /// Like [`Rtf::atomic`], but [`Tx::cancel`] aborts the transaction and
-    /// returns `Err(Cancelled)` instead of committing (no effects escape).
-    pub fn try_atomic<R>(&self, body: impl Fn(&mut Tx) -> R) -> Result<R, Cancelled> {
-        match self.run_top_level(body, false, false, None, RunBudget::default()) {
-            Ok(r) => Ok(r),
-            Err(RunStop::Cancelled) => Err(Cancelled),
-            Err(RunStop::Fault(e)) => std::panic::panic_any(e),
-        }
+        self.run_top_level(body, false, true, Some(ticket), budget)
     }
 
     /// Runs `body` as a read-only top-level transaction: reads skip
@@ -626,10 +589,10 @@ impl Rtf {
     pub fn atomic_ro<R>(&self, body: impl Fn(&mut Tx) -> R) -> R {
         match self.run_top_level(body, true, false, None, RunBudget::default()) {
             Ok(r) => r,
-            Err(RunStop::Cancelled) => panic!(
-                "Tx::cancel inside Rtf::atomic_ro — use Rtf::try_atomic for cancellable transactions"
+            Err(TxError::Cancelled) => panic!(
+                "Tx::cancel inside Rtf::atomic_ro — use Rtf::run for cancellable transactions"
             ),
-            Err(RunStop::Fault(e)) => std::panic::panic_any(e),
+            Err(e) => std::panic::panic_any(e),
         }
     }
 
@@ -653,7 +616,7 @@ impl Rtf {
     /// ([`Rtf::run`]) converts it into [`TxError::FuturePanicked`]; `false`
     /// (`atomic` family) resumes the original payload on this thread.
     /// Runtime-originated faults (retry budget, stall abort, payload-less
-    /// future deaths) are always returned as [`RunStop::Fault`].
+    /// future deaths) are always returned as `Err`, as is a [`Tx::cancel`].
     fn run_top_level<R>(
         &self,
         body: impl Fn(&mut Tx) -> R,
@@ -661,7 +624,7 @@ impl Rtf {
         structured: bool,
         ticket: Option<OrderedTicket>,
         over: RunBudget,
-    ) -> Result<R, RunStop> {
+    ) -> Result<R, TxError> {
         let inner = &self.inner;
         let sink = &inner.env.sink;
         // Ordered mode: every top-level transaction holds a ticket for its
@@ -702,7 +665,7 @@ impl Rtf {
         structured: bool,
         ticket: &mut Option<OrderedTicket>,
         over: RunBudget,
-    ) -> Result<R, RunStop> {
+    ) -> Result<R, TxError> {
         let inner = &self.inner;
         let sink = &inner.env.sink;
         // Per-call overrides compose with the runtime-level limits: the
@@ -748,7 +711,7 @@ impl Rtf {
             // `rtf_mvstm::txn::TopTxn::new`).
             let _reg = inner.mvstm.registry().register(inner.mvstm.clock().now());
             let start = inner.mvstm.clock().now();
-            let tree = TreeCtx::with_semantics(start, fallback, inner.config.semantics);
+            let tree = TreeCtx::new(start, fallback);
             // One TopLevel span per attempt: aborted attempts close with
             // ok=false, so the trace shows the retry structure.
             let span_start = if sink.spans_enabled() { Some(obs_now_ns()) } else { None };
@@ -784,32 +747,6 @@ impl Rtf {
 
             match outcome {
                 Ok(Ok(r)) => {
-                    // Strong ordering guarantees every future committed
-                    // before the implicit chain did (waitTurn); unordered
-                    // nesting must wait for stragglers explicitly.
-                    if inner.config.semantics == TreeSemantics::ParallelNesting {
-                        let pool = inner.env.pool.clone();
-                        let mut watch = StallWatch::warn_only(
-                            StallKind::Quiescence,
-                            tree.tree_id.0,
-                            tree.root.id.raw(),
-                            Arc::clone(sink),
-                            inner.env.stall,
-                        );
-                        let _wait = (tree.tasks_in_flight() > 0).then(|| {
-                            WaitSiteGuard::enter(
-                                sink.as_ref(),
-                                StallKind::Quiescence,
-                                tree.tree_id.0,
-                                tree.tasks_in_flight() as u64,
-                                0,
-                            )
-                        });
-                        tree.wait_quiescent(|| {
-                            let _ = watch.tick();
-                            pool.help_one(None)
-                        });
-                    }
                     match self.root_commit(&tree, ticket.as_ref()) {
                         RootCommit::Committed => {
                             if let Some(t) = ticket.take() {
@@ -827,10 +764,10 @@ impl Rtf {
                             // wait; dropping `ticket` on return abandons the
                             // position so successors skip over it.
                             top_span(false);
-                            return Err(RunStop::Fault(TxError::StallAborted {
+                            return Err(TxError::StallAborted {
                                 kind: StallKind::TicketWait.name(),
                                 waited_ms,
-                            }));
+                            });
                         }
                     }
                 }
@@ -848,7 +785,7 @@ impl Rtf {
                         // Deliberate rollback: tear the tree down, discard
                         // everything, and report the cancellation.
                         self.teardown(&tree);
-                        return Err(RunStop::Cancelled);
+                        return Err(TxError::Cancelled);
                     }
                     if payload.is::<PoisonSignal>() {
                         self.teardown(&tree);
@@ -864,12 +801,12 @@ impl Rtf {
                             Some(PoisonKind::UserPanic(p)) => {
                                 if p.is::<CancelSignal>() {
                                     // Tx::cancel called inside a future.
-                                    return Err(RunStop::Cancelled);
+                                    return Err(TxError::Cancelled);
                                 }
                                 if structured {
-                                    return Err(RunStop::Fault(TxError::FuturePanicked {
+                                    return Err(TxError::FuturePanicked {
                                         message: panic_message(&*p),
-                                    }));
+                                    });
                                 }
                                 std::panic::resume_unwind(p);
                             }
@@ -877,13 +814,10 @@ impl Rtf {
                                 // The payload died with the task (contained
                                 // at the pool layer): only the structured
                                 // error is left to surface.
-                                return Err(RunStop::Fault(TxError::FuturePanicked { message }));
+                                return Err(TxError::FuturePanicked { message });
                             }
                             Some(PoisonKind::Stalled { kind, waited_ms }) => {
-                                return Err(RunStop::Fault(TxError::StallAborted {
-                                    kind,
-                                    waited_ms,
-                                }));
+                                return Err(TxError::StallAborted { kind, waited_ms });
                             }
                             None => unreachable!("PoisonSignal without a latched reason"),
                         }
@@ -904,7 +838,7 @@ impl Rtf {
                 }
                 Err(e) => {
                     sink.event(Event::RetryExhausted);
-                    return Err(RunStop::Fault(TxError::RetryExhausted { attempts: e.attempts() }));
+                    return Err(TxError::RetryExhausted { attempts: e.attempts() });
                 }
             }
         }
@@ -1118,7 +1052,7 @@ impl Rtf {
                 },
                 None => true,
             };
-            inner.mvstm.chain().try_commit_gated(
+            inner.mvstm.chain().try_commit_in_turn(
                 ticket.map(|_| TurnGate { wait: &mut wait }),
                 &reads,
                 writes.into_writes(),

@@ -47,7 +47,7 @@ use rtf_txengine::{
 };
 
 use crate::node::Node;
-use crate::tree::{TreeCtx, TreeSemantics};
+use crate::tree::TreeCtx;
 
 /// Error: the tentative list is owned by another active transaction tree.
 /// Carries the owning tree for abort attribution (hotspot reports name the
@@ -162,26 +162,20 @@ impl Visibility for SubRead<'_> {
 /// validating node has committed and propagated, so a predecessor write is
 /// recognized by its owner being the node itself or any ancestor; `anc_ver`
 /// *values* are deliberately ignored — that is exactly how a missed write is
-/// caught. Under strong ordering, entries at or after the read's own
-/// serialization position (`read_pos`) are skipped: they are the reader's
-/// own later writes or its children's, all within its subtree.
+/// caught. Entries at or after the read's own serialization position
+/// (`read_pos`) are skipped: they are the reader's own later writes or its
+/// children's, all within its subtree.
 pub struct SubValidation<'a> {
     tree: &'a TreeCtx,
     node: &'a Node,
-    read_pos: Option<OrderKey>,
+    read_pos: OrderKey,
 }
 
 impl<'a> SubValidation<'a> {
-    /// The validation policy for one recorded read of `node`. Strong
-    /// ordering re-resolves *at the read's serialization position*;
-    /// unordered nesting serializes at commit time, so every committed
-    /// predecessor write counts regardless of position.
+    /// The validation policy for one recorded read of `node`: it
+    /// re-resolves *at the read's serialization position*.
     pub fn for_read(tree: &'a TreeCtx, node: &'a Node, read: &ReadRecord) -> Self {
-        let read_pos = match tree.semantics {
-            TreeSemantics::StrongOrdering => Some(node.path.write_key(read.epoch)),
-            TreeSemantics::ParallelNesting => None,
-        };
-        SubValidation { tree, node, read_pos }
+        SubValidation { tree, node, read_pos: node.path.write_key(read.epoch) }
     }
 }
 
@@ -193,10 +187,8 @@ impl Visibility for SubValidation<'_> {
         if Arc::ptr_eq(&entry.orec, &self.node.orec) {
             return None; // the validating node's own (program-order later) write
         }
-        if let Some(read_pos) = &self.read_pos {
-            if entry.key >= *read_pos {
-                return None; // serialized after the read
-            }
+        if entry.key >= self.read_pos {
+            return None; // serialized after the read
         }
         let (owner, _ver, status) = orec_snapshot(&entry.orec);
         if status == OrecStatus::Aborted {
@@ -255,15 +247,7 @@ pub fn sub_write(
     cell: &Arc<VBoxCell>,
     value: Val,
 ) -> Result<WriteToken, InterTreeConflict> {
-    let key = match tree.semantics {
-        TreeSemantics::StrongOrdering => {
-            let epoch = node.fork_count.load(std::sync::atomic::Ordering::Relaxed);
-            node.path.write_key(epoch)
-        }
-        // Unordered nesting: serialization position = commit/write order,
-        // approximated by a tree-global write sequence.
-        TreeSemantics::ParallelNesting => OrderKey::root().write_key(tree.next_write_seq()),
-    };
+    let key = node.path.write_key(node.fork_count.load(std::sync::atomic::Ordering::Relaxed));
     let mut list = cell.tentative_lock();
     // Inter-tree check (Alg 1 lines 10–23): live entries of another tree
     // mean that tree holds the write lock on this box.
@@ -299,8 +283,7 @@ where
 }
 
 /// [`validate_reads`], attributing a failure: the [`ConflictSite`] names
-/// the first stale cell and the tree owning the displacing write (the own
-/// tree, for intra-tree missed writes; another, under unordered nesting).
+/// the first stale cell and the tree owning the displacing write.
 pub fn validate_reads_detailed<'a, I>(
     tree: &TreeCtx,
     node: &Node,
@@ -310,71 +293,6 @@ where
     I: IntoIterator<Item = &'a ReadRecord>,
 {
     rtf_txengine::validate_reads_detailed(reads, |r| SubValidation::for_read(tree, node, r))
-}
-
-/// Validation of one read carried up from a committed descendant of `node`
-/// (`ParallelNesting` only; see `Inbox::nested_reads`), at `node`'s commit
-/// into its parent. Writes owned by `node` come from its own subtree, whose
-/// internal consistency the lower commits already checked: such an entry
-/// only counts as the one the read observed. Writes owned by a proper
-/// ancestor are committed siblings of the subtree and must not be newer
-/// than the observed one.
-struct NestedValidation<'a> {
-    tree: &'a TreeCtx,
-    node: &'a Node,
-    token: WriteToken,
-}
-
-impl Visibility for NestedValidation<'_> {
-    fn tentative(&self, entry: &TentativeEntry) -> Option<Source> {
-        if entry.tree != self.tree.tree_id {
-            return None;
-        }
-        let (owner, _ver, status) = orec_snapshot(&entry.orec);
-        if status == OrecStatus::Aborted {
-            return None;
-        }
-        let visible = if owner == self.node.id {
-            entry.token == self.token
-        } else {
-            self.node.anc_ver.contains_key(&owner)
-        };
-        visible.then_some(Source::Tentative)
-    }
-
-    fn local(&self, id: CellId) -> Option<(Val, WriteToken)> {
-        self.tree.root_ws_get(id)
-    }
-
-    fn snapshot(&self) -> Version {
-        self.tree.start_version
-    }
-
-    fn tentative_tree(&self) -> Option<TreeId> {
-        Some(self.tree.tree_id)
-    }
-}
-
-/// Re-validates the reads `node`'s committed descendants carried up
-/// (`Inbox::nested_reads`) against the writes its ancestors now own. This is
-/// where two branches of the tree meet: a future that committed into an
-/// ancestor after the subtree read the same box is a lost update unless the
-/// subtree re-executes.
-pub fn validate_nested_reads<'a, I>(
-    tree: &TreeCtx,
-    node: &Node,
-    reads: I,
-) -> Result<(), ConflictSite>
-where
-    I: IntoIterator<Item = &'a (Arc<VBoxCell>, WriteToken)>,
-{
-    for (cell, token) in reads {
-        let res = resolve_read(&NestedValidation { tree, node, token: *token }, cell);
-        if res.token != *token {
-            return Err(ConflictSite { cell: cell.id(), writer_tree: res.writer_tree });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -541,51 +459,25 @@ mod tests {
     }
 
     #[test]
-    fn nesting_mode_write_keys_follow_commit_order() {
-        use crate::tree::TreeSemantics;
-        let t = TreeCtx::with_semantics(0, false, TreeSemantics::ParallelNesting);
-        let b = VBox::new(0u32);
-        let f = Node::new_child(&t.root, NodeKind::Future { fork_idx: 0 });
-        let c = Node::new_child(&t.root, NodeKind::Continuation { fork_idx: 0 });
-        // The CONTINUATION writes first: in nesting mode its key must
-        // precede the future's later write, regardless of tree position.
-        sub_write(&t, &c, b.cell(), erase(1u32)).unwrap();
-        sub_write(&t, &f, b.cell(), erase(2u32)).unwrap();
-        let list = b.cell().tentative_lock();
-        assert_eq!(list.len(), 2);
-        // Descending order: the future's (later) write is at the head.
-        assert!(Arc::ptr_eq(&list[0].orec, &f.orec));
-        assert!(Arc::ptr_eq(&list[1].orec, &c.orec));
-    }
-
-    #[test]
-    fn nesting_mode_validation_sees_any_committed_predecessor() {
-        use crate::tree::TreeSemantics;
-        let t = TreeCtx::with_semantics(0, false, TreeSemantics::ParallelNesting);
-        let b = VBox::new(0u32);
-        let f = Node::new_child(&t.root, NodeKind::Future { fork_idx: 0 });
-        let c = Node::new_child(&t.root, NodeKind::Continuation { fork_idx: 0 });
-        // The future reads before the continuation's write exists.
-        let (_, read) = sub_read(&t, &f, b.cell());
-        // The continuation writes and commits (nesting: no waitTurn).
-        sub_write(&t, &c, b.cell(), erase(5u32)).unwrap();
-        c.orec.propagate_to(t.root.id, 1);
-        t.root.bump_nclock();
-        // Strong ordering would exempt this read (the write is serialized
-        // after the future's position); nesting serializes in commit order,
-        // so the future's read is now stale.
-        assert!(!validate_reads(&t, &f, &[read]));
-    }
-
-    #[test]
-    fn own_later_write_never_invalidates_in_nesting_mode() {
-        use crate::tree::TreeSemantics;
-        let t = TreeCtx::with_semantics(0, false, TreeSemantics::ParallelNesting);
+    fn own_later_write_never_invalidates() {
+        let t = tree();
         let b = VBox::new(0u32);
         let f = Node::new_child(&t.root, NodeKind::Future { fork_idx: 0 });
         let (_, read) = sub_read(&t, &f, b.cell());
+        assert_eq!(read.source, Source::Permanent);
         sub_write(&t, &f, b.cell(), erase(9u32)).unwrap();
-        assert!(validate_reads(&t, &f, &[read]), "own program-order-later write is exempt");
+        assert!(validate_reads(&t, &f, [&read]), "own program-order-later write is exempt");
+        // The exemption is the validating node's own orec, not the order
+        // key: an own entry placed before the read position is skipped too.
+        let own_earlier = TentativeEntry {
+            key: OrderKey::root().write_key(0),
+            token: new_write_token(),
+            value: erase(0u32),
+            orec: Arc::clone(&f.orec),
+            tree: t.tree_id,
+        };
+        assert!(own_earlier.key < f.path.write_key(read.epoch));
+        assert_eq!(SubValidation::for_read(&t, &f, &read).tentative(&own_earlier), None);
     }
 
     #[test]

@@ -11,30 +11,13 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rtf_txbase::{new_tree_id, FxHashSet, TreeId, Version, WaitQueue, WriteToken};
 use rtf_txengine::{CellId, VBoxCell, Val, WriteEntry, WriteSet};
 
 use crate::node::Node;
-
-/// Intra-transaction serialization discipline for a tree's
-/// sub-transactions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TreeSemantics {
-    /// The paper's strong ordering: a future is serialized at its
-    /// submission point; results equal a sequential execution.
-    #[default]
-    StrongOrdering,
-    /// Unordered parallel nesting in the style of JVSTM (paper §VI): a
-    /// sub-transaction is serialized when it *commits*; no `waitTurn`, no
-    /// sequential-equivalence guarantee. A continuation may serialize
-    /// before its own future; reads are still validated, so the intra-tree
-    /// history stays serializable (ablation A4: the cost of strong
-    /// ordering).
-    ParallelNesting,
-}
 
 /// Why a tree attempt is being torn down.
 pub enum PoisonKind {
@@ -102,10 +85,6 @@ pub struct TreeCtx {
     pub rw_commit_clock: AtomicU64,
     /// Sequential fallback mode: futures run inline, writes go to `root_ws`.
     pub fallback: bool,
-    /// Intra-tree serialization discipline.
-    pub semantics: TreeSemantics,
-    /// Tree-global write sequence (order keys in `ParallelNesting` mode).
-    write_seq: AtomicU32,
     poison_flag: AtomicBool,
     poison: Mutex<Option<PoisonKind>>,
     tasks: Mutex<usize>,
@@ -122,15 +101,6 @@ struct TouchedSet {
 impl TreeCtx {
     /// Fresh attempt context.
     pub fn new(start_version: Version, fallback: bool) -> Arc<TreeCtx> {
-        Self::with_semantics(start_version, fallback, TreeSemantics::StrongOrdering)
-    }
-
-    /// Fresh attempt context with an explicit serialization discipline.
-    pub fn with_semantics(
-        start_version: Version,
-        fallback: bool,
-        semantics: TreeSemantics,
-    ) -> Arc<TreeCtx> {
         Arc::new(TreeCtx {
             tree_id: new_tree_id(),
             start_version,
@@ -139,18 +109,11 @@ impl TreeCtx {
             touched: Mutex::new(TouchedSet::default()),
             rw_commit_clock: AtomicU64::new(0),
             fallback,
-            semantics,
-            write_seq: AtomicU32::new(0),
             poison_flag: AtomicBool::new(false),
             poison: Mutex::new(None),
             tasks: Mutex::new(0),
             tasks_waiters: WaitQueue::new(),
         })
-    }
-
-    /// Next write sequence number (`ParallelNesting` order keys).
-    pub fn next_write_seq(&self) -> u32 {
-        self.write_seq.fetch_add(1, Ordering::Relaxed)
     }
 
     // ---- root write-set ----------------------------------------------

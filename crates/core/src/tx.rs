@@ -47,9 +47,9 @@ use rtf_txengine::{
 use crate::error::TxError;
 use crate::future::TxFuture;
 use crate::node::{Node, NodeKind};
-use crate::rw::{sub_read_traced, sub_write, validate_nested_reads, validate_reads_detailed};
+use crate::rw::{sub_read_traced, sub_write, validate_reads_detailed};
 use crate::stall::{StallAction, StallThresholds, StallWatch};
-use crate::tree::{PoisonKind, TreeCtx, TreeSemantics};
+use crate::tree::{PoisonKind, TreeCtx};
 
 /// Unwind payload used for tree teardown; never escapes the crate.
 pub(crate) struct PoisonSignal;
@@ -84,7 +84,7 @@ pub(crate) fn install_quiet_poison_hook() {
 pub(crate) struct SubConflict;
 
 /// Unwind payload of [`Tx::cancel`]: abandon the transaction without
-/// retrying. Caught by `Rtf::try_atomic`.
+/// retrying. Caught by `Rtf::run`.
 pub(crate) struct CancelSignal;
 
 /// Per-node execution state while the node is the cursor (or suspended
@@ -219,7 +219,7 @@ impl Tx {
     }
 
     /// Cancels the transaction: every buffered effect is discarded and
-    /// control returns to [`crate::Rtf::try_atomic`] with `Err(Cancelled)`.
+    /// control returns to [`crate::Rtf::run`] with `Err(TxError::Cancelled)`.
     ///
     /// This is the deliberate-rollback primitive database workloads need
     /// (e.g. TPC-C's 1% of NewOrder transactions that must roll back).
@@ -311,6 +311,11 @@ impl Tx {
     /// (the code following this call) fails validation, the whole top-level
     /// transaction restarts; use [`Tx::fork`] to get partial rollback of
     /// the continuation as well.
+    ///
+    /// In sequential fallback mode ([`crate::RtfConfig::fallback_threshold`])
+    /// `body` runs inline, here, before the continuation. A body that
+    /// blocks on something a later part of the same transaction provides
+    /// outside the TM (a channel, a latch) therefore deadlocks there.
     pub fn submit<A, F>(&mut self, body: F) -> TxFuture<A>
     where
         A: TxData,
@@ -354,6 +359,10 @@ impl Tx {
     /// is re-executed from the start of `cont` — the paper's partial
     /// rollback (§III-A), with the closure as the checkpoint boundary
     /// instead of a first-class continuation.
+    ///
+    /// In sequential fallback mode `body` runs inline before `cont`, with
+    /// the same deadlock hazard as in [`Tx::submit`]: `body` must not block
+    /// on anything `cont` provides outside the TM.
     pub fn fork<A, B, F, C>(&mut self, body: F, cont: C) -> B
     where
         A: TxData,
@@ -664,10 +673,8 @@ fn commit_frame(
     };
 
     // waitTurn: everything serialized before this subtree must have
-    // committed. Unordered parallel nesting (ablation A4) has no such
-    // constraint: a sub-transaction serializes when it commits.
-    let wait_turn = tree.semantics == TreeSemantics::StrongOrdering;
-    if let Some((target, threshold)) = node.wait_turn_target().filter(|_| wait_turn) {
+    // committed.
+    if let Some((target, threshold)) = node.wait_turn_target() {
         if rtf_txfault::fail_point!("core.wait_turn").is_abort() && !blocking {
             // Injected fault: pretend the turn is not ready, forcing the
             // task through a re-queue round trip.
@@ -744,11 +751,6 @@ fn commit_frame(
     if tree.is_poisoned() {
         std::panic::panic_any(PoisonSignal);
     }
-    // Without `waitTurn`, siblings may commit into `parent` concurrently:
-    // each must validate against the others' propagated writes.
-    let nesting = !wait_turn;
-    let _gate = nesting.then(|| parent.commit_gate.lock());
-
     let inbox = std::mem::take(&mut *node.inbox.lock());
     if rtf_txfault::fail_point!("core.subcommit.validate").is_abort() {
         // Injected validation failure: restore the inbox (the caller aborts
@@ -760,10 +762,8 @@ fn commit_frame(
 
     // §IV-E: a read-only sub-transaction may skip validation iff no
     // read-write sub-transaction of the tree committed since it started.
-    // Reads carried up from descendants are always checked.
     let can_skip = env.ro_opt
         && !wrote_any
-        && inbox.nested_reads.is_empty()
         && tree.rw_commit_clock.load(Ordering::Acquire) == frame.ro_snapshot;
     tx_trace!(
         env.sink,
@@ -783,8 +783,7 @@ fn commit_frame(
             env.sink.event(Event::RoValidationTaken);
         }
         let tv = obs_now_ns();
-        let outcome = validate_reads_detailed(tree, node, frame.reads.iter())
-            .and_then(|()| validate_nested_reads(tree, node, inbox.nested_reads.iter()));
+        let outcome = validate_reads_detailed(tree, node, frame.reads.iter());
         let tv_end = obs_now_ns();
         env.sink.event(Event::ValidationNs(tv_end.saturating_sub(tv)));
         phase_span(SpanKind::Validation, tv, tv_end, outcome.is_ok());
@@ -832,16 +831,6 @@ fn commit_frame(
         );
         pin.written_cells.extend(inbox.written_cells);
         pin.written_cells.extend(frame.written.iter().cloned());
-        if nesting {
-            pin.nested_reads.extend(inbox.nested_reads);
-            pin.nested_reads.extend(
-                frame
-                    .reads
-                    .iter()
-                    .filter(|r| r.source != Source::OwnWrite)
-                    .map(|r| (Arc::clone(&r.cell), r.token)),
-            );
-        }
     }
     if wrote_any {
         // Count every write-carrying sub-commit — own writes *or* adopted

@@ -173,7 +173,7 @@ impl CommitChain {
     /// gate serializes *entry* into the chain, and because each committer
     /// CASes the tail before its successor may enter, per-lane ticket order
     /// and chain version order coincide.
-    pub fn try_commit_gated(
+    pub fn try_commit_in_turn(
         &self,
         gate: Option<TurnGate<'_>>,
         reads: &ReadSet,
@@ -502,7 +502,7 @@ mod tests {
         let (chain, clock, reg) = harness();
         let b = VBox::new(0u64);
         let mut refused = || false;
-        let r = chain.try_commit_gated(
+        let r = chain.try_commit_in_turn(
             Some(TurnGate { wait: &mut refused }),
             &ReadSet::new(),
             vec![write_of(&b, 1)],
@@ -525,7 +525,7 @@ mod tests {
             true
         };
         let v = chain
-            .try_commit_gated(
+            .try_commit_in_turn(
                 Some(TurnGate { wait: &mut admit }),
                 &ReadSet::new(),
                 vec![write_of(&b, 8)],
@@ -537,7 +537,14 @@ mod tests {
         assert_eq!(v, 1);
         assert!(waited, "the gate must have been consulted");
         let v2 = chain
-            .try_commit_gated(None, &ReadSet::new(), vec![write_of(&b, 9)], &clock, &reg, &NullSink)
+            .try_commit_in_turn(
+                None,
+                &ReadSet::new(),
+                vec![write_of(&b, 9)],
+                &clock,
+                &reg,
+                &NullSink,
+            )
             .unwrap();
         assert_eq!(v2, 2);
         assert_eq!(*downcast::<u64>(b.cell().read_at(2).0), 9);

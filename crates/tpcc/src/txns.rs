@@ -7,7 +7,7 @@
 //! ordering guarantees the parallel variants produce exactly the sequential
 //! results (asserted by tests).
 
-use rtf::{Rtf, Tx, TxFuture};
+use rtf::{Rtf, Tx, TxError, TxFuture};
 
 use crate::db::TpccDb;
 use crate::model::*;
@@ -62,73 +62,78 @@ impl TpccExecutor {
         let db = self.db.clone();
         let futures = self.futures;
         let lines = lines.to_vec();
-        self.tm
-            .try_atomic(move |tx| {
-                let warehouse = db.warehouses.get(tx, &w).expect("warehouse exists");
-                let dk = district_key(w, d);
-                let mut district = db.districts.get(tx, &dk).expect("district exists");
-                let o_id = district.next_o_id as u64;
-                district.next_o_id += 1;
-                db.districts.insert(tx, dk, district.clone());
-                let customer = db.customers.get(tx, &customer_key(w, d, c)).expect("customer");
+        let outcome = self.tm.run(move |tx| {
+            let warehouse = db.warehouses.get(tx, &w).expect("warehouse exists");
+            let dk = district_key(w, d);
+            let mut district = db.districts.get(tx, &dk).expect("district exists");
+            let o_id = district.next_o_id as u64;
+            district.next_o_id += 1;
+            db.districts.insert(tx, dk, district.clone());
+            let customer = db.customers.get(tx, &customer_key(w, d, c)).expect("customer");
 
-                // ---- the long per-line cycle --------------------------------
-                let line_results: Vec<PricedLine> = if futures == 0 || lines.len() < futures + 1 {
-                    lines.iter().map(|l| process_line(tx, &db, w, l)).collect()
-                } else {
-                    let chunk = lines.len().div_ceil(futures + 1);
-                    let mut handles: Vec<TxFuture<Vec<PricedLine>>> = Vec::new();
-                    for part in lines[chunk..].chunks(chunk) {
-                        let db = db.clone();
-                        let part = part.to_vec();
-                        handles.push(tx.submit(move |tx| {
-                            part.iter().map(|l| process_line(tx, &db, w, l)).collect()
-                        }));
-                    }
-                    let mut all: Vec<PricedLine> =
-                        lines[..chunk].iter().map(|l| process_line(tx, &db, w, l)).collect();
-                    for h in &handles {
-                        all.extend(tx.eval(h).iter().cloned());
-                    }
-                    all
-                };
-
-                // ---- order construction (continuation) ---------------------
-                let mut total = 0i64;
-                for (ol, (i_id, amount, quantity, supply_w)) in line_results.iter().enumerate() {
-                    total += amount;
-                    db.order_lines.insert(
-                        tx,
-                        order_line_key(w, d, o_id, ol as u64),
-                        OrderLine {
-                            i_id: *i_id,
-                            supply_w: *supply_w,
-                            quantity: *quantity,
-                            amount: *amount,
-                            delivery_d: None,
-                        },
-                    );
+            // ---- the long per-line cycle --------------------------------
+            let line_results: Vec<PricedLine> = if futures == 0 || lines.len() < futures + 1 {
+                lines.iter().map(|l| process_line(tx, &db, w, l)).collect()
+            } else {
+                let chunk = lines.len().div_ceil(futures + 1);
+                let mut handles: Vec<TxFuture<Vec<PricedLine>>> = Vec::new();
+                for part in lines[chunk..].chunks(chunk) {
+                    let db = db.clone();
+                    let part = part.to_vec();
+                    handles.push(tx.submit(move |tx| {
+                        part.iter().map(|l| process_line(tx, &db, w, l)).collect()
+                    }));
                 }
-                let ok = order_key(w, d, o_id);
-                db.orders.insert(
+                let mut all: Vec<PricedLine> =
+                    lines[..chunk].iter().map(|l| process_line(tx, &db, w, l)).collect();
+                for h in &handles {
+                    all.extend(tx.eval(h).iter().cloned());
+                }
+                all
+            };
+
+            // ---- order construction (continuation) ---------------------
+            let mut total = 0i64;
+            for (ol, (i_id, amount, quantity, supply_w)) in line_results.iter().enumerate() {
+                total += amount;
+                db.order_lines.insert(
                     tx,
-                    ok,
-                    Order {
-                        c_id: c,
-                        entry_d: o_id, // logical timestamp
-                        carrier_id: None,
-                        ol_cnt: line_results.len() as u8,
+                    order_line_key(w, d, o_id, ol as u64),
+                    OrderLine {
+                        i_id: *i_id,
+                        supply_w: *supply_w,
+                        quantity: *quantity,
+                        amount: *amount,
+                        delivery_d: None,
                     },
                 );
-                db.new_orders.insert(tx, ok, ());
-                db.last_order_of.insert(tx, customer_key(w, d, c), o_id);
+            }
+            let ok = order_key(w, d, o_id);
+            db.orders.insert(
+                tx,
+                ok,
+                Order {
+                    c_id: c,
+                    entry_d: o_id, // logical timestamp
+                    carrier_id: None,
+                    ol_cnt: line_results.len() as u8,
+                },
+            );
+            db.new_orders.insert(tx, ok, ());
+            db.last_order_of.insert(tx, customer_key(w, d, c), o_id);
 
-                // total * (1 - c_discount) * (1 + w_tax + d_tax), basis points.
-                total * (10_000 - customer.discount_bp) / 10_000
-                    * (10_000 + warehouse.tax_bp + district.tax_bp)
-                    / 10_000
-            })
-            .unwrap_or(-1)
+            // total * (1 - c_discount) * (1 + w_tax + d_tax), basis points.
+            total * (10_000 - customer.discount_bp) / 10_000
+                * (10_000 + warehouse.tax_bp + district.tax_bp)
+                / 10_000
+        });
+        match outcome {
+            Ok(total) => total,
+            Err(TxError::Cancelled) => -1,
+            // Any other failure (an exhausted retry budget, a panicked
+            // future) is raised as its `TxError` payload, as `atomic` does.
+            Err(e) => std::panic::panic_any(e),
+        }
     }
 
     /// **Payment** (spec 2.5): add `amount` to warehouse and district YTD,

@@ -446,15 +446,21 @@ impl VBoxCell {
 
     /// Number of retained committed versions (diagnostics).
     pub fn permanent_len(&self) -> usize {
+        self.versions().len()
+    }
+
+    /// Versions of the retained committed nodes, newest first
+    /// (diagnostics).
+    pub fn versions(&self) -> Vec<Version> {
         let guard = epoch::pin();
-        let mut len = 0;
+        let mut versions = Vec::new();
         let mut cur = self.head.load(Ordering::Acquire, &guard);
         // SAFETY: reachable nodes under the pin.
         while let Some(n) = unsafe { cur.as_ref() } {
-            len += 1;
+            versions.push(n.version);
             cur = n.next.load(Ordering::Acquire, &guard);
         }
-        len
+        versions
     }
 
     /// Locks the tentative list for structural manipulation. The returned
@@ -507,7 +513,7 @@ impl Drop for VBoxCell {
 
 impl fmt::Debug for VBoxCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VBoxCell{{versions: {}, head_v{}}}", self.permanent_len(), self.latest_version())
+        write!(f, "VBoxCell{{versions: {:?}}}", self.versions())
     }
 }
 

@@ -126,12 +126,12 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
+                write_delimited(out, indent, depth, '[', ']', items.len(), |out, i| {
                     items[i].write(out, indent, depth + 1);
                 });
             }
             Json::Obj(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
+                write_delimited(out, indent, depth, '{', '}', fields.len(), |out, i| {
                     let (k, v) = &fields[i];
                     write_escaped(out, k);
                     out.push(':');
@@ -157,7 +157,7 @@ impl Json {
     }
 }
 
-fn write_seq(
+fn write_delimited(
     out: &mut String,
     indent: Option<usize>,
     depth: usize,

@@ -1,7 +1,7 @@
 //! Explicit abort APIs: `Tx::cancel` (deliberate rollback, TPC-C-style)
 //! and `Tx::restart` (retry with a fresh snapshot).
 
-use rtf::{Cancelled, Rtf, VBox};
+use rtf::{Rtf, TxError, VBox};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ fn cancel_discards_all_effects() {
     let tm = Rtf::builder().workers(2).build();
     let a = VBox::new(10u64);
     let b = VBox::new(20u64);
-    let r: Result<(), Cancelled> = tm.try_atomic(|tx| {
+    let r: Result<(), TxError> = tm.run(|tx| {
         tx.write(&a, 99);
         let b2 = b.clone();
         let f = tx.submit(move |tx| {
@@ -20,7 +20,7 @@ fn cancel_discards_all_effects() {
         let _ = tx.eval(&f);
         tx.cancel()
     });
-    assert_eq!(r, Err(Cancelled));
+    assert_eq!(r, Err(TxError::Cancelled));
     assert_eq!(*a.read_committed(), 10, "root write discarded");
     assert_eq!(*b.read_committed(), 20, "future's committed sub-write discarded");
     assert!(a.cell().tentative_lock().is_empty());
@@ -32,7 +32,7 @@ fn cancel_from_inside_a_future() {
     let tm = Rtf::builder().workers(2).build();
     let a = VBox::new(1u64);
     let a2 = a.clone();
-    let r = tm.try_atomic(move |tx| {
+    let r = tm.run(move |tx| {
         let a3 = a2.clone();
         let f = tx.submit(move |tx| {
             tx.write(&a3, 5);
@@ -41,15 +41,15 @@ fn cancel_from_inside_a_future() {
         let _: Arc<()> = tx.eval(&f);
         7u64
     });
-    assert_eq!(r, Err(Cancelled));
+    assert_eq!(r, Err(TxError::Cancelled));
     assert_eq!(*a.read_committed(), 1);
 }
 
 #[test]
-fn try_atomic_ok_path_commits() {
+fn run_ok_path_commits() {
     let tm = Rtf::builder().workers(1).build();
     let a = VBox::new(0u64);
-    let r = tm.try_atomic(|tx| {
+    let r = tm.run(|tx| {
         tx.write(&a, 3);
         42u64
     });
@@ -58,7 +58,7 @@ fn try_atomic_ok_path_commits() {
 }
 
 #[test]
-#[should_panic(expected = "try_atomic")]
+#[should_panic(expected = "Rtf::run")]
 fn cancel_inside_plain_atomic_panics_with_guidance() {
     let tm = Rtf::builder().workers(1).build();
     tm.atomic(|tx| tx.cancel());
@@ -94,7 +94,7 @@ fn cancelled_transactions_count_as_no_commit() {
     let tm = Rtf::builder().workers(1).build();
     let a = VBox::new(0u64);
     for _ in 0..5 {
-        let _ = tm.try_atomic(|tx| {
+        let _ = tm.run(|tx| {
             tx.write(&a, 1);
             tx.cancel()
         });

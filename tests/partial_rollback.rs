@@ -3,12 +3,46 @@
 //! — not the whole top-level transaction. Symmetrically, a future that
 //! misses an earlier-serialized write re-executes alone.
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use rtf::{Rtf, VBox};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Forces the continuation to read a box before its future (slowed down)
+/// A one-shot handshake that fixes a race instead of timing it: the
+/// writer's first execution waits until the racing reader's first attempt
+/// has read. Re-executions pass straight through, and the wait is bounded,
+/// so a lost handshake fails the test instead of hanging it.
+#[derive(Default)]
+struct ReadFirst {
+    read: Mutex<bool>,
+    cv: Condvar,
+    waited: AtomicBool,
+}
+
+impl ReadFirst {
+    /// The racing reader has read (idempotent).
+    fn mark_read(&self) {
+        *self.read.lock() = true;
+        self.cv.notify_all();
+    }
+
+    /// Blocks the writer's first execution until [`ReadFirst::mark_read`].
+    fn wait_for_read(&self) {
+        if self.waited.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut read = self.read.lock();
+        while !*read {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "the racing reader never read");
+            self.cv.wait_for(&mut read, left);
+        }
+    }
+}
+
+/// Forces the continuation to read a box before its future (held back)
 /// writes it: the continuation must re-execute, the root must not.
 #[test]
 fn continuation_reexecutes_without_top_level_restart() {
@@ -17,6 +51,8 @@ fn continuation_reexecutes_without_top_level_restart() {
     let root_runs = Arc::new(AtomicU64::new(0));
     let cont_runs = Arc::new(AtomicU64::new(0));
 
+    let gate = Arc::new(ReadFirst::default());
+
     let (seen_first, seen_final) = tm.atomic(|tx| {
         root_runs.fetch_add(1, Ordering::Relaxed);
         let b2 = b.clone();
@@ -24,15 +60,17 @@ fn continuation_reexecutes_without_top_level_restart() {
         let cont_runs2 = Arc::clone(&cont_runs);
         let first_read = Arc::new(Mutex::new(None::<u64>));
         let fr = Arc::clone(&first_read);
+        let (writer, reader) = (Arc::clone(&gate), Arc::clone(&gate));
         let out = tx.fork(
             move |tx| {
-                // Make the continuation's first read win the race.
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                // The continuation's first read wins the race.
+                writer.wait_for_read();
                 tx.write(&b2, 77);
             },
             move |tx, f| {
                 cont_runs2.fetch_add(1, Ordering::Relaxed);
                 let v = *tx.read(&b3);
+                reader.mark_read();
                 fr.lock().get_or_insert(v);
                 let _ = tx.eval(f);
                 v
@@ -59,18 +97,24 @@ fn future_reexecutes_on_missed_predecessor_write() {
     let tm = Rtf::builder().workers(2).build();
     let b = VBox::new(1u64);
     let f2_runs = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(ReadFirst::default());
 
     let out = tm.atomic(|tx| {
         let b1 = b.clone();
+        let writer = Arc::clone(&gate);
         let f1 = tx.submit(move |tx| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            // f2's first read wins the race.
+            writer.wait_for_read();
             tx.write(&b1, 10);
         });
         let b2 = b.clone();
         let runs = Arc::clone(&f2_runs);
+        let reader = Arc::clone(&gate);
         let f2 = tx.submit(move |tx| {
             runs.fetch_add(1, Ordering::Relaxed);
-            *tx.read(&b2)
+            let v = *tx.read(&b2);
+            reader.mark_read();
+            v
         });
         let _ = tx.eval(&f1);
         *tx.eval(&f2)
@@ -87,18 +131,21 @@ fn aborted_continuation_writes_are_discarded() {
     let tm = Rtf::builder().workers(2).build();
     let trigger = VBox::new(0u64);
     let side = VBox::new(0u64);
+    let gate = Arc::new(ReadFirst::default());
 
     tm.atomic(|tx| {
         let t2 = trigger.clone();
         let t3 = trigger.clone();
         let s2 = side.clone();
+        let (writer, reader) = (Arc::clone(&gate), Arc::clone(&gate));
         tx.fork(
             move |tx| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                writer.wait_for_read();
                 tx.write(&t2, 1);
             },
             move |tx, f| {
                 let v = *tx.read(&t3);
+                reader.mark_read();
                 // First attempt writes a bogus marker derived from the stale
                 // read; the re-execution writes the real one.
                 tx.write(&s2, 100 + v);
@@ -119,26 +166,30 @@ fn nested_rollback_is_contained() {
     let b = VBox::new(0u64);
     let outer_runs = Arc::new(AtomicU64::new(0));
     let inner_runs = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(ReadFirst::default());
 
     let out = tm.atomic(|tx| {
         let b_out = b.clone();
         let outer_runs2 = Arc::clone(&outer_runs);
         let inner_runs2 = Arc::clone(&inner_runs);
+        let gate = Arc::clone(&gate);
         tx.fork(
             move |tx| {
                 // The outer future hosts the racing pair.
                 let b_in = b_out.clone();
                 let b_cont = b_out.clone();
                 let inner_runs3 = Arc::clone(&inner_runs2);
+                let (writer, reader) = (Arc::clone(&gate), Arc::clone(&gate));
                 tx.fork(
                     move |tx| {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        writer.wait_for_read();
                         let v = *tx.read(&b_in);
                         tx.write(&b_in, v + 5);
                     },
                     move |tx, f| {
                         inner_runs3.fetch_add(1, Ordering::Relaxed);
                         let v = *tx.read(&b_cont);
+                        reader.mark_read();
                         let _ = tx.eval(f);
                         v
                     },

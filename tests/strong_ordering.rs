@@ -4,6 +4,7 @@
 //! its submission point.
 
 use rtf::{Rtf, VBox};
+use std::sync::{Arc, Condvar, Mutex};
 
 fn tm() -> Rtf {
     Rtf::builder().workers(3).build()
@@ -158,14 +159,14 @@ fn evaluation_order_is_irrelevant() {
 fn recursive_divide_and_conquer_sum() {
     let tm = tm();
     let data: Vec<VBox<u64>> = (0..64).map(|i| VBox::new(i as u64)).collect();
-    let data = std::sync::Arc::new(data);
+    let data = Arc::new(data);
 
-    fn psum(tx: &mut rtf::Tx, data: &std::sync::Arc<Vec<VBox<u64>>>, lo: usize, hi: usize) -> u64 {
+    fn psum(tx: &mut rtf::Tx, data: &Arc<Vec<VBox<u64>>>, lo: usize, hi: usize) -> u64 {
         if hi - lo <= 8 {
             return (lo..hi).map(|i| *tx.read(&data[i])).sum();
         }
         let mid = (lo + hi) / 2;
-        let d2 = std::sync::Arc::clone(data);
+        let d2 = Arc::clone(data);
         tx.fork(
             move |tx| psum(tx, &d2, lo, mid),
             |tx, f| {
@@ -280,4 +281,135 @@ fn no_backward_leakage() {
         });
         assert_eq!(fut_saw, 0, "future serialized before its continuation");
     }
+}
+
+/// A one-shot latch: `open` releases every current and later `wait`. The
+/// wait is bounded, so a lost handshake fails the test instead of hanging.
+#[derive(Default)]
+struct Latch(Mutex<bool>, Condvar);
+
+impl Latch {
+    fn open(&self) {
+        *self.0.lock().unwrap() = true;
+        self.1.notify_all();
+    }
+
+    fn wait(&self) {
+        let open = self.0.lock().unwrap();
+        let (open, _) = self
+            .1
+            .wait_timeout_while(open, std::time::Duration::from_secs(20), |open| !*open)
+            .unwrap();
+        assert!(*open, "latch never opened");
+    }
+}
+
+/// A held-back future reads a box its continuation writes. Handshakes,
+/// not sleeps, order the two: the continuation writes only once the
+/// future's body has started, and the future reads only once the
+/// continuation has written (the continuation's commit then waits for the
+/// future). The future serializes first and must read the old value.
+#[test]
+fn strong_ordering_pins_future_before_continuation() {
+    let tm = Rtf::builder().workers(2).build();
+    let x = VBox::new(0u64);
+    let started = Arc::new(Latch::default());
+    let released = Arc::new(Latch::default());
+    let fut_saw = tm.atomic(|tx| {
+        let x_fut = x.clone();
+        let (fut_started, fut_released) = (Arc::clone(&started), Arc::clone(&released));
+        let h = tx.fork(
+            move |tx| {
+                fut_started.open();
+                fut_released.wait();
+                *tx.read(&x_fut)
+            },
+            |tx, f| {
+                started.wait();
+                tx.write(&x, 5);
+                released.open();
+                f.clone()
+            },
+        );
+        released.open();
+        *tx.eval(&h)
+    });
+    assert_eq!(fut_saw, 0, "the future must not see its continuation's write");
+    assert_eq!(*x.read_committed(), 5);
+}
+
+/// Concurrent read-modify-writes by sibling futures of one tree never
+/// lose updates.
+#[test]
+fn futures_stay_serializable_within_a_tree() {
+    let tm = tm();
+    let counter = VBox::new(0u64);
+    let out = tm.atomic(|tx| {
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let c = counter.clone();
+            handles.push(tx.submit(move |tx| {
+                for _ in 0..25 {
+                    let v = *tx.read(&c);
+                    tx.write(&c, v + 1);
+                }
+            }));
+        }
+        for h in &handles {
+            let _ = tx.eval(h);
+        }
+        *tx.read(&counter)
+    });
+    assert_eq!(out, 100, "intra-tree serializability must hold");
+    assert_eq!(*counter.read_committed(), 100);
+}
+
+/// Top-level transactions with futures running on several threads stay
+/// isolated from one another.
+#[test]
+fn cross_transaction_isolation() {
+    let tm = Arc::new(tm());
+    let a = VBox::new(0i64);
+    let b = VBox::new(0i64);
+    let handles: Vec<_> = (0..3)
+        .map(|_| {
+            let (tm, a, b) = (Arc::clone(&tm), a.clone(), b.clone());
+            std::thread::spawn(move || {
+                for _ in 0..60 {
+                    tm.atomic(|tx| {
+                        let a2 = a.clone();
+                        let f = tx.submit(move |tx| {
+                            let v = *tx.read(&a2);
+                            tx.write(&a2, v + 1);
+                        });
+                        let _ = tx.eval(&f);
+                        let v = *tx.read(&b);
+                        tx.write(&b, v - 1);
+                    });
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(*a.read_committed(), 180);
+    assert_eq!(*b.read_committed(), -180);
+}
+
+/// A future that is never evaluated still commits before the top level
+/// does (no dangling sub-transactions).
+#[test]
+fn top_level_waits_for_unevaluated_futures() {
+    let tm = Rtf::builder().workers(2).build();
+    let x = VBox::new(0u64);
+    tm.atomic(|tx| {
+        let x2 = x.clone();
+        let _unevaluated = tx.submit(move |tx| {
+            std::thread::sleep(std::time::Duration::from_millis(15));
+            tx.write(&x2, 9);
+        });
+        // Never eval'd: the runtime must still include its effects.
+    });
+    assert_eq!(*x.read_committed(), 9, "the future's write must be part of the commit");
 }
