@@ -113,7 +113,7 @@ pub use rtf_txobs::{
 pub mod internals {
     pub use crate::node::{Node, NodeKind};
     pub use crate::rw::{
-        sub_read, sub_write, validate_reads, validate_reads_detailed, InterTreeConflict, SubRead,
+        sub_write, validate_reads, validate_reads_detailed, InterTreeConflict, SubRead,
         SubValidation,
     };
     pub use crate::tree::TreeCtx;
@@ -145,18 +145,33 @@ mod tests {
 
     #[test]
     fn future_sees_parent_prefork_write() {
-        let tm = tm();
-        let b = VBox::new(0u64);
-        let got = tm.atomic(|tx| {
-            tx.write(&b, 7);
-            let f = tx.submit({
-                let b = b.clone();
-                move |tx| *tx.read(&b)
+        // The root's pre-fork writes live in the root write-set, which is
+        // immutable once the first future is spawned: every future and the
+        // continuation read it, on pool workers (2) and when `eval` runs the
+        // futures itself (0).
+        for workers in [0, 2] {
+            let tm = Rtf::builder().workers(workers).build();
+            let b = VBox::new(0u64);
+            let got = tm.atomic(|tx| {
+                tx.write(&b, 7);
+                let f1 = tx.submit({
+                    let b = b.clone();
+                    move |tx| *tx.read(&b)
+                });
+                let f2 = tx.submit({
+                    let b = b.clone();
+                    move |tx| *tx.read(&b)
+                });
+                let cont = *tx.read(&b);
+                (*tx.eval(&f1), *tx.eval(&f2), cont)
             });
-            *tx.eval(&f)
-        });
-        assert_eq!(got, 7, "future must inherit the parent's snapshot incl. its writes");
-        assert_eq!(*b.read_committed(), 7);
+            assert_eq!(
+                got,
+                (7, 7, 7),
+                "workers({workers}): futures and continuation inherit the root's writes"
+            );
+            assert_eq!(*b.read_committed(), 7);
+        }
     }
 
     #[test]
@@ -351,6 +366,51 @@ mod tests {
         let s = tm.stats();
         assert_eq!(s.top_ro_commits, 1);
         assert!(s.ro_validation_skips > 0, "§IV-E skip should fire: {s:?}");
+    }
+
+    #[test]
+    fn atomic_ro_reads_leave_the_cell_refcount_alone() {
+        // A read-only read keeps no read record, so it never clones the
+        // cell's `Arc`: the count is the same after the reads, and a future
+        // sampling it meanwhile never sees it rise.
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        use std::time::{Duration, Instant};
+        let tm = tm();
+        let b = VBox::new(1u64);
+        let sampling = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let (peak, before, after, sum) = tm.atomic_ro(|tx| {
+            sampling.store(false, SeqCst);
+            done.store(false, SeqCst);
+            let f = tx.submit({
+                let (b, sampling, done) = (b.clone(), Arc::clone(&sampling), Arc::clone(&done));
+                move |_tx| {
+                    sampling.store(true, SeqCst);
+                    let mut peak = 0;
+                    while !done.load(SeqCst) {
+                        peak = peak.max(Arc::strong_count(b.cell()));
+                    }
+                    peak
+                }
+            });
+            // Bounded: if no worker takes the future, `eval` runs it after
+            // `done` is set and it returns at once.
+            let t0 = Instant::now();
+            while !sampling.load(SeqCst) && t0.elapsed() < Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            let before = Arc::strong_count(b.cell());
+            let mut sum = 0u64;
+            for _ in 0..200_000 {
+                sum += *tx.read(&b);
+            }
+            let after = Arc::strong_count(b.cell());
+            done.store(true, SeqCst);
+            (*tx.eval(&f), before, after, sum)
+        });
+        assert_eq!(sum, 200_000);
+        assert_eq!(after, before, "reads left clones of the cell behind");
+        assert!(peak <= before, "a read cloned the cell: count {peak} > {before}");
     }
 
     #[test]
@@ -607,6 +667,39 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*x.read_committed(), 200);
+    }
+
+    #[test]
+    fn fallback_root_writes_after_submit_are_read_back_and_commit() {
+        // A fallback attempt runs every future inline and buffers every
+        // write in the root write-set, so that set is written after a
+        // submit too. The first attempt restarts, which at threshold 1
+        // puts the second attempt in fallback mode.
+        let tm = Rtf::builder().workers(2).fallback_threshold(1).build();
+        let b = VBox::new(0u64);
+        let got = tm.atomic(|tx| {
+            if !tx.is_fallback() {
+                tx.restart();
+            }
+            let f1 = tx.submit({
+                let b = b.clone();
+                move |tx| *tx.read(&b)
+            });
+            tx.write(&b, 5);
+            let cont = *tx.read(&b);
+            let f2 = tx.submit({
+                let b = b.clone();
+                move |tx| {
+                    let v = *tx.read(&b);
+                    tx.write(&b, v + 1);
+                    v
+                }
+            });
+            (*tx.eval(&f1), cont, *tx.eval(&f2), *tx.read(&b))
+        });
+        assert_eq!(got, (0, 5, 5, 6));
+        assert_eq!(*b.read_committed(), 6);
+        assert_eq!(tm.stats().fallback_runs, 1, "{:?}", tm.stats());
     }
 
     /// Ordered mode: concurrent clients' commits land in strict ticket

@@ -2,10 +2,10 @@
 //! half of Algorithm 4 of the paper, expressed over the shared engine.
 //!
 //! The actual read-resolution walk and validation loop live in
-//! `rtf-txengine` ([`resolve_read`] / [`rtf_txengine::validate_reads`]);
-//! this module contributes only the two sub-transaction [`Visibility`]
-//! policies plus the tentative-list *write* path (Alg 1), which is specific
-//! to transaction trees.
+//! `rtf-txengine` ([`rtf_txengine::resolve_read`] /
+//! [`rtf_txengine::validate_reads`]); this module contributes only the two
+//! sub-transaction [`Visibility`] policies plus the tentative-list *write*
+//! path (Alg 1), which is specific to transaction trees.
 //!
 //! # Write (Alg 1)
 //! A sub-transaction writing a box appends a tentative version to the box's
@@ -42,8 +42,8 @@ use rtf_txbase::{
     new_write_token, NodeId, OrderKey, Orec, OrecStatus, TreeId, Version, WriteToken,
 };
 use rtf_txengine::{
-    resolve_read, tentative_insert, CellId, ConflictSite, ReadPath, ReadRecord, Source,
-    TentativeEntry, VBoxCell, Val, Visibility,
+    tentative_insert, CellId, ConflictSite, ReadRecord, Source, TentativeEntry, VBoxCell, Val,
+    Visibility,
 };
 
 use crate::node::Node;
@@ -215,29 +215,6 @@ impl Visibility for SubValidation<'_> {
     }
 }
 
-/// Transactional read by a sub-transaction (Alg 2). Returns the value and
-/// the read-set record.
-pub fn sub_read(tree: &TreeCtx, node: &Node, cell: &Arc<VBoxCell>) -> (Val, ReadRecord) {
-    let (value, record, _) = sub_read_traced(tree, node, cell);
-    (value, record)
-}
-
-/// [`sub_read`], also reporting which permanent-list path served the read
-/// (accumulated into the `read_fast`/`read_slow` stats by the caller).
-pub fn sub_read_traced(
-    tree: &TreeCtx,
-    node: &Node,
-    cell: &Arc<VBoxCell>,
-) -> (Val, ReadRecord, ReadPath) {
-    let epoch = node.fork_count.load(std::sync::atomic::Ordering::Relaxed);
-    let r = resolve_read(&SubRead::new(tree, node), cell);
-    (
-        r.value,
-        ReadRecord { cell: Arc::clone(cell), token: r.token, source: r.source, epoch },
-        r.path,
-    )
-}
-
 /// Transactional write by a sub-transaction (Alg 1). On success the new
 /// tentative version is in place; `Err` reports an inter-tree conflict
 /// (`ownedByAnotherTree`).
@@ -299,10 +276,18 @@ where
 mod tests {
     use super::*;
     use crate::node::NodeKind;
-    use rtf_txengine::{downcast, erase, VBox};
+    use rtf_txengine::{downcast, erase, resolve_read, VBox};
 
     fn tree() -> Arc<TreeCtx> {
         TreeCtx::new(0, false)
+    }
+
+    /// A sub-transaction read (Alg 2) as `Tx::read_cell` performs it in a
+    /// read-write transaction: the value and the read-set record.
+    fn sub_read(tree: &TreeCtx, node: &Node, cell: &Arc<VBoxCell>) -> (Val, ReadRecord) {
+        let epoch = node.fork_count.load(std::sync::atomic::Ordering::Relaxed);
+        let r = resolve_read(&SubRead::new(tree, node), cell);
+        (r.value, ReadRecord { cell: Arc::clone(cell), token: r.token, source: r.source, epoch })
     }
 
     #[test]

@@ -65,6 +65,18 @@ impl std::fmt::Debug for PoisonKind {
 }
 
 /// Shared state of one execution attempt of a top-level transaction.
+///
+/// # Root write-set invariant
+///
+/// Only two writers ever touch `root_ws`: the root before its first fork
+/// (`fork_count == 0`, still on the thread that called `atomic`) and a
+/// fallback attempt, which runs every future inline on that same thread.
+/// So once a future has been spawned the set is immutable, and the spawn
+/// (a synchronizing hand-off to the pool) publishes it to the workers.
+/// `root_ws_written` records whether any write happened at all: while it
+/// reads `false`, [`TreeCtx::root_ws_get`] answers `None` without touching
+/// the lock, so a sub-transaction read writes no word of the shared
+/// `RwLock`.
 pub struct TreeCtx {
     /// Tree identity (distinguishes tentative entries of different trees).
     pub tree_id: TreeId,
@@ -77,6 +89,8 @@ pub struct TreeCtx {
     /// sequential-fallback mode). An engine [`WriteSet`] — overwrites keep
     /// the write's token, so a slot has one identity for the whole attempt.
     root_ws: RwLock<WriteSet>,
+    /// Set (Release) by the first `root_ws_put`; never cleared.
+    root_ws_written: AtomicBool,
     /// Boxes carrying tentative entries of this tree.
     touched: Mutex<TouchedSet>,
     /// Advances by two per committed read-write sub-transaction, once on
@@ -106,6 +120,7 @@ impl TreeCtx {
             start_version,
             root: Node::new_root(),
             root_ws: RwLock::new(WriteSet::new()),
+            root_ws_written: AtomicBool::new(false),
             touched: Mutex::new(TouchedSet::default()),
             rw_commit_clock: AtomicU64::new(0),
             fallback,
@@ -118,14 +133,20 @@ impl TreeCtx {
 
     // ---- root write-set ----------------------------------------------
 
-    /// Value previously written by the top-level context, if any.
+    /// Value previously written by the top-level context, if any. Takes
+    /// no lock while the root has written nothing (see the invariant on
+    /// [`TreeCtx`]).
     pub fn root_ws_get(&self, id: CellId) -> Option<(Val, WriteToken)> {
+        if !self.root_ws_written.load(Ordering::Acquire) {
+            return None;
+        }
         self.root_ws.read().get(id)
     }
 
     /// Buffers a top-level private write.
     pub fn root_ws_put(&self, cell: &Arc<VBoxCell>, value: Val) {
         self.root_ws.write().put(cell, value);
+        self.root_ws_written.store(true, Ordering::Release);
     }
 
     /// Whether the top-level write-set is empty (read-only fast path).
@@ -256,7 +277,9 @@ mod tests {
         let tree = TreeCtx::new(0, false);
         let b = VBox::new(1u32);
         assert!(tree.root_ws_get(b.id()).is_none());
+        assert!(!tree.root_ws_written.load(Ordering::Relaxed), "no write yet: lock-free get");
         tree.root_ws_put(b.cell(), erase(2u32));
+        assert!(tree.root_ws_written.load(Ordering::Relaxed));
         let (v, t1) = tree.root_ws_get(b.id()).unwrap();
         assert_eq!(*downcast::<u32>(v), 2);
         // Overwrite keeps the token (same logical write slot).

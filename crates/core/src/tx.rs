@@ -40,14 +40,15 @@ use std::sync::Arc;
 
 use rtf_taskpool::{OrderTag, Pool};
 use rtf_txengine::{
-    downcast, erase, obs_now_ns, read_pin, tx_trace, ConflictKind, Event, EventSink, ReadLog,
-    ReadPath, Source, SpanKind, SpanRec, StallKind, TxData, VBox, VBoxCell, Val, WaitSiteGuard,
+    downcast, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind, Event, EventSink,
+    ReadLog, ReadPath, ReadRecord, Source, SpanKind, SpanRec, StallKind, TxData, VBox, VBoxCell,
+    Val, WaitSiteGuard,
 };
 
 use crate::error::TxError;
 use crate::future::TxFuture;
 use crate::node::{Node, NodeKind};
-use crate::rw::{sub_read_traced, sub_write, validate_reads_detailed};
+use crate::rw::{sub_write, validate_reads_detailed, SubRead};
 use crate::stall::{StallAction, StallThresholds, StallWatch};
 use crate::tree::{PoisonKind, TreeCtx};
 
@@ -246,15 +247,25 @@ impl Tx {
     pub fn read_cell(&mut self, cell: &Arc<VBoxCell>) -> Val {
         self.check_poison();
         let frame = self.frames.last_mut().expect("entry frame");
-        let (val, entry, path) = sub_read_traced(&self.tree, &frame.node, cell);
-        match path {
+        let r = resolve_read(&SubRead::new(&self.tree, &frame.node), cell);
+        match r.path {
             ReadPath::Fast => self.reads_fast += 1,
             ReadPath::Slow => self.reads_slow += 1,
         }
+        // A read-only transaction keeps no read-set, so it builds no record
+        // (and never clones the cell's `Arc`). `fork_count` only moves on
+        // the thread running this node, so loading it after the walk is
+        // the same as before it.
         if !self.ro_mode {
-            frame.reads.push(entry);
+            let epoch = frame.node.fork_count.load(Ordering::Relaxed);
+            frame.reads.push(ReadRecord {
+                cell: Arc::clone(cell),
+                token: r.token,
+                source: r.source,
+                epoch,
+            });
         }
-        val
+        r.value
     }
 
     // --------------------------------------------------------------- writes

@@ -85,8 +85,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                 }
                 BNode::Internal { seps, children } => {
                     let idx = seps.partition_point(|s| s <= key);
-                    let child = children[idx].clone();
-                    node = tx.read(&child);
+                    node = tx.read(&children[idx]);
                 }
             }
         }
@@ -140,8 +139,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             }
             BNode::Internal { seps, children } => {
                 let idx = seps.partition_point(|s| *s <= key);
-                let child = children[idx].clone();
-                match Self::insert_rec(tx, &child, key, value) {
+                match Self::insert_rec(tx, &children[idx], key, value) {
                     Ins::Done(old) => Ins::Done(old),
                     Ins::Split { sep, right, old } => {
                         let mut seps = seps.clone();
@@ -180,8 +178,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             if let BNode::Internal { seps, children } = &*root {
                 if seps.is_empty() {
                     debug_assert_eq!(children.len(), 1);
-                    let only = children[0].clone();
-                    let content = (*tx.read(&only)).clone();
+                    let content = (*tx.read(&children[0])).clone();
                     tx.write(&self.root, content);
                 }
             }
@@ -204,8 +201,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             },
             BNode::Internal { seps, children } => {
                 let idx = seps.partition_point(|s| s <= key);
-                let child = children[idx].clone();
-                let (removed, underflow) = Self::remove_rec(tx, &child, key);
+                let (removed, underflow) = Self::remove_rec(tx, &children[idx], key);
                 if removed.is_none() || !underflow {
                     return (removed, false);
                 }
@@ -250,16 +246,10 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
         }
     }
 
-    fn borrow_from_left(
-        tx: &mut Tx,
-        seps: &mut [K],
-        children: &mut [VBox<BNode<K, V>>],
-        idx: usize,
-    ) {
-        let left = children[idx - 1].clone();
-        let cur = children[idx].clone();
-        let mut lnode = (*tx.read(&left)).clone();
-        let mut cnode = (*tx.read(&cur)).clone();
+    fn borrow_from_left(tx: &mut Tx, seps: &mut [K], children: &[VBox<BNode<K, V>>], idx: usize) {
+        let (left, cur) = (&children[idx - 1], &children[idx]);
+        let mut lnode = (*tx.read(left)).clone();
+        let mut cnode = (*tx.read(cur)).clone();
         match (&mut lnode, &mut cnode) {
             (BNode::Leaf(le), BNode::Leaf(ce)) => {
                 let moved = le.pop().expect("left sibling above minimum");
@@ -279,20 +269,14 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             }
             _ => unreachable!("siblings are at the same height"),
         }
-        tx.write(&left, lnode);
-        tx.write(&cur, cnode);
+        tx.write(left, lnode);
+        tx.write(cur, cnode);
     }
 
-    fn borrow_from_right(
-        tx: &mut Tx,
-        seps: &mut [K],
-        children: &mut [VBox<BNode<K, V>>],
-        idx: usize,
-    ) {
-        let cur = children[idx].clone();
-        let right = children[idx + 1].clone();
-        let mut cnode = (*tx.read(&cur)).clone();
-        let mut rnode = (*tx.read(&right)).clone();
+    fn borrow_from_right(tx: &mut Tx, seps: &mut [K], children: &[VBox<BNode<K, V>>], idx: usize) {
+        let (cur, right) = (&children[idx], &children[idx + 1]);
+        let mut cnode = (*tx.read(cur)).clone();
+        let mut rnode = (*tx.read(right)).clone();
         match (&mut cnode, &mut rnode) {
             (BNode::Leaf(ce), BNode::Leaf(re)) => {
                 let moved = re.remove(0);
@@ -311,18 +295,16 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             }
             _ => unreachable!("siblings are at the same height"),
         }
-        tx.write(&cur, cnode);
-        tx.write(&right, rnode);
+        tx.write(cur, cnode);
+        tx.write(right, rnode);
     }
 
     /// Merges `children[i + 1]` into `children[i]`.
     fn merge(tx: &mut Tx, seps: &mut Vec<K>, children: &mut Vec<VBox<BNode<K, V>>>, i: usize) {
-        let left = children[i].clone();
-        let right = children[i + 1].clone();
-        let mut lnode = (*tx.read(&left)).clone();
+        let mut lnode = (*tx.read(&children[i])).clone();
+        let right = children.remove(i + 1);
         let rnode = (*tx.read(&right)).clone();
         let sep = seps.remove(i);
-        children.remove(i + 1);
         match (&mut lnode, rnode) {
             (BNode::Leaf(le), BNode::Leaf(re)) => {
                 le.extend(re);
@@ -337,14 +319,14 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             }
             _ => unreachable!("siblings are at the same height"),
         }
-        tx.write(&left, lnode);
+        tx.write(&children[i], lnode);
     }
 
     /// Collects all entries with `lo <= key < hi`, in order.
     pub fn range(&self, tx: &mut Tx, lo: &K, hi: &K) -> Vec<(K, V)> {
         let mut out = Vec::new();
         if lo < hi {
-            self.range_into(tx, &self.root.clone(), lo, hi, &mut out);
+            self.range_into(tx, &self.root, lo, hi, &mut out);
         }
         out
     }
@@ -372,8 +354,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                 let first = seps.partition_point(|s| s <= lo);
                 let last = seps.partition_point(|s| s < hi);
                 for child in &children[first..=last] {
-                    let child = child.clone();
-                    self.range_into(tx, &child, lo, hi, out);
+                    self.range_into(tx, child, lo, hi, out);
                 }
             }
         }
@@ -381,7 +362,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
 
     /// In-order visit of every entry.
     pub fn for_each(&self, tx: &mut Tx, f: &mut impl FnMut(&K, &V)) {
-        Self::for_each_rec(tx, &self.root.clone(), f);
+        Self::for_each_rec(tx, &self.root, f);
     }
 
     fn for_each_rec(tx: &mut Tx, nbox: &VBox<BNode<K, V>>, f: &mut impl FnMut(&K, &V)) {
@@ -393,8 +374,8 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                 }
             }
             BNode::Internal { children, .. } => {
-                for child in children.clone() {
-                    Self::for_each_rec(tx, &child, f);
+                for child in children {
+                    Self::for_each_rec(tx, child, f);
                 }
             }
         }
@@ -441,8 +422,6 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                     assert!(is_root || seps.len() >= MIN_KEYS, "internal underflow");
                     assert_eq!(children.len(), seps.len() + 1, "child/sep mismatch");
                     assert!(seps.windows(2).all(|w| w[0] < w[1]), "unsorted seps");
-                    let children = children.clone();
-                    let seps = seps.clone();
                     let mut total = 0;
                     for (i, child) in children.iter().enumerate() {
                         let clo = if i == 0 { lo } else { Some(&seps[i - 1]) };
@@ -454,7 +433,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             }
         }
         let mut leaf_depth = None;
-        walk(tx, &self.root.clone(), None, None, true, 0, &mut leaf_depth)
+        walk(tx, &self.root, None, None, true, 0, &mut leaf_depth)
     }
 }
 

@@ -60,8 +60,8 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
 
     /// Transactional insert; returns the previous value, if any.
     pub fn insert(&self, tx: &mut Tx, key: K, value: V) -> Option<V> {
-        let bbox = self.bucket(&key).clone();
-        let mut b = (*tx.read(&bbox)).clone();
+        let bbox = self.bucket(&key);
+        let mut b = (*tx.read(bbox)).clone();
         let old = match b.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => Some(std::mem::replace(v, value)),
             None => {
@@ -69,30 +69,30 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
                 None
             }
         };
-        tx.write(&bbox, b);
+        tx.write(bbox, b);
         old
     }
 
     /// Transactional removal; returns the removed value, if any.
     pub fn remove(&self, tx: &mut Tx, key: &K) -> Option<V> {
-        let bbox = self.bucket(key).clone();
-        let b = tx.read(&bbox);
+        let bbox = self.bucket(key);
+        let b = tx.read(bbox);
         let pos = b.iter().position(|(k, _)| k == key)?;
         let mut b = (*b).clone();
         let (_, v) = b.swap_remove(pos);
-        tx.write(&bbox, b);
+        tx.write(bbox, b);
         Some(v)
     }
 
     /// Applies `f` to the value under `key`, writing back the result.
     /// Returns whether the key was present.
     pub fn update(&self, tx: &mut Tx, key: &K, f: impl FnOnce(&mut V)) -> bool {
-        let bbox = self.bucket(key).clone();
-        let b = tx.read(&bbox);
+        let bbox = self.bucket(key);
+        let b = tx.read(bbox);
         let Some(pos) = b.iter().position(|(k, _)| k == key) else { return false };
         let mut b = (*b).clone();
         f(&mut b[pos].1);
-        tx.write(&bbox, b);
+        tx.write(bbox, b);
         true
     }
 

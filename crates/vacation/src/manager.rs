@@ -1,6 +1,8 @@
 //! The Vacation manager: tables and invariant-preserving operations,
 //! following STAMP's `manager.c`.
 
+use std::sync::Arc;
+
 use rtf::Tx;
 use rtf_tstructs::TBTreeMap;
 
@@ -49,7 +51,9 @@ pub struct Manager {
     cars: TBTreeMap<u64, Reservation>,
     flights: TBTreeMap<u64, Reservation>,
     rooms: TBTreeMap<u64, Reservation>,
-    customers: TBTreeMap<u64, Customer>,
+    /// Shared records: copying a leaf of this table copies pointers, not
+    /// bills.
+    customers: TBTreeMap<u64, Arc<Customer>>,
 }
 
 impl Clone for Manager {
@@ -137,7 +141,7 @@ impl Manager {
         if self.customers.contains_key(tx, &id) {
             return false;
         }
-        self.customers.insert(tx, id, Customer::default());
+        self.customers.insert(tx, id, Arc::new(Customer::default()));
         true
     }
 
@@ -161,7 +165,7 @@ impl Manager {
     /// Reserves one unit of resource `id` for `customer` (STAMP
     /// `manager_reserve*`). Returns whether the reservation succeeded.
     pub fn reserve(&self, tx: &mut Tx, customer: u64, kind: ReservationKind, id: u64) -> bool {
-        let Some(mut cust) = self.customers.get(tx, &customer) else { return false };
+        let Some(cust) = self.customers.get(tx, &customer) else { return false };
         let t = self.table(kind);
         let Some(mut row) = t.get(tx, &id) else { return false };
         if row.free() == 0 {
@@ -170,8 +174,12 @@ impl Manager {
         row.used += 1;
         let price = row.price;
         t.insert(tx, id, row);
-        cust.reservations.push((kind, id, price));
-        self.customers.insert(tx, customer, cust);
+        // The new bill is built at its exact size; the old record stays
+        // shared with the snapshot it was read from.
+        let mut reservations = Vec::with_capacity(cust.reservations.len() + 1);
+        reservations.extend_from_slice(&cust.reservations);
+        reservations.push((kind, id, price));
+        self.customers.insert(tx, customer, Arc::new(Customer { reservations }));
         true
     }
 
