@@ -702,6 +702,19 @@ mod tests {
         assert_eq!(tm.stats().fallback_runs, 1, "{:?}", tm.stats());
     }
 
+    #[test]
+    fn fallback_threshold_zero_runs_futures_inline_from_the_first_attempt() {
+        let tm = Rtf::builder().workers(2).fallback_threshold(0).build();
+        let caller = std::thread::current().id();
+        let ran_on = tm.atomic(|tx| {
+            assert!(tx.is_fallback());
+            let f = tx.submit(|_| std::thread::current().id());
+            *tx.eval(&f)
+        });
+        assert_eq!(ran_on, caller, "the future body must run on the calling thread");
+        assert_eq!(tm.stats().fallback_runs, 1, "{:?}", tm.stats());
+    }
+
     /// Ordered mode: concurrent clients' commits land in strict ticket
     /// order, observable through a custom event sink capturing the
     /// `TicketCommit` stream.

@@ -135,10 +135,11 @@ pub struct RtfConfig {
     /// `atomic` call after which the re-execution runs in sequential
     /// fallback mode (a [`Tx::restart`] counts as a continuation restart).
     /// The paper falls back on the first conflict; raise this to keep
-    /// retrying in parallel mode. Fallback runs every future body inline at
-    /// its submission point, so a body that blocks on something a later
-    /// part of the same transaction provides outside the TM deadlocks there
-    /// (see [`Tx::submit`]).
+    /// retrying in parallel mode, or set `0` to run every attempt, the
+    /// first included, in fallback mode. Fallback runs every future body
+    /// inline at its submission point, so a body that blocks on something a
+    /// later part of the same transaction provides outside the TM deadlocks
+    /// there (see [`Tx::submit`]).
     pub fallback_threshold: u32,
     /// Explicit observability layer attached to this runtime's event
     /// stream. Independent of the env-driven observer (`RTF_METRICS` /
@@ -238,9 +239,10 @@ impl RtfBuilder {
     }
 
     /// Sets the count of consecutive inter-tree aborts and continuation
-    /// restarts that triggers sequential fallback.
+    /// restarts that triggers sequential fallback. `0` makes every attempt,
+    /// the first included, a fallback run: futures run inline at `submit`.
     pub fn fallback_threshold(mut self, n: u32) -> Self {
-        self.config.fallback_threshold = n.max(1);
+        self.config.fallback_threshold = n;
         self
     }
 

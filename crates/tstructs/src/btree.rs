@@ -43,6 +43,21 @@ impl<K: TKey, V: TVal> Clone for BNode<K, V> {
     }
 }
 
+/// The elements of `v` with `item` inserted at `i`, cloned lazily so a
+/// copy-on-write insert can build each new node with [`take_exact`] in one
+/// exact-size allocation (a clone followed by `Vec::insert` reallocates to
+/// twice the length, leaving a half-empty buffer in every retained version).
+fn with_inserted<T: Clone>(v: &[T], i: usize, item: T) -> impl Iterator<Item = T> + '_ {
+    v[..i].iter().cloned().chain(std::iter::once(item)).chain(v[i..].iter().cloned())
+}
+
+/// The next `n` elements of `it`, in a vector of capacity `n`.
+fn take_exact<T>(it: &mut impl Iterator<Item = T>, n: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    out.extend(it.take(n));
+    out
+}
+
 /// A transactional ordered map.
 pub struct TBTreeMap<K: TKey, V: TVal> {
     root: VBox<BNode<K, V>>,
@@ -118,23 +133,27 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
         let node = tx.read(nbox);
         match &*node {
             BNode::Leaf(entries) => {
-                let mut entries = entries.clone();
-                let old = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-                    Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
-                    Err(i) => {
-                        entries.insert(i, (key, value));
-                        None
+                let i = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+                    Ok(i) => {
+                        let mut entries = entries.clone();
+                        let old = std::mem::replace(&mut entries[i].1, value);
+                        tx.write(nbox, BNode::Leaf(entries));
+                        return Ins::Done(Some(old));
                     }
+                    Err(i) => i,
                 };
-                if entries.len() > MAX_KEYS {
-                    let right_half = entries.split_off(entries.len() / 2);
+                let n = entries.len() + 1;
+                let mut all = with_inserted(entries, i, (key, value));
+                if n > MAX_KEYS {
+                    let left = take_exact(&mut all, n / 2);
+                    let right_half = take_exact(&mut all, n - n / 2);
                     let sep = right_half[0].0.clone();
-                    tx.write(nbox, BNode::Leaf(entries));
+                    tx.write(nbox, BNode::Leaf(left));
                     let right = VBox::new(BNode::Leaf(right_half));
-                    Ins::Split { sep, right, old }
+                    Ins::Split { sep, right, old: None }
                 } else {
-                    tx.write(nbox, BNode::Leaf(entries));
-                    Ins::Done(old)
+                    tx.write(nbox, BNode::Leaf(take_exact(&mut all, n)));
+                    Ins::Done(None)
                 }
             }
             BNode::Internal { seps, children } => {
@@ -142,16 +161,17 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                 match Self::insert_rec(tx, &children[idx], key, value) {
                     Ins::Done(old) => Ins::Done(old),
                     Ins::Split { sep, right, old } => {
-                        let mut seps = seps.clone();
-                        let mut children = children.clone();
-                        seps.insert(idx, sep);
-                        children.insert(idx + 1, right);
-                        if seps.len() > MAX_KEYS {
-                            let mid = seps.len() / 2;
-                            let sep_up = seps[mid].clone();
-                            let right_seps = seps.split_off(mid + 1);
-                            seps.pop(); // sep_up moves to the parent
-                            let right_children = children.split_off(mid + 1);
+                        let n = seps.len() + 1;
+                        let mut all_seps = with_inserted(seps, idx, sep);
+                        let mut all_children = with_inserted(children, idx + 1, right);
+                        if n > MAX_KEYS {
+                            let mid = n / 2;
+                            let seps = take_exact(&mut all_seps, mid);
+                            // The middle separator moves to the parent.
+                            let sep_up = all_seps.next().expect("n > mid");
+                            let right_seps = take_exact(&mut all_seps, n - mid - 1);
+                            let children = take_exact(&mut all_children, mid + 1);
+                            let right_children = take_exact(&mut all_children, n - mid);
                             tx.write(nbox, BNode::Internal { seps, children });
                             let right = VBox::new(BNode::Internal {
                                 seps: right_seps,
@@ -159,6 +179,8 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                             });
                             Ins::Split { sep: sep_up, right, old }
                         } else {
+                            let seps = take_exact(&mut all_seps, n);
+                            let children = take_exact(&mut all_children, n + 1);
                             tx.write(nbox, BNode::Internal { seps, children });
                             Ins::Done(old)
                         }
@@ -459,6 +481,38 @@ mod tests {
             assert_eq!(m.remove(tx, &5), Some("FIVE".into()));
             assert_eq!(m.remove(tx, &5), None);
         });
+    }
+
+    /// Asserts every committed node below `nbox` holds exact-size vectors;
+    /// returns the number of leaves visited.
+    fn assert_exact_nodes(nbox: &VBox<BNode<u64, u64>>) -> usize {
+        match &*nbox.read_committed() {
+            BNode::Leaf(entries) => {
+                assert_eq!(entries.capacity(), entries.len(), "leaf");
+                1
+            }
+            BNode::Internal { seps, children } => {
+                assert_eq!(seps.capacity(), seps.len(), "seps");
+                assert_eq!(children.capacity(), children.len(), "children");
+                children.iter().map(assert_exact_nodes).sum()
+            }
+        }
+    }
+
+    #[test]
+    fn committed_nodes_are_exact_size() {
+        let tm = Rtf::builder().workers(0).build();
+        let m: TBTreeMap<u64, u64> = TBTreeMap::new();
+        // Scattered keys, one commit each, through leaf and internal splits.
+        for i in 0..600u64 {
+            tm.atomic(|tx| m.insert(tx, i * 7 % 600, i));
+        }
+        // Replacing keys keeps the leaves exact too.
+        for k in (0..600u64).step_by(5) {
+            tm.atomic(|tx| assert!(m.insert(tx, k, 0).is_some()));
+        }
+        assert!(assert_exact_nodes(&m.root) > MAX_KEYS + 1, "tree has internal splits");
+        assert_eq!(tm.atomic(|tx| m.debug_validate(tx)), 600);
     }
 
     #[test]

@@ -61,9 +61,14 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
     /// Transactional insert; returns the previous value, if any.
     pub fn insert(&self, tx: &mut Tx, key: K, value: V) -> Option<V> {
         let bbox = self.bucket(&key);
-        let mut b = (*tx.read(bbox)).clone();
-        let old = match b.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => Some(std::mem::replace(v, value)),
+        let cur = tx.read(bbox);
+        let pos = cur.iter().position(|(k, _)| *k == key);
+        // Built once at its exact length: a clone-then-push would grow a
+        // one-entry bucket to a four-entry buffer in every retained version.
+        let mut b = Vec::with_capacity(cur.len() + pos.is_none() as usize);
+        b.extend(cur.iter().cloned());
+        let old = match pos {
+            Some(i) => Some(std::mem::replace(&mut b[i].1, value)),
             None => {
                 b.push((key, value));
                 None
@@ -142,6 +147,25 @@ mod tests {
             assert_eq!(m.remove(tx, &1), None);
             assert_eq!(m.count(tx), 0);
         });
+    }
+
+    #[test]
+    fn committed_buckets_are_exact_size() {
+        let tm = Rtf::builder().workers(0).build();
+        let m: THashMap<u64, u64> = THashMap::with_buckets(8);
+        let exact = |key: u64| {
+            let b = m.bucket(&key).read_committed();
+            assert!(!b.is_empty());
+            assert_eq!(b.capacity(), b.len(), "key {key}");
+        };
+        // New keys, including a second entry in an occupied bucket.
+        for k in 0..20u64 {
+            tm.atomic(|tx| m.insert(tx, k, k));
+            exact(k);
+        }
+        // A replaced key keeps the bucket at its exact length.
+        tm.atomic(|tx| assert_eq!(m.insert(tx, 3, 30), Some(3)));
+        exact(3);
     }
 
     #[test]

@@ -50,7 +50,6 @@
 //! other trees therefore never contend on the mutex.
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
-use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
 use std::marker::PhantomData;
@@ -192,9 +191,13 @@ impl Drop for ListOpGuard<'_> {
 
 /// The untyped storage shared by all views of one `VBox`.
 pub struct VBoxCell {
-    /// Newest committed version; never null. Cache-padded so the hot read
-    /// load does not false-share with the tentative mutex or owner tag.
-    head: CachePadded<Atomic<PermVersion>>,
+    /// Newest committed version; never null. Not cache-padded, so the cell
+    /// stays 56 bytes (a 72-byte `Arc` allocation per box, DESIGN.md §3.1):
+    /// the head's line is written only when a commit prepends a version,
+    /// and the trim that follows writes `list_op` anyway; sub-transaction
+    /// writers take the tentative mutex; and a reader that records its read
+    /// already writes the cell's `Arc` refcount.
+    head: Atomic<PermVersion>,
     /// Serializes GC trims and out-of-order splices (see module docs).
     list_op: AtomicBool,
     /// Tree whose entries currently occupy the tentative list:
@@ -248,12 +251,12 @@ impl VBoxCell {
     /// Creates a cell whose initial value committed at version 0.
     pub fn new(initial: Val) -> Arc<VBoxCell> {
         Arc::new(VBoxCell {
-            head: CachePadded::new(Atomic::new(PermVersion {
+            head: Atomic::new(PermVersion {
                 version: 0,
                 token: new_write_token(),
                 value: initial,
                 next: Atomic::null(),
-            })),
+            }),
             list_op: AtomicBool::new(false),
             tentative_owner: AtomicU64::new(TENTATIVE_NONE),
             tentative: Mutex::new(Vec::new()),
@@ -593,6 +596,14 @@ impl<T: TxData> fmt::Debug for VBox<T> {
 mod tests {
     use super::*;
     use rtf_txbase::new_node_id;
+
+    /// A million-box table pays this per box, so the cell must stay within
+    /// one cache line and carry no padding alignment.
+    #[test]
+    fn cell_footprint_fits_one_unpadded_line() {
+        assert!(std::mem::size_of::<VBoxCell>() <= 64, "{}", std::mem::size_of::<VBoxCell>());
+        assert!(std::mem::align_of::<VBoxCell>() <= 8, "{}", std::mem::align_of::<VBoxCell>());
+    }
 
     #[test]
     fn initial_version_readable_at_any_snapshot() {

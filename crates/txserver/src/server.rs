@@ -322,7 +322,14 @@ impl Server {
         }
         let leftover_inflight = shared.admission.inflight();
         // Stop executors and join them (queue is empty or flushing ends).
-        shared.stop_workers.store(true, Ordering::Release);
+        // The flag is set under the queue lock: an executor checks it while
+        // holding that lock and then parks, so an unlocked store could land
+        // between its check and its park, and the notify would find no
+        // waiter (a lost wakeup that leaves `join` blocked for good).
+        {
+            let _q = shared.queue.lock();
+            shared.stop_workers.store(true, Ordering::Release);
+        }
         shared.qcv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
