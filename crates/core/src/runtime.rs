@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use rtf_mvstm::{MvStm, TurnGate, TxData};
 use rtf_taskpool::{Pool, PoolRunner};
-use rtf_txbase::{OrecStatus, StatSnapshot, TicketDispenser, TmStats};
+use rtf_txbase::{thread_stripe, OrecStatus, StatSnapshot, TicketDispenser, TmStats, STRIPES};
 use rtf_txengine::{
     obs_now_ns, Event, EventSink, ExpBackoff, ReadRecord, ReadSet, RetryBudget, RetryDriver,
     RetryPolicy, SeededBackoff, Source, SpanKind, SpanRec, StallKind, TraceSink, WaitSiteGuard,
@@ -355,7 +355,12 @@ pub struct Rtf {
 
 struct RtfInner {
     mvstm: MvStm,
-    env: Arc<TxEnv>,
+    /// One replica of the transaction environment per thread stripe
+    /// ([`rtf_txbase::thread_stripe`]): a root `Tx` clones its thread's
+    /// replica, so the reference count an attempt bumps is one no other
+    /// stripe's attempts write ([`TxEnv`] is cache-line aligned, so the
+    /// replicas' counts never share a line).
+    envs: Box<[Arc<TxEnv>]>,
     config: RtfConfig,
     /// Observers attached to this runtime (explicit and/or env-driven);
     /// exports run when the runtime is dropped.
@@ -366,6 +371,14 @@ struct RtfInner {
     /// Background live-metrics sampler ([`RtfBuilder::live_metrics`]).
     live: Option<LiveExporter>,
     _pool_runner: PoolRunner,
+}
+
+impl RtfInner {
+    /// The calling thread's replica of the transaction environment.
+    #[inline]
+    fn env(&self) -> &Arc<TxEnv> {
+        &self.envs[thread_stripe()]
+    }
 }
 
 impl Drop for RtfInner {
@@ -429,12 +442,17 @@ impl Rtf {
         let pool_runner = Pool::start_with_sink(config.workers, Arc::clone(&sink));
         let stall = StallThresholds::resolve(config.stall_warn, config.stall_abort);
         let dispenser = config.ordered.map(|shards| Arc::new(TicketDispenser::new(shards)));
-        let env = Arc::new(TxEnv { pool: pool_runner.pool(), sink, ro_opt: config.ro_opt, stall });
+        let envs: Box<[Arc<TxEnv>]> = (0..STRIPES)
+            .map(|_| {
+                let sink = Arc::clone(&sink);
+                Arc::new(TxEnv { pool: pool_runner.pool(), sink, ro_opt: config.ro_opt, stall })
+            })
+            .collect();
         // Structural depth gauges, sampled into every snapshot. The gauge
         // registry replaces by name, so a sweep of runtimes over one shared
         // observer always reports the newest instance.
         for obs in &observers {
-            let pool = env.pool.clone();
+            let pool = envs[0].pool.clone();
             obs.register_gauge("pool_queue_depth", move || pool.pending() as u64);
             let chain = mvstm.chain_arc();
             obs.register_gauge("commit_lane_depth", move || chain.depth());
@@ -463,7 +481,7 @@ impl Rtf {
         Rtf {
             inner: Arc::new(RtfInner {
                 mvstm,
-                env,
+                envs,
                 config,
                 observers,
                 dispenser,
@@ -534,14 +552,14 @@ impl Rtf {
     /// the `pool_queue_depth` gauge). The second admission-control input:
     /// a growing queue means the pool is over-subscribed.
     pub fn pool_queue_depth(&self) -> usize {
-        self.inner.env.pool.pending()
+        self.inner.env().pool.pending()
     }
 
     /// The runtime's instrumentation sink. External components (servers,
     /// harnesses) report their own [`Event`]s here so their counters land
     /// in the same [`StatSnapshot`] / export pipeline as the engine's.
     pub fn event_sink(&self) -> Arc<dyn EventSink> {
-        Arc::clone(&self.inner.env.sink)
+        Arc::clone(&self.inner.env().sink)
     }
 
     /// Draws a commit ticket *now*, before the transaction body exists —
@@ -558,7 +576,7 @@ impl Rtf {
             .dispenser
             .as_ref()
             .expect("Rtf::ticket requires ordered mode (RtfBuilder::ordered)");
-        OrderedTicket::acquire(Arc::clone(dispenser), Arc::clone(&self.inner.env.sink))
+        OrderedTicket::acquire(Arc::clone(dispenser), Arc::clone(&self.inner.env().sink))
     }
 
     /// Like [`Rtf::run`], but committing at the position of a ticket drawn
@@ -628,7 +646,7 @@ impl Rtf {
         over: RunBudget,
     ) -> Result<R, TxError> {
         let inner = &self.inner;
-        let sink = &inner.env.sink;
+        let env = inner.env();
         // Ordered mode: every top-level transaction holds a ticket for its
         // whole lifetime — drawn here unless the caller pinned one earlier
         // (`run_ticketed`), kept across retries (a re-execution commits at
@@ -639,7 +657,7 @@ impl Rtf {
             inner
                 .dispenser
                 .as_ref()
-                .map(|d| OrderedTicket::acquire(Arc::clone(d), Arc::clone(sink)))
+                .map(|d| OrderedTicket::acquire(Arc::clone(d), Arc::clone(&env.sink)))
         });
         // Fence the whole ticketed run at the ticket's lane position: any
         // helping reached from inside it (future evaluation, quiescence,
@@ -648,12 +666,11 @@ impl Rtf {
         // for this very ticket's turn, and suspending this frame beneath it
         // would wedge the lane until the stall watchdog broke the cycle.
         let fence = ticket.as_ref().map(|t| crate::ordered::lane_order_tag(t.ticket()));
-        let pool = inner.env.pool.clone();
         let run = move |ticket: &mut Option<OrderedTicket>| {
             self.run_attempts(body, ro_mode, structured, ticket, over)
         };
         match fence {
-            Some(tag) => pool.fenced(tag, || run(&mut ticket)),
+            Some(tag) => env.pool.fenced(tag, || run(&mut ticket)),
             None => run(&mut ticket),
         }
     }
@@ -669,7 +686,8 @@ impl Rtf {
         over: RunBudget,
     ) -> Result<R, TxError> {
         let inner = &self.inner;
-        let sink = &inner.env.sink;
+        let env = inner.env();
+        let sink = &env.sink;
         // Per-call overrides compose with the runtime-level limits: the
         // tighter attempt cap and the earlier deadline win.
         let config_deadline = inner.config.retry_deadline.map(|d| Instant::now() + d);
@@ -709,10 +727,7 @@ impl Rtf {
             if fallback {
                 sink.event(Event::FallbackRun);
             }
-            // Register before snapshotting (GC watermark soundness; see
-            // `rtf_mvstm::txn::TopTxn::new`).
-            let _reg = inner.mvstm.registry().register(inner.mvstm.clock().now());
-            let start = inner.mvstm.clock().now();
+            let (_reg, start) = inner.mvstm.begin_snapshot();
             let tree = TreeCtx::new(start, fallback);
             // One TopLevel span per attempt: aborted attempts close with
             // ok=false, so the trace shows the retry structure.
@@ -730,7 +745,7 @@ impl Rtf {
                     });
                 }
             };
-            let mut tx = Tx::new_for_root(Arc::clone(&inner.env), Arc::clone(&tree), ro_mode);
+            let mut tx = Tx::new_for_root(Arc::clone(env), Arc::clone(&tree), ro_mode);
 
             // One epoch pin per attempt: every version-list read and
             // write-back on this thread (body, helping, validation, root
@@ -851,22 +866,22 @@ impl Rtf {
     /// tree's tentative entries.
     fn teardown(&self, tree: &TreeCtx) {
         tree.poison(PoisonKind::ContinuationRestart); // ensure latched
-        let pool = self.inner.env.pool.clone();
+        let env = self.inner.env();
         // Quiescence must run to completion whatever happens (aborting the
         // teardown would leak the tree); the watchdog only reports.
         let mut watch = StallWatch::warn_only(
             StallKind::Quiescence,
             tree.tree_id.0,
             tree.root.id.raw(),
-            Arc::clone(&self.inner.env.sink),
-            self.inner.env.stall,
+            Arc::clone(&env.sink),
+            env.stall,
         );
         // Only publish a wait-graph edge when there genuinely is something
         // to wait for — teardown runs on every abort and usually finds the
         // tree already quiescent.
         let _wait = (tree.tasks_in_flight() > 0).then(|| {
             WaitSiteGuard::enter(
-                self.inner.env.sink.as_ref(),
+                env.sink.as_ref(),
                 StallKind::Quiescence,
                 tree.tree_id.0,
                 tree.tasks_in_flight() as u64,
@@ -875,7 +890,7 @@ impl Rtf {
         });
         tree.wait_quiescent(|| {
             let _ = watch.tick();
-            pool.help_one(None)
+            env.pool.help_one(None)
         });
         // The scrub equally must complete even with a fault injected
         // mid-teardown: a leaked tentative entry would wedge every later
@@ -902,9 +917,8 @@ impl Rtf {
         if lane.turn() >= seq {
             return Ok(());
         }
-        let inner = &self.inner;
-        let sink = &inner.env.sink;
-        let pool = inner.env.pool.clone();
+        let env = self.inner.env();
+        let sink = &env.sink;
         let t0 = obs_now_ns();
         // Publish the blocked-on edge for the live wait-graph inspector:
         // "this thread waits for lane/seq" (dropped when the wait resolves).
@@ -920,7 +934,7 @@ impl Rtf {
             tree.tree_id.0,
             tree.root.id.raw(),
             Arc::clone(sink),
-            inner.env.stall,
+            env.stall,
         );
         let mut stalled = None;
         // Bound the helping at this ticket's own position (normally already
@@ -929,7 +943,7 @@ impl Rtf {
         let bound = crate::ordered::lane_order_tag(ticket.ticket());
         let wait = lane.wait_turn_counted(
             seq,
-            || pool.help_one(Some(&bound)),
+            || env.pool.help_one(Some(&bound)),
             || match watch.tick() {
                 StallAction::Continue => true,
                 StallAction::Abort { waited_ms } => {
@@ -957,8 +971,11 @@ impl Rtf {
     /// version order.
     fn root_commit(&self, tree: &TreeCtx, ticket: Option<&OrderedTicket>) -> RootCommit {
         let inner = &self.inner;
-        let sink = &inner.env.sink;
-        let t0 = obs_now_ns();
+        let sink = &inner.env().sink;
+        // The commit's start time feeds only the TopCommit span and the
+        // `TopCommitNs` duration; read the clock only if a sink wants one.
+        let timed = sink.timings_enabled();
+        let t0 = if timed || sink.spans_enabled() { obs_now_ns() } else { 0 };
         let commit_span = |ok: bool| {
             if sink.spans_enabled() {
                 sink.span(SpanRec {
@@ -1066,7 +1083,9 @@ impl Rtf {
         tree.scrub_tentative();
         let committed = result.is_ok();
         if committed {
-            sink.event(Event::TopCommitNs(obs_now_ns().saturating_sub(t0)));
+            if timed {
+                sink.event(Event::TopCommitNs(obs_now_ns().saturating_sub(t0)));
+            }
             sink.event(Event::TopCommit);
         } else if let Some(waited_ms) = stalled {
             // A stall-abandoned turn wait is not a validation conflict:
@@ -1115,5 +1134,59 @@ impl Default for Rtf {
 impl std::fmt::Debug for Rtf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Rtf(workers={}, v{})", self.inner.config.workers, self.inner.mvstm.now())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VBox;
+    use std::sync::Mutex;
+
+    /// Strong counts of every `Arc` that attempts on *other* thread stripes
+    /// clone: their env replicas, the pool's shared state and the sink.
+    fn others_counts(tm: &Rtf) -> Vec<usize> {
+        let inner = &tm.inner;
+        let mine = thread_stripe();
+        let mut counts: Vec<usize> = (0..inner.envs.len())
+            .filter(|&i| i != mine)
+            .map(|i| Arc::strong_count(&inner.envs[i]))
+            .collect();
+        counts.push(inner.env().pool.handle_count());
+        counts.push(Arc::strong_count(&inner.env().sink));
+        counts
+    }
+
+    #[test]
+    fn a_root_attempt_leaves_other_threads_shared_counts_unchanged() {
+        // No worker threads: a starting worker takes its own reference to
+        // the pool's shared state at a time of its choosing.
+        let tm = Rtf::builder().workers(0).build();
+        let b = VBox::new(0u64);
+        // Fresh threads draw consecutive stripes, so at least two of these
+        // run on a stripe other than any single fixed one.
+        for _ in 0..3 {
+            let (tm, b) = (tm.clone(), b.clone());
+            std::thread::spawn(move || {
+                let before = others_counts(&tm);
+                let during = Mutex::new(Vec::new());
+                tm.run(|tx| {
+                    let v = *tx.read(&b);
+                    tx.write(&b, v + 1);
+                    *during.lock().unwrap() = others_counts(&tm);
+                })
+                .unwrap();
+                assert_eq!(*during.lock().unwrap(), before, "read-write attempt");
+                tm.atomic_ro(|tx| {
+                    let _ = tx.read(&b);
+                    *during.lock().unwrap() = others_counts(&tm);
+                });
+                assert_eq!(*during.lock().unwrap(), before, "read-only attempt");
+                assert_eq!(others_counts(&tm), before);
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(*b.read_committed(), 3);
     }
 }

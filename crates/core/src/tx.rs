@@ -132,6 +132,12 @@ impl Frame {
 }
 
 /// Runtime facilities a `Tx` needs (provided by `crate::Rtf`).
+///
+/// Aligned to a cache line pair (the `CachePadded` size on x86_64) so the
+/// reference count of an `Arc<TxEnv>` — which every attempt bumps — sits
+/// alone on its line: the runtime keeps one replica per thread stripe, and
+/// neighbouring allocations must not share their counts' line.
+#[repr(align(128))]
 pub(crate) struct TxEnv {
     pub pool: Pool,
     /// Instrumentation sink (statistics, and tracing when `RTF_TRACE` is
@@ -338,9 +344,7 @@ impl Tx {
             // Sequential fallback: run inline at the submission point —
             // literally the sequential execution the semantics are defined
             // against.
-            let t0 = obs_now_ns();
-            let v = body(self);
-            self.env.sink.event(Event::FutureLifetimeNs(obs_now_ns().saturating_sub(t0)));
+            let v = self.timed_inline(body);
             return TxFuture::ready(Arc::new(v));
         }
         let parent = Arc::clone(&self.current().node);
@@ -383,9 +387,7 @@ impl Tx {
         self.check_poison();
         self.env.sink.event(Event::FutureSubmitted);
         if self.tree.fallback {
-            let t0 = obs_now_ns();
-            let v = body(self);
-            self.env.sink.event(Event::FutureLifetimeNs(obs_now_ns().saturating_sub(t0)));
+            let v = self.timed_inline(body);
             let handle = TxFuture::ready(Arc::new(v));
             return cont(self, &handle);
         }
@@ -542,6 +544,18 @@ impl Tx {
         }
     }
 
+    /// Runs a future body inline (sequential fallback), reporting its
+    /// lifetime when a sink consumes it.
+    fn timed_inline<A>(&mut self, body: impl Fn(&mut Tx) -> A) -> A {
+        if !self.env.sink.timings_enabled() {
+            return body(self);
+        }
+        let t0 = obs_now_ns();
+        let v = body(self);
+        self.env.sink.event(Event::FutureLifetimeNs(obs_now_ns().saturating_sub(t0)));
+        v
+    }
+
     fn spawn_future_task<A, F>(
         &self,
         parent: &Arc<Node>,
@@ -562,7 +576,7 @@ impl Tx {
             ro_mode: self.ro_mode,
             pending: None,
             requeues: 0,
-            submitted_ns: obs_now_ns(),
+            submitted_ns: if self.env.sink.timings_enabled() { obs_now_ns() } else { 0 },
         };
         stage.tree.task_started();
         let tag = order_tag(&self.tree, &parent.path.child_future(fork_idx));
@@ -916,6 +930,7 @@ struct FutureStage<A: TxData, F> {
     requeues: u32,
     /// Submission timestamp; resolution emits [`Event::FutureLifetimeNs`]
     /// (submission-to-completion latency, including every re-execution).
+    /// `0`, and no event, when no sink consumes timings.
     submitted_ns: u64,
 }
 
@@ -1034,9 +1049,11 @@ where
             Ok(Ok(())) => {
                 tx_trace!(stage.env.sink, "task complete");
                 let (_, value) = stage.pending.take().expect("pending");
-                stage.env.sink.event(Event::FutureLifetimeNs(
-                    obs_now_ns().saturating_sub(stage.submitted_ns),
-                ));
+                if stage.env.sink.timings_enabled() {
+                    stage.env.sink.event(Event::FutureLifetimeNs(
+                        obs_now_ns().saturating_sub(stage.submitted_ns),
+                    ));
+                }
                 stage.handle.complete(Arc::new(value));
                 break;
             }

@@ -23,7 +23,7 @@
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 
 use rtf_txbase::{ActiveTxnRegistry, GlobalClock, TreeId, Version};
 use rtf_txengine::{
@@ -280,8 +280,13 @@ impl CommitChain {
             cur = rec.prev.load(Ordering::Acquire, guard);
         }
         // One watermark per write-back quantum: the whole batch shares a
-        // single O(shards) registry scan instead of one per record.
-        let watermark = registry.min_active(clock.now());
+        // single O(shards) registry scan instead of one per record. The
+        // fence pairs with the one between registering and snapshotting,
+        // and the cap at `now` covers registrations newer than `now` (see
+        // the `rtf_txbase::clock` module docs).
+        let now = clock.now();
+        fence(Ordering::SeqCst);
+        let watermark = registry.min_active(now).min(now);
         for shared in pending.into_iter().rev() {
             let rec = unsafe { shared.deref() };
             if rec.done.load(Ordering::Acquire) {
@@ -458,13 +463,15 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut committed = 0;
                     while committed < per {
-                        // Register BEFORE taking the snapshot, like the real
-                        // begin path (`TopTxn::new`): registering first pins
-                        // the GC watermark at or below the snapshot we then
-                        // take; snapshot-then-register leaves a window where
-                        // a concurrent write-back trims the version this
-                        // reader is about to need.
+                        // Register BEFORE taking the snapshot, fenced, like
+                        // the real begin path (`MvStm::begin_snapshot`):
+                        // registering first pins the GC watermark at or
+                        // below the snapshot we then take; snapshot-then-
+                        // register leaves a window where a concurrent
+                        // write-back trims the version this reader is about
+                        // to need.
                         let _reg = reg.register(clock.now());
+                        fence(Ordering::SeqCst);
                         let start = clock.now();
                         let (val, token) = b.cell().read_at(start);
                         let cur = *downcast::<u64>(val);

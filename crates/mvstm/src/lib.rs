@@ -45,8 +45,10 @@
 pub mod commit;
 pub mod txn;
 
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
+use rtf_txbase::clock::Registration;
 use rtf_txbase::{ActiveTxnRegistry, GlobalClock, StatSnapshot, TmStats, Version};
 use rtf_txengine::{EventSink, RetryDriver, StatsSink, TeeSink};
 
@@ -138,6 +140,25 @@ impl MvStm {
         let committed = tx.try_commit().expect("read-only transactions cannot conflict");
         debug_assert_eq!(committed, None);
         out
+    }
+
+    /// Registers a beginning top-level transaction for version GC and
+    /// takes its snapshot; the registration lasts until the guard drops.
+    ///
+    /// It registers *before* taking the snapshot: the GC watermark must
+    /// cover the version the transaction will read. Registering a (possibly
+    /// slightly older) clock value first guarantees watermark <= start, so
+    /// every version in (watermark, start] plus the newest one at or below
+    /// the watermark — everything a reader at `start` can need — is
+    /// retained. The `SeqCst` fence orders the registration before the
+    /// snapshot load against the fence `CommitChain`'s write-back puts
+    /// between its clock and watermark loads (`rtf_txbase::clock` module
+    /// docs).
+    #[inline]
+    pub fn begin_snapshot(&self) -> (Registration<'_>, Version) {
+        let reg = self.registry.register(self.clock.now());
+        fence(Ordering::SeqCst);
+        (reg, self.clock.now())
     }
 
     /// The version clock.

@@ -98,14 +98,7 @@ pub struct TopTxn<'tm> {
 
 impl<'tm> TopTxn<'tm> {
     pub(crate) fn new(tm: &'tm MvStm, ro_mode: bool) -> Self {
-        // Register BEFORE taking the snapshot: the GC watermark must cover
-        // the version this transaction will read. Registering a (possibly
-        // slightly older) clock value first guarantees watermark <= start,
-        // so every version in (watermark, start] plus the newest one at or
-        // below the watermark — everything a reader at `start` can need —
-        // is retained.
-        let reg = tm.registry().register(tm.clock().now());
-        let start = tm.clock().now();
+        let (reg, start) = tm.begin_snapshot();
         TopTxn {
             tm,
             start,

@@ -310,6 +310,13 @@ impl Pool {
         self.shared.pending.load(Ordering::Acquire)
     }
 
+    /// Strong references to the pool's shared state: every handle, the
+    /// runner's and the workers' included. A diagnostic — a count that stays
+    /// put across transactions shows that no hot path clones a handle.
+    pub fn handle_count(&self) -> usize {
+        Arc::strong_count(&self.shared)
+    }
+
     /// Number of worker threads serving this pool. Admission controllers
     /// scale their in-flight caps off this: queueing beyond a small multiple
     /// of the worker count buys latency, not throughput.

@@ -33,18 +33,18 @@
 //! * [`GlobalClock::publish`]'s initial load and CAS-failure ordering — the
 //!   loaded value only seeds the monotone-max retry loop; the sole
 //!   publication edge is the *successful* CAS, which is `Release`.
-//! * [`ActiveTxnRegistry`]'s `next` counter (`fetch_add(Relaxed)`) — a
-//!   round-robin *shard* placement hint; membership itself is published by
-//!   the per-shard minimum store under the shard lock.
 //! * [`ActiveTxnRegistry::active_count`] — diagnostics only; never feeds a
 //!   GC or visibility decision (per-shard `Relaxed` counter reads).
 //!
 //! The registration/GC edge must be stronger, and is. The registry is
-//! sharded (`REGISTRY_SHARDS` shards of `SLOTS_PER_SHARD` padded slots);
-//! consecutive registrations stride across shards, so burst registration
-//! never clusters claims on adjacent cache lines. Slot membership *changes*
-//! (register/deregister) serialize on a per-shard micro-lock, under which
-//! the shard's cached minimum is recomputed and `Release`-stored;
+//! sharded (`REGISTRY_SHARDS` shards of `SLOTS_PER_SHARD` padded slots),
+//! and placement is thread-affine: a thread registers in the shard of its
+//! [`thread_stripe`] (overflowing to the next shards only when its own is
+//! full), so the shard lock, slot and count lines a registration writes
+//! were last written by the same thread unless another thread shares its
+//! stripe. Slot membership *changes* (register/deregister) serialize on
+//! the per-shard micro-lock, under which the shard's cached minimum is
+//! recomputed and `Release`-stored;
 //! [`ActiveTxnRegistry::min_active`] is a wait-free `Acquire` read of one
 //! cached minimum per shard — O(shards), not O(slots), which matters
 //! because every commit write-back reads the watermark. The lock makes the
@@ -53,22 +53,40 @@
 //! is still registered in its shard, because the recompute scans the slots
 //! while holding the same lock every registration holds.
 //!
-//! A `min_active` scan concurrent with an in-flight `register` may still
-//! miss the brand-new entry (the store is not yet visible) — the same
-//! window the previous lock-free slot-CAS design had. It is safe for the
-//! same reason: combined with registering *before* taking the start
-//! snapshot (see `TopTxn::new`), every watermark ever computed is at or
-//! below the snapshot of every live *and future* transaction — a
-//! registration publishes a clock value no newer than the snapshot its
-//! owner then takes, and `min_active` is bounded by the clock value passed
-//! as `fallback`, which only advances. Hence trimming below the newest
-//! version at or below any watermark can never detach a version a
-//! resolvable snapshot still needs.
+//! # The registration/watermark fence pairing
+//!
+//! Release/Acquire alone does not order a *new* registration against a
+//! concurrent watermark computation. A beginning transaction stores its
+//! registration (the shard minimum) and then loads the clock for its
+//! snapshot; a write-back loads the clock and then the shard minima. That
+//! is the store-buffering pattern: without a store→load fence on both
+//! sides, the reader's snapshot may predate the writer's clock read while
+//! the writer still misses the registration, and the watermark can then
+//! exceed the snapshot. Both sides therefore put a `fence(SeqCst)` between
+//! the store and the load:
+//!
+//! * begin (`MvStm::begin_snapshot`, which both `TopTxn::new` and
+//!   `Rtf::run_attempts` call): `register(clock.now())`, `fence(SeqCst)`,
+//!   then `start = clock.now()`;
+//! * write-back (`CommitChain::write_back_through`): `now = clock.now()`,
+//!   `fence(SeqCst)`, then `watermark = min_active(now).min(now)`.
+//!
+//! The two fences are totally ordered. If the begin fence comes first, the
+//! write-back's minimum loads see the registration (or a later minimum of
+//! that shard, which is recomputed under the lock and still counts it), so
+//! `watermark <= registered <= start`. If the write-back fence comes first,
+//! the reader's clock load is coherence-ordered after the writer's, so
+//! `start >= now >= watermark` — which is why the watermark is also capped
+//! at `now`: other shards may hold registrations newer than `now`. Either
+//! way no watermark exceeds a live or future snapshot, so trimming below
+//! the newest version at or below it never detaches a version a resolvable
+//! snapshot still needs.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ids::Version;
+use crate::stats::thread_stripe;
 
 /// Monotonic clock of committed read-write top-level transactions.
 #[derive(Debug)]
@@ -177,7 +195,6 @@ impl RegistryShard {
 #[derive(Debug)]
 pub struct ActiveTxnRegistry {
     shards: Box<[RegistryShard]>,
-    next: CachePadded<AtomicU64>,
 }
 
 /// RAII registration handle; deregisters on drop.
@@ -195,21 +212,22 @@ impl ActiveTxnRegistry {
             .map(|_| RegistryShard::new())
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        ActiveTxnRegistry { shards, next: CachePadded::new(AtomicU64::new(0)) }
+        ActiveTxnRegistry { shards }
     }
 
     /// Registers a transaction that started at `version`; the returned guard
     /// deregisters it when dropped.
     ///
-    /// Placement strides across *shards* round-robin, so a burst of
-    /// registrations from many threads lands on distinct padded slot blocks
-    /// instead of clustering claims on adjacent cache lines.
+    /// Placement is thread-affine: the calling thread's own shard (by its
+    /// [`thread_stripe`]) first, then the following shards if it is full.
+    /// Callers pair this with a `fence(SeqCst)` before loading their
+    /// snapshot (see the module docs).
     pub fn register(&self, version: Version) -> Registration<'_> {
         debug_assert_ne!(version, FREE);
+        let start = thread_stripe();
         // With more concurrent transactions than total slots we spin — in
         // practice thread counts are far below the capacity.
         loop {
-            let start = self.next.fetch_add(1, Ordering::Relaxed) as usize;
             for off in 0..self.shards.len() {
                 let shard = (start + off) % self.shards.len();
                 if let Some(slot) = self.shards[shard].try_register(version) {
@@ -319,5 +337,15 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(reg.active_count(), 0);
+    }
+
+    #[test]
+    fn a_thread_keeps_its_registry_shard() {
+        let reg = ActiveTxnRegistry::new();
+        let shards: Vec<usize> = (0..10).map(|v| reg.register(v + 1).shard).collect();
+        assert!(shards.iter().all(|&s| s == shards[0]), "{shards:?}");
+        // Live registrations share it too while it has free slots.
+        let live: Vec<_> = (0..4).map(|v| reg.register(v + 1)).collect();
+        assert!(live.iter().all(|r| r.shard == shards[0]));
     }
 }

@@ -3,7 +3,14 @@
 //! All identifiers are plain `u64` newtypes allocated from process-wide
 //! monotonic counters. They are cheap to copy, hash and store inside atomic
 //! fields (ownership records store a raw [`NodeId`]).
+//!
+//! Each thread takes ids from the shared counters in blocks of 1,024 and
+//! hands them out locally, so an attempt's fresh tree, node and write ids
+//! cost no write to a line other threads write. Ids are unique
+//! process-wide and increase within a thread; ids of different threads are
+//! not ordered by allocation time (nothing compares them so).
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,26 +78,64 @@ impl fmt::Debug for WriteToken {
     }
 }
 
+/// Ids a thread claims from a shared counter at a time.
+const ID_BLOCK: u64 = 1024;
+
+/// A thread's current block of one id kind: `next..end`, empty when equal.
+struct IdBlock {
+    next: Cell<u64>,
+    end: Cell<u64>,
+}
+
+impl IdBlock {
+    const fn new() -> Self {
+        IdBlock { next: Cell::new(0), end: Cell::new(0) }
+    }
+
+    /// The next id of this thread's block, refilling it from `shared`
+    /// (which starts at 1, so [`NodeId::NONE`] and [`TreeId::NONE`] are
+    /// never issued).
+    #[inline]
+    fn take(&self, shared: &AtomicU64) -> u64 {
+        let mut id = self.next.get();
+        if id == self.end.get() {
+            id = shared.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            // Tree ids share helping-fence realms with ticket lanes, which
+            // set bit 63; no id may ever reach it.
+            debug_assert!(id + ID_BLOCK < 1 << 63, "id space exhausted");
+            self.end.set(id + ID_BLOCK);
+        }
+        self.next.set(id + 1);
+        id
+    }
+}
+
 static NODE_IDS: AtomicU64 = AtomicU64::new(1);
 static TREE_IDS: AtomicU64 = AtomicU64::new(1);
 static WRITE_TOKENS: AtomicU64 = AtomicU64::new(1);
 
+thread_local! {
+    static NODE_BLOCK: IdBlock = const { IdBlock::new() };
+    static TREE_BLOCK: IdBlock = const { IdBlock::new() };
+    static WRITE_BLOCK: IdBlock = const { IdBlock::new() };
+}
+
 /// Allocates a fresh process-unique [`NodeId`].
 #[inline]
 pub fn new_node_id() -> NodeId {
-    NodeId(NODE_IDS.fetch_add(1, Ordering::Relaxed))
+    NodeId(NODE_BLOCK.with(|b| b.take(&NODE_IDS)))
 }
 
 /// Allocates a fresh process-unique [`TreeId`].
 #[inline]
 pub fn new_tree_id() -> TreeId {
-    TreeId(TREE_IDS.fetch_add(1, Ordering::Relaxed))
+    TreeId(TREE_BLOCK.with(|b| b.take(&TREE_IDS)))
 }
 
 /// Allocates a fresh process-unique [`WriteToken`].
 #[inline]
 pub fn new_write_token() -> WriteToken {
-    WriteToken(WRITE_TOKENS.fetch_add(1, Ordering::Relaxed))
+    WriteToken(WRITE_BLOCK.with(|b| b.take(&WRITE_TOKENS)))
 }
 
 #[cfg(test)]
@@ -126,5 +171,37 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n);
+    }
+
+    #[test]
+    fn block_allocated_ids_are_distinct_across_threads() {
+        // Each thread spans three blocks of every id kind.
+        let n = 3 * ID_BLOCK as usize;
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let nodes: Vec<u64> = (0..n).map(|_| new_node_id().0).collect();
+                    let trees: Vec<u64> = (0..n).map(|_| new_tree_id().0).collect();
+                    let writes: Vec<u64> = (0..n).map(|_| new_write_token().0).collect();
+                    for ids in [&nodes, &trees, &writes] {
+                        assert!(ids.windows(2).all(|w| w[0] < w[1]), "monotone within a thread");
+                    }
+                    (nodes, trees, writes)
+                })
+            })
+            .collect();
+        let (mut nodes, mut trees, mut writes) = (Vec::new(), Vec::new(), Vec::new());
+        for h in handles {
+            let (a, b, c) = h.join().unwrap();
+            nodes.extend(a);
+            trees.extend(b);
+            writes.extend(c);
+        }
+        for all in [&mut nodes, &mut trees, &mut writes] {
+            assert!(!all.contains(&0), "NONE must never be issued");
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(all.len(), 4 * n);
+        }
     }
 }

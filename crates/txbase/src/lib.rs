@@ -10,7 +10,8 @@
 //!   ordering semantics* (a future serializes at its submission point), and
 //!   the `follows()` comparison of §IV-A;
 //! * [`orec`] — ownership records attached to tentative versions (Fig 3b);
-//! * [`stats`] — cache-padded counters for commits, aborts and re-executions;
+//! * [`stats`] — thread-striped counters for commits, aborts and
+//!   re-executions, and the per-thread stripe index;
 //! * [`wait`] — the thread-park [`WaitQueue`] every wait/park point in the
 //!   stack is built on.
 //!
@@ -33,5 +34,5 @@ pub use fxmap::{FxHashMap, FxHashSet};
 pub use ids::{new_node_id, new_tree_id, new_write_token, NodeId, TreeId, Version, WriteToken};
 pub use order::{follows, OrderKey, Ticket, TicketDispenser, TicketLane, TurnWait};
 pub use orec::{Orec, OrecStatus};
-pub use stats::{StatSnapshot, TmStats};
+pub use stats::{thread_stripe, StatSnapshot, TmStats, STRIPES};
 pub use wait::{Parked, WaitQueue};

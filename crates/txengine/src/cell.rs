@@ -798,8 +798,9 @@ mod tests {
         // trims: every read at a snapshot `s` must return the value
         // committed at the newest version <= s (values mirror versions).
         // Readers register before loading their snapshot and the writer
-        // trims at the registry's watermark, like the real begin and
-        // write-back paths (`TopTxn::new`, `CommitChain`).
+        // trims at the registry's watermark, both fenced, like the real
+        // begin and write-back paths (`MvStm::begin_snapshot`,
+        // `CommitChain`).
         use rtf_txbase::ActiveTxnRegistry;
         use std::sync::atomic::AtomicU64;
         let b = VBox::new(0u64);
@@ -812,7 +813,9 @@ mod tests {
             let registry = Arc::clone(&registry);
             std::thread::spawn(move || {
                 for v in 1..=2000u64 {
-                    let watermark = registry.min_active(published.load(Ordering::Relaxed));
+                    let now = published.load(Ordering::Relaxed);
+                    std::sync::atomic::fence(Ordering::SeqCst);
+                    let watermark = registry.min_active(now).min(now);
                     c.apply_commit(v, erase(v), new_write_token(), watermark);
                     published.store(v, Ordering::Release);
                 }
@@ -826,6 +829,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..4000 {
                         let _reg = registry.register(published.load(Ordering::Acquire));
+                        std::sync::atomic::fence(Ordering::SeqCst);
                         let snap = published.load(Ordering::Acquire);
                         let (val, _) = c.read_at(snap);
                         let got = *downcast::<u64>(val);

@@ -14,6 +14,9 @@
 //! monotonic clock ([`obs_now_ns`]). Span emission is double-gated: call
 //! sites check [`EventSink::spans_enabled`] before reading the clock, so the
 //! default ([`NullSink`]) path costs one virtual call returning a constant.
+//! Duration-only events are gated the same way by
+//! [`EventSink::timings_enabled`]: the default runtime sink ([`StatsSink`])
+//! ignores them, so a transaction reads no clock to produce them.
 
 use std::fmt;
 use std::sync::Arc;
@@ -354,6 +357,16 @@ pub trait EventSink: Send + Sync {
 
     /// Receives one completed lifecycle span.
     fn span(&self, _rec: SpanRec) {}
+
+    /// Whether the sink consumes the duration-only events
+    /// ([`Event::TopCommitNs`], [`Event::FutureLifetimeNs`]) — callers skip
+    /// the clock reads that time them when this is `false`. Events that
+    /// feed counters (`WaitTurnNs`, `ValidationNs`, `TicketWaitNs`) are
+    /// always timed. Defaults to `true`, so a sink that does not say
+    /// otherwise sees every event.
+    fn timings_enabled(&self) -> bool {
+        true
+    }
 }
 
 /// RAII publication of one blocking wait for the live wait-graph inspector:
@@ -391,7 +404,11 @@ impl Drop for WaitSiteGuard<'_> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSink;
 
-impl EventSink for NullSink {}
+impl EventSink for NullSink {
+    fn timings_enabled(&self) -> bool {
+        false
+    }
+}
 
 /// Maps events onto the shared [`TmStats`] counters.
 pub struct StatsSink {
@@ -469,6 +486,10 @@ impl EventSink for StatsSink {
             | Event::WaitEnd => {}
         }
     }
+
+    fn timings_enabled(&self) -> bool {
+        false
+    }
 }
 
 /// Prints diagnostic lines to stderr. Whether the sink is live is decided at
@@ -506,6 +527,10 @@ impl EventSink for TraceSink {
 
     fn trace(&self, msg: fmt::Arguments<'_>) {
         eprintln!("[rtf t{:02}] {}", stable_thread_id(), msg);
+    }
+
+    fn timings_enabled(&self) -> bool {
+        false
     }
 }
 
@@ -550,6 +575,10 @@ impl EventSink for TeeSink {
                 s.span(rec);
             }
         }
+    }
+
+    fn timings_enabled(&self) -> bool {
+        self.sinks.iter().any(|s| s.timings_enabled())
     }
 }
 
@@ -685,6 +714,22 @@ mod tests {
         };
         tee.span(rec);
         assert_eq!(*spans.0.lock().unwrap(), vec![rec]);
+    }
+
+    #[test]
+    fn only_sinks_that_consume_durations_ask_for_timings() {
+        struct Timed;
+        impl EventSink for Timed {}
+        let stats: Arc<dyn EventSink> = Arc::new(StatsSink::new(Arc::new(TmStats::default())));
+        let null: Arc<dyn EventSink> = Arc::new(NullSink);
+        assert!(!stats.timings_enabled());
+        assert!(!null.timings_enabled());
+        assert!(!TraceSink::new(true).timings_enabled());
+        assert!(Timed.timings_enabled(), "the trait default sees every event");
+        let quiet = TeeSink::new(vec![Arc::clone(&stats), Arc::clone(&null)]);
+        assert!(!quiet.timings_enabled());
+        let timed = TeeSink::new(vec![stats, null, Arc::new(Timed)]);
+        assert!(timed.timings_enabled());
     }
 
     #[test]

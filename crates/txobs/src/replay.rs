@@ -74,6 +74,10 @@ impl EventSink for CommitLog {
             self.entries.lock().push((lane, seq));
         }
     }
+
+    fn timings_enabled(&self) -> bool {
+        false
+    }
 }
 
 /// Order-independent hash of a final state: fold each value with its index
