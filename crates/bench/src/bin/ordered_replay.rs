@@ -34,7 +34,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use rtf::{state_hash, CommitLog, ReplayArtifact, Rtf, TxObs, VBox};
+use rtf::{state_hash, CommitLog, ReplayArtifact, Rtf, RunBudget, TxObs, VBox};
 use rtf_benchkit::MetricsSidecar;
 use rtf_txfault::{decision_stream, FaultPlan, SiteRule};
 
@@ -182,7 +182,7 @@ fn run_once(cfg: &Config, threads: usize, obs: Option<&Arc<TxObs>>) -> ReplayArt
                     let lane = ticket.ticket().lane as usize;
                     let chains = Arc::clone(&chains);
                     let total = total.clone();
-                    let r = tm.run_ticketed(ticket, move |tx| {
+                    let r = tm.run_with(RunBudget::default(), Some(ticket), move |tx| {
                         let acc = *tx.read(&chains[lane]);
                         tx.write(&chains[lane], mix(acc, payload));
                         let t = *tx.read(&total);

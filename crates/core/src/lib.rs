@@ -89,6 +89,8 @@ mod rw;
 mod stall;
 mod tree;
 mod tx;
+#[cfg(test)]
+mod txn;
 
 pub use error::{FutureError, TxError};
 pub use future::TxFuture;
@@ -767,7 +769,7 @@ mod tests {
     /// Pre-drawn tickets pin the commit order to submission order even when
     /// the transactions run on threads in reverse.
     #[test]
-    fn run_ticketed_commits_in_submission_order() {
+    fn run_with_ticket_commits_in_submission_order() {
         let tm = Arc::new(Rtf::builder().workers(2).ordered(1).build());
         let log = VBox::new(Vec::<u64>::new());
         // Draw tickets 0..4 on this thread, then run them in reverse.
@@ -779,7 +781,7 @@ mod tests {
                 let tm = Arc::clone(&tm);
                 let log = log.clone();
                 std::thread::spawn(move || {
-                    tm.run_ticketed(ticket, move |tx| {
+                    tm.run_with(RunBudget::default(), Some(ticket), move |tx| {
                         let mut v = (*tx.read(&log)).clone();
                         v.push(i);
                         tx.write(&log, v);
@@ -850,5 +852,93 @@ mod tests {
         assert_eq!(s.ordered_commits, 2, "ro + rw commits: {s:?}");
         assert_eq!(s.tickets_abandoned, 1, "cancelled tx: {s:?}");
         assert_eq!(s.top_ro_commits, 1);
+    }
+
+    #[test]
+    fn independent_instances_have_independent_clocks() {
+        let tm1 = tm();
+        let tm2 = tm();
+        let b = VBox::new(0u32);
+        tm1.atomic(|tx| tx.write(&b, 1));
+        assert_eq!(tm1.clock_now(), 1);
+        assert_eq!(tm2.clock_now(), 0);
+    }
+
+    #[test]
+    fn stats_snapshot_reflects_activity() {
+        let tm = tm();
+        let b = VBox::new(0u32);
+        tm.atomic(|tx| tx.write(&b, 1));
+        tm.atomic(|tx| {
+            let _ = tx.read(&b);
+        });
+        let s = tm.stats();
+        assert_eq!(s.top_commits, 1);
+        assert_eq!(s.top_ro_commits, 1);
+    }
+
+    #[test]
+    fn gc_bounds_version_lists() {
+        let tm = tm();
+        let b = VBox::new(0u64);
+        for i in 0..500u64 {
+            tm.atomic(|tx| tx.write(&b, i));
+        }
+        // No transaction is live, so each write-back trims behind itself.
+        assert!(b.cell().permanent_len() <= 3, "len = {}", b.cell().permanent_len());
+    }
+
+    /// Regression test: the GC watermark must cover a transaction that is
+    /// between reading the clock and issuing its first read, even while
+    /// writers commit and trim aggressively. (The begin path registers
+    /// *before* snapshotting; with the opposite order this test panics
+    /// with "GC watermark violated".)
+    #[test]
+    fn gc_never_outruns_a_beginning_transaction() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let tm = tm();
+        let b = VBox::new(0u64);
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (tm, b, stop) = (tm.clone(), b.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    i += 1;
+                    tm.atomic(|tx| tx.write(&b, i));
+                }
+            })
+        };
+        for _ in 0..3_000 {
+            let v = tm.atomic_ro(|tx| *tx.read(&b));
+            let _ = v;
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+    }
+
+    /// GC must retain versions needed by long-running readers.
+    #[test]
+    fn gc_respects_long_running_snapshot() {
+        let tm = tm();
+        let a = VBox::new(0u64);
+        let b = VBox::new(100u64);
+        tm.atomic_ro(|tx| {
+            let seen_b = *tx.read(&b);
+            // Many commits to `a` try to trim; `b`'s old version must
+            // survive for this registered long reader.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in 0..200u64 {
+                        tm.atomic(|tx| {
+                            tx.write(&a, i);
+                            tx.write(&b, 200 + i);
+                        });
+                    }
+                });
+            });
+            assert_eq!(*tx.read(&b), seen_b, "snapshot stability");
+        });
+        assert_eq!(*b.read_committed(), 399);
     }
 }

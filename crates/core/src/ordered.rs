@@ -38,7 +38,7 @@ pub(crate) fn lane_order_tag(t: Ticket) -> OrderTag {
 ///
 /// Obtained implicitly by every top-level transaction of an ordered-mode
 /// runtime, or explicitly via [`crate::Rtf::ticket`] to pin the order to
-/// submission order (and passed to [`crate::Rtf::run_ticketed`]).
+/// submission order (and passed to [`crate::Rtf::run_with`]).
 pub struct OrderedTicket {
     dispenser: Arc<TicketDispenser>,
     sink: Arc<dyn EventSink>,

@@ -29,13 +29,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rtf_mvstm::{MvStm, TurnGate, TxData};
+use rtf_mvstm::{CommitChain, TurnGate, TxData};
 use rtf_taskpool::{Pool, PoolRunner};
-use rtf_txbase::{thread_stripe, OrecStatus, StatSnapshot, TicketDispenser, TmStats, STRIPES};
+use rtf_txbase::{
+    thread_stripe, ActiveTxnRegistry, GlobalClock, OrecStatus, StatSnapshot, TicketDispenser,
+    TmStats, STRIPES,
+};
 use rtf_txengine::{
-    obs_now_ns, Event, EventSink, ExpBackoff, ReadRecord, ReadSet, RetryBudget, RetryDriver,
-    RetryPolicy, SeededBackoff, Source, SpanKind, SpanRec, StallKind, TraceSink, WaitSiteGuard,
-    WriteEntry, WriteSet,
+    obs_now_ns, Backoff, Event, EventSink, ReadRecord, ReadSet, RetryBudget, RetryDriver,
+    SeededBackoff, Source, SpanKind, SpanRec, StallKind, StatsSink, TeeSink, TraceSink,
+    WaitSiteGuard, WriteEntry, WriteSet,
 };
 use rtf_txobs::{LiveConfig, LiveExporter, ObsConfig, TxObs};
 
@@ -45,22 +48,6 @@ use crate::ordered::OrderedTicket;
 use crate::stall::{StallAction, StallThresholds, StallWatch};
 use crate::tree::{PoisonKind, TreeCtx};
 use crate::tx::{install_quiet_poison_hook, CancelSignal, PoisonSignal, Tx, TxEnv};
-
-/// The retry-pacing policy of one top-level run: the default spin ladder,
-/// or the configured seeded backoff ([`RtfBuilder::retry_backoff`]).
-enum RunBackoff {
-    Spin(ExpBackoff),
-    Seeded(SeededBackoff),
-}
-
-impl RetryPolicy for RunBackoff {
-    fn pause(&self, attempt: u32) -> u64 {
-        match self {
-            RunBackoff::Spin(p) => p.pause(attempt),
-            RunBackoff::Seeded(p) => p.pause(attempt),
-        }
-    }
-}
 
 /// Internal outcome of [`Rtf::root_commit`].
 enum RootCommit {
@@ -104,7 +91,7 @@ impl Default for BackoffConfig {
     }
 }
 
-/// Per-call overrides of the retry limits ([`Rtf::run_with_budget`]): a
+/// Per-call overrides of the retry limits ([`Rtf::run_with`]): a
 /// serving layer propagates each request's deadline here instead of baking
 /// one global `retry_deadline` into the runtime.
 #[derive(Clone, Copy, Debug, Default)]
@@ -354,7 +341,16 @@ pub struct Rtf {
 }
 
 struct RtfInner {
-    mvstm: MvStm,
+    /// The version clock: the snapshot of every top-level attempt. Shared
+    /// with the `commit_lane_depth` gauge.
+    clock: Arc<GlobalClock>,
+    /// Start versions of live top-level attempts (the GC watermark).
+    registry: ActiveTxnRegistry,
+    /// The helping commit chain every read-write root commits through.
+    /// Shared with the `commit_lane_depth` gauge.
+    chain: Arc<CommitChain>,
+    /// Event counters, fed by the [`StatsSink`] at the head of the sink tee.
+    stats: Arc<TmStats>,
     /// One replica of the transaction environment per thread stripe
     /// ([`rtf_txbase::thread_stripe`]): a root `Tx` clones its thread's
     /// replica, so the reference count an attempt bumps is one no other
@@ -416,11 +412,14 @@ impl Rtf {
         // One sink for the whole runtime: statistics always, plus the
         // stderr trace stream when `RTF_TRACE` requests it, plus any
         // observability layer (explicit via the builder, or env-driven via
-        // `RTF_METRICS` / `RTF_METRICS_TEXT` / `RTF_CHROME_TRACE`).
-        let mut extras: Vec<Arc<dyn EventSink>> = Vec::new();
+        // `RTF_METRICS` / `RTF_METRICS_TEXT` / `RTF_CHROME_TRACE`), plus the
+        // configured extra sinks. The top-level and sub-transaction paths
+        // and the pool all report into it.
+        let stats = Arc::new(TmStats::default());
+        let mut sinks: Vec<Arc<dyn EventSink>> = vec![Arc::new(StatsSink::new(Arc::clone(&stats)))];
         let mut observers: Vec<Arc<TxObs>> = Vec::new();
         if TraceSink::env_enabled() {
-            extras.push(Arc::new(TraceSink::from_env()));
+            sinks.push(Arc::new(TraceSink::from_env()));
         }
         if let Some(obs) = TxObs::global_from_env() {
             observers.push(obs);
@@ -435,10 +434,14 @@ impl Rtf {
             // Live metrics need something to sample.
             observers.push(TxObs::new(ObsConfig::default()));
         }
-        extras.extend(observers.iter().map(TxObs::sink));
-        extras.extend(config.extra_sinks.iter().cloned());
-        let mvstm = MvStm::with_extras(extras);
-        let sink = Arc::clone(mvstm.sink());
+        sinks.extend(observers.iter().map(TxObs::sink));
+        sinks.extend(config.extra_sinks.iter().cloned());
+        let sink: Arc<dyn EventSink> = match sinks.len() {
+            1 => sinks.remove(0),
+            _ => Arc::new(TeeSink::new(sinks)),
+        };
+        let clock = Arc::new(GlobalClock::new());
+        let chain = Arc::new(CommitChain::new());
         let pool_runner = Pool::start_with_sink(config.workers, Arc::clone(&sink));
         let stall = StallThresholds::resolve(config.stall_warn, config.stall_abort);
         let dispenser = config.ordered.map(|shards| Arc::new(TicketDispenser::new(shards)));
@@ -454,8 +457,8 @@ impl Rtf {
         for obs in &observers {
             let pool = envs[0].pool.clone();
             obs.register_gauge("pool_queue_depth", move || pool.pending() as u64);
-            let chain = mvstm.chain_arc();
-            obs.register_gauge("commit_lane_depth", move || chain.depth());
+            let (chain, clock) = (Arc::clone(&chain), Arc::clone(&clock));
+            obs.register_gauge("commit_lane_depth", move || chain.backlog(&clock));
             if let Some(d) = &dispenser {
                 let d = Arc::clone(d);
                 obs.register_gauge("ordered_lane_depth", move || {
@@ -480,7 +483,10 @@ impl Rtf {
         });
         Rtf {
             inner: Arc::new(RtfInner {
-                mvstm,
+                clock,
+                registry: ActiveTxnRegistry::new(),
+                chain,
+                stats,
                 envs,
                 config,
                 observers,
@@ -519,20 +525,26 @@ impl Rtf {
     /// future) still unwinds to the caller — that is the caller's own
     /// panic, not a runtime fault.
     pub fn run<R>(&self, body: impl Fn(&mut Tx) -> R) -> Result<R, TxError> {
-        self.run_with_budget(RunBudget::default(), body)
+        self.run_with(RunBudget::default(), None, body)
     }
 
-    /// Like [`Rtf::run`], but bounded by a per-call [`RunBudget`] — the
-    /// deadline-propagation entry point for serving layers: the request's
-    /// deadline caps this transaction's retry loop regardless of the
-    /// runtime-level [`RtfBuilder::retry_deadline`] (whichever expires
-    /// first wins; the tighter attempt cap likewise).
-    pub fn run_with_budget<R>(
+    /// Like [`Rtf::run`], bounded by a per-call [`RunBudget`] and, when
+    /// `ticket` is given, committing at the position of a ticket drawn
+    /// earlier with [`Rtf::ticket`].
+    ///
+    /// The budget is the deadline-propagation input of serving layers: the
+    /// request's deadline caps this transaction's retry loop regardless of
+    /// the runtime-level [`RtfBuilder::retry_deadline`] (whichever expires
+    /// first wins; the tighter attempt cap likewise). On error — budget
+    /// exhaustion included — the ticket is abandoned and the lane skips
+    /// over it. Without a ticket, an ordered runtime draws one at the call.
+    pub fn run_with<R>(
         &self,
         budget: RunBudget,
+        ticket: Option<OrderedTicket>,
         body: impl Fn(&mut Tx) -> R,
     ) -> Result<R, TxError> {
-        self.run_top_level(body, false, true, None, budget)
+        self.run_top_level(body, false, true, ticket, budget)
     }
 
     /// Whether this runtime commits through the ordered-execution lane.
@@ -545,7 +557,7 @@ impl Rtf {
     /// use it as a saturation indicator: a persistently deep chain means
     /// committers are producing records faster than helping drains them.
     pub fn commit_lane_depth(&self) -> u64 {
-        self.inner.mvstm.chain().depth()
+        self.inner.chain.backlog(&self.inner.clock)
     }
 
     /// Tasks submitted to the worker pool but not yet started (approximate;
@@ -565,7 +577,7 @@ impl Rtf {
     /// Draws a commit ticket *now*, before the transaction body exists —
     /// pinning the transaction's position in the predefined commit order to
     /// this call (submission order), independent of when worker threads get
-    /// to run it. Pass the ticket to [`Rtf::run_ticketed`].
+    /// to run it. Pass the ticket to [`Rtf::run_with`].
     ///
     /// # Panics
     ///
@@ -577,29 +589,6 @@ impl Rtf {
             .as_ref()
             .expect("Rtf::ticket requires ordered mode (RtfBuilder::ordered)");
         OrderedTicket::acquire(Arc::clone(dispenser), Arc::clone(&self.inner.env().sink))
-    }
-
-    /// Like [`Rtf::run`], but committing at the position of a ticket drawn
-    /// earlier with [`Rtf::ticket`]. On error the ticket is abandoned and
-    /// the lane skips over it.
-    pub fn run_ticketed<R>(
-        &self,
-        ticket: OrderedTicket,
-        body: impl Fn(&mut Tx) -> R,
-    ) -> Result<R, TxError> {
-        self.run_ticketed_with_budget(RunBudget::default(), ticket, body)
-    }
-
-    /// [`Rtf::run_ticketed`] bounded by a per-call [`RunBudget`] (see
-    /// [`Rtf::run_with_budget`]). On error — budget exhaustion included —
-    /// the ticket is abandoned and the lane skips over it.
-    pub fn run_ticketed_with_budget<R>(
-        &self,
-        budget: RunBudget,
-        ticket: OrderedTicket,
-        body: impl Fn(&mut Tx) -> R,
-    ) -> Result<R, TxError> {
-        self.run_top_level(body, false, true, Some(ticket), budget)
     }
 
     /// Runs `body` as a read-only top-level transaction: reads skip
@@ -649,7 +638,7 @@ impl Rtf {
         let env = inner.env();
         // Ordered mode: every top-level transaction holds a ticket for its
         // whole lifetime — drawn here unless the caller pinned one earlier
-        // (`run_ticketed`), kept across retries (a re-execution commits at
+        // (`run_with`), kept across retries (a re-execution commits at
         // the *same* position), and released exactly once: completed on
         // commit, abandoned (RAII) on every other exit path including
         // unwinds.
@@ -701,7 +690,7 @@ impl Rtf {
                 (a, b) => a.or(b),
             },
         };
-        let policy = match inner.config.retry_backoff {
+        let backoff = match inner.config.retry_backoff {
             Some(b) => {
                 // Decorrelate concurrent transactions while keeping the
                 // whole process reproducible for a fixed seed: each run
@@ -709,15 +698,15 @@ impl Rtf {
                 static RUN_NONCE: std::sync::atomic::AtomicU64 =
                     std::sync::atomic::AtomicU64::new(0);
                 let nonce = RUN_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                RunBackoff::Seeded(SeededBackoff::new(
+                Backoff::Seeded(SeededBackoff::new(
                     b.base,
                     b.cap,
                     b.seed ^ nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ))
             }
-            None => RunBackoff::Spin(ExpBackoff),
+            None => Backoff::Ladder,
         };
-        let mut retry = RetryDriver::with_policy(policy).with_budget(budget);
+        let mut retry = RetryDriver::new(backoff, budget);
         // Inter-tree aborts and continuation restarts both count: a
         // continuation that keeps missing its own future's write would
         // otherwise restart forever in parallel mode.
@@ -727,7 +716,7 @@ impl Rtf {
             if fallback {
                 sink.event(Event::FallbackRun);
             }
-            let (_reg, start) = inner.mvstm.begin_snapshot();
+            let (_reg, start) = inner.registry.begin(&inner.clock);
             let tree = TreeCtx::new(start, fallback);
             // One TopLevel span per attempt: aborted attempts close with
             // ok=false, so the trace shows the retry structure.
@@ -873,7 +862,7 @@ impl Rtf {
             StallKind::Quiescence,
             tree.tree_id.0,
             tree.root.id.raw(),
-            Arc::clone(&env.sink),
+            env.sink.as_ref(),
             env.stall,
         );
         // Only publish a wait-graph edge when there genuinely is something
@@ -933,7 +922,7 @@ impl Rtf {
             StallKind::TicketWait,
             tree.tree_id.0,
             tree.root.id.raw(),
-            Arc::clone(sink),
+            sink.as_ref(),
             env.stall,
         );
         let mut stalled = None;
@@ -1036,7 +1025,7 @@ impl Rtf {
                 for (cell, token) in inbox.perm_reads {
                     reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
                 }
-                if inner.mvstm.chain().validate_ro(&reads, sink.as_ref()).is_err() {
+                if inner.chain.validate_ro(&reads, sink.as_ref()).is_err() {
                     sink.event(Event::TopValidationAbort);
                     tree.scrub_tentative();
                     commit_span(false);
@@ -1071,12 +1060,12 @@ impl Rtf {
                 },
                 None => true,
             };
-            inner.mvstm.chain().try_commit_in_turn(
+            inner.chain.try_commit_in_turn(
                 ticket.map(|_| TurnGate { wait: &mut wait }),
                 &reads,
                 writes.into_writes(),
-                inner.mvstm.clock(),
-                inner.mvstm.registry(),
+                &inner.clock,
+                &inner.registry,
                 sink.as_ref(),
             )
         };
@@ -1105,23 +1094,24 @@ impl Rtf {
 
     /// Event counters of this runtime.
     pub fn stats(&self) -> StatSnapshot {
-        self.inner.mvstm.stats_snapshot()
+        self.inner.stats.snapshot()
     }
 
     /// Shared counter handle (benchmark harnesses diff snapshots).
     pub fn stats_arc(&self) -> Arc<TmStats> {
-        Arc::clone(self.inner.mvstm.stats_arc())
-    }
-
-    /// The underlying multi-version STM (top-level-only transactions; used
-    /// by baselines and tests).
-    pub fn mvstm(&self) -> &MvStm {
-        &self.inner.mvstm
+        Arc::clone(&self.inner.stats)
     }
 
     /// Current configuration.
     pub fn config(&self) -> &RtfConfig {
         &self.inner.config
+    }
+
+    /// The version clock's current value: the number of read-write
+    /// top-level commits so far.
+    #[cfg(test)]
+    pub(crate) fn clock_now(&self) -> rtf_txbase::Version {
+        self.inner.clock.now()
     }
 }
 
@@ -1133,7 +1123,7 @@ impl Default for Rtf {
 
 impl std::fmt::Debug for Rtf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Rtf(workers={}, v{})", self.inner.config.workers, self.inner.mvstm.now())
+        write!(f, "Rtf(workers={}, v{})", self.inner.config.workers, self.inner.clock.now())
     }
 }
 
@@ -1188,5 +1178,33 @@ mod tests {
             .unwrap();
         }
         assert_eq!(*b.read_committed(), 3);
+    }
+
+    #[test]
+    fn an_eval_leaves_the_pool_and_sink_counts_unchanged() {
+        // No worker threads: the evaluation runs the future inline by
+        // helping, so the future body observes the counts mid-`eval`.
+        let tm = Rtf::builder().workers(0).build();
+        let b = VBox::new(1u64);
+        let counts = |tm: &Rtf| {
+            let env = tm.inner.env();
+            (env.pool.handle_count(), Arc::strong_count(&env.sink))
+        };
+        let during = Arc::new(Mutex::new(None));
+        let v = tm.atomic(|tx| {
+            let f = tx.submit({
+                let (tm, b, during) = (tm.clone(), b.clone(), Arc::clone(&during));
+                move |tx| {
+                    *during.lock().unwrap() = Some(counts(&tm));
+                    *tx.read(&b)
+                }
+            });
+            let before = counts(&tm);
+            let v = *tx.eval(&f);
+            assert_eq!(*during.lock().unwrap(), Some(before), "mid-eval counts");
+            assert_eq!(counts(&tm), before, "after eval");
+            v
+        });
+        assert_eq!(v, 1);
     }
 }

@@ -23,7 +23,6 @@
 //! aborting is off by default, so the watchdog is observe-only unless
 //! explicitly armed.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rtf_txengine::{Event, EventSink, StallKind};
@@ -72,26 +71,28 @@ pub(crate) enum StallAction {
 /// Watchdog attached to one blocking wait (one `waitTurn`, one quiescence
 /// wait, one `eval`). Cheap to construct; `tick` is called once per wait
 /// loop round (i.e. at most a few thousand times per second), never on the
-/// fast path.
-pub(crate) struct StallWatch {
+/// fast path. It borrows the runtime's sink: a wait is entered on every
+/// `eval` and blocking `waitTurn`, and a clone would write the reference
+/// count every thread shares.
+pub(crate) struct StallWatch<'a> {
     kind: StallKind,
     tree: u64,
     node: u64,
-    sink: Arc<dyn EventSink>,
+    sink: &'a dyn EventSink,
     start: Instant,
     next_warn: Duration,
     abort_at: Option<Duration>,
 }
 
-impl StallWatch {
+impl<'a> StallWatch<'a> {
     /// Watch with the runtime's thresholds (warn + optional abort).
     pub fn new(
         kind: StallKind,
         tree: u64,
         node: u64,
-        sink: Arc<dyn EventSink>,
+        sink: &'a dyn EventSink,
         thresholds: StallThresholds,
-    ) -> StallWatch {
+    ) -> StallWatch<'a> {
         StallWatch {
             kind,
             tree,
@@ -110,9 +111,9 @@ impl StallWatch {
         kind: StallKind,
         tree: u64,
         node: u64,
-        sink: Arc<dyn EventSink>,
+        sink: &'a dyn EventSink,
         thresholds: StallThresholds,
-    ) -> StallWatch {
+    ) -> StallWatch<'a> {
         StallWatch::new(kind, tree, node, sink, StallThresholds { abort: None, ..thresholds })
     }
 
@@ -145,6 +146,8 @@ impl StallWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use rtf_txbase::TmStats;
     use rtf_txengine::StatsSink;
 
@@ -157,7 +160,7 @@ mod tests {
     fn warns_once_past_threshold_then_rearms_doubled() {
         let (stats, sink) = sink();
         let th = StallThresholds { warn: Duration::from_millis(1), abort: None };
-        let mut w = StallWatch::new(StallKind::WaitTurn, 1, 2, sink, th);
+        let mut w = StallWatch::new(StallKind::WaitTurn, 1, 2, &*sink, th);
         assert_eq!(w.tick(), StallAction::Continue, "below threshold: no event");
         assert_eq!(stats.snapshot().stalls_detected, 0);
         std::thread::sleep(Duration::from_millis(3));
@@ -175,7 +178,7 @@ mod tests {
             warn: Duration::from_millis(1),
             abort: Some(Duration::from_millis(2)),
         };
-        let mut w = StallWatch::new(StallKind::Quiescence, 1, 2, sink, th);
+        let mut w = StallWatch::new(StallKind::Quiescence, 1, 2, &*sink, th);
         std::thread::sleep(Duration::from_millis(4));
         match w.tick() {
             StallAction::Abort { waited_ms } => assert!(waited_ms >= 2),
@@ -192,7 +195,7 @@ mod tests {
             warn: Duration::from_millis(1),
             abort: Some(Duration::from_millis(1)),
         };
-        let mut w = StallWatch::warn_only(StallKind::Quiescence, 1, 2, sink, th);
+        let mut w = StallWatch::warn_only(StallKind::Quiescence, 1, 2, &*sink, th);
         std::thread::sleep(Duration::from_millis(3));
         assert_eq!(w.tick(), StallAction::Continue);
     }

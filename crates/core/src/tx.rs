@@ -485,13 +485,14 @@ impl Tx {
             std::panic::panic_any(PoisonSignal);
         }
         tx_trace!(self.env.sink, "eval begin (node {:?})", self.current().node.id);
-        let pool = self.env.pool.clone();
-        let tree = Arc::clone(&self.tree);
+        // Borrow the pool, tree and sink: cloning them would write reference
+        // counts every thread shares, once per evaluation.
+        let (pool, tree) = (&self.env.pool, &*self.tree);
         let mut watch = StallWatch::new(
             StallKind::FutureWait,
-            self.tree.tree_id.0,
+            tree.tree_id.0,
             self.current().node.id.raw(),
-            Arc::clone(&self.env.sink),
+            self.env.sink.as_ref(),
             self.env.stall,
         );
         // Helping is fenced at the current node's serialization position:
@@ -706,7 +707,6 @@ fn commit_frame(
             return Err(CommitBlock::WouldBlock);
         }
         if blocking {
-            let pool = env.pool.clone();
             tx_trace!(
                 env.sink,
                 "waitTurn {:?} {:?} -> target {:?} nclock {} >= {}",
@@ -725,7 +725,7 @@ fn commit_frame(
                 StallKind::WaitTurn,
                 tree.tree_id.0,
                 node.id.raw(),
-                Arc::clone(&env.sink),
+                env.sink.as_ref(),
                 env.stall,
             );
             // Wait-graph edge: "this thread waits for `target`'s nClock to
@@ -750,7 +750,7 @@ fn commit_frame(
                             waited_ms,
                         });
                     }
-                    pool.help_one(Some(&bound))
+                    env.pool.help_one(Some(&bound))
                 },
                 || tree.is_poisoned(),
             );

@@ -85,20 +85,18 @@ impl CommitChain {
         CommitChain { tail: CachePadded::new(Atomic::new(sentinel)) }
     }
 
-    /// Backlog of enqueued-but-unwritten records (gauge). Bounded walk:
-    /// backlogs beyond 64 report as 64.
-    pub fn depth(&self) -> u64 {
+    /// Enqueued-but-unpublished commit records right now (the
+    /// `commit_lane_depth` gauge). Versions are dense and `clock` publishes
+    /// them in chain order, so the backlog is the tail's version minus the
+    /// clock: O(1), and exact however deep the chain is.
+    pub fn backlog(&self, clock: &GlobalClock) -> u64 {
+        let now = clock.now();
         let guard = epoch::pin();
-        let mut depth = 0u64;
-        let mut cur = self.tail.load(Ordering::Acquire, &guard);
-        while let Some(rec) = unsafe { cur.as_ref() } {
-            if rec.done.load(Ordering::Acquire) || depth >= 64 {
-                break;
-            }
-            depth += 1;
-            cur = rec.prev.load(Ordering::Acquire, &guard);
-        }
-        depth
+        let tail = self.tail.load(Ordering::Acquire, &guard);
+        // SAFETY: the tail is never null (the chain starts at a sentinel
+        // and the tail CAS only installs new records), and the guard keeps
+        // the record it points to from being reclaimed.
+        unsafe { tail.deref() }.version.saturating_sub(now)
     }
 
     /// Validates and commits a read-write top-level transaction.
@@ -463,16 +461,12 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut committed = 0;
                     while committed < per {
-                        // Register BEFORE taking the snapshot, fenced, like
-                        // the real begin path (`MvStm::begin_snapshot`):
-                        // registering first pins the GC watermark at or
-                        // below the snapshot we then take; snapshot-then-
-                        // register leaves a window where a concurrent
-                        // write-back trims the version this reader is about
-                        // to need.
-                        let _reg = reg.register(clock.now());
-                        fence(Ordering::SeqCst);
-                        let start = clock.now();
+                        // The real begin path: registering first pins the
+                        // GC watermark at or below the snapshot taken next;
+                        // snapshot-then-register leaves a window where a
+                        // concurrent write-back trims the version this
+                        // reader is about to need.
+                        let (_reg, start) = reg.begin(&clock);
                         let (val, token) = b.cell().read_at(start);
                         let cur = *downcast::<u64>(val);
                         let mut reads = ReadSet::new();
@@ -588,6 +582,37 @@ mod tests {
         let mut stale = ReadSet::new();
         stale.record(read_obs(&b, 0));
         assert!(chain.validate_ro(&stale, &NullSink).is_err());
-        assert_eq!(chain.depth(), 0, "the chain is fully written back");
+        assert_eq!(chain.backlog(&clock), 0, "the chain is fully written back");
+    }
+
+    #[test]
+    fn backlog_above_64_reads_as_its_exact_size() {
+        let (chain, clock, reg) = harness();
+        // Enqueue 100 records without writing them back, as 100 committers
+        // stalled between their enqueue CAS and their write-back would.
+        {
+            let guard = epoch::pin();
+            for _ in 0..100 {
+                let tail = chain.tail.load(Ordering::Acquire, &guard);
+                // SAFETY: as in `backlog`: a non-null tail, pinned.
+                let rec = Owned::new(Record {
+                    version: unsafe { tail.deref() }.version + 1,
+                    writes: Box::new([]),
+                    done: AtomicBool::new(false),
+                    prev: Atomic::null(),
+                });
+                rec.prev.store(tail, Ordering::Relaxed);
+                chain.tail.store(rec, Ordering::Release);
+            }
+        }
+        assert_eq!(chain.backlog(&clock), 100);
+        // The next committer helps the whole backlog through.
+        let b = VBox::new(0u64);
+        let v = chain
+            .try_commit(&ReadSet::new(), vec![write_of(&b, 1)], &clock, &reg, &NullSink)
+            .unwrap();
+        assert_eq!(v, 101);
+        assert_eq!(clock.now(), 101);
+        assert_eq!(chain.backlog(&clock), 0);
     }
 }

@@ -65,9 +65,9 @@
 //! exceed the snapshot. Both sides therefore put a `fence(SeqCst)` between
 //! the store and the load:
 //!
-//! * begin (`MvStm::begin_snapshot`, which both `TopTxn::new` and
-//!   `Rtf::run_attempts` call): `register(clock.now())`, `fence(SeqCst)`,
-//!   then `start = clock.now()`;
+//! * begin ([`ActiveTxnRegistry::begin`], which `Rtf::run_attempts` calls
+//!   for every top-level attempt): `register(clock.now())`,
+//!   `fence(SeqCst)`, then `start = clock.now()`;
 //! * write-back (`CommitChain::write_back_through`): `now = clock.now()`,
 //!   `fence(SeqCst)`, then `watermark = min_active(now).min(now)`.
 //!
@@ -83,7 +83,7 @@
 //! snapshot still needs.
 
 use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::ids::Version;
 use crate::stats::thread_stripe;
@@ -220,8 +220,8 @@ impl ActiveTxnRegistry {
     ///
     /// Placement is thread-affine: the calling thread's own shard (by its
     /// [`thread_stripe`]) first, then the following shards if it is full.
-    /// Callers pair this with a `fence(SeqCst)` before loading their
-    /// snapshot (see the module docs).
+    /// A transaction that snapshots the clock goes through
+    /// [`ActiveTxnRegistry::begin`], which adds the required fence.
     pub fn register(&self, version: Version) -> Registration<'_> {
         debug_assert_ne!(version, FREE);
         let start = thread_stripe();
@@ -236,6 +236,23 @@ impl ActiveTxnRegistry {
             }
             std::hint::spin_loop();
         }
+    }
+
+    /// Registers a beginning top-level transaction and takes its snapshot
+    /// from `clock`; the registration lasts until the guard drops.
+    ///
+    /// It registers *before* taking the snapshot: the GC watermark must
+    /// cover the version the transaction will read. Registering a (possibly
+    /// slightly older) clock value first guarantees watermark <= start, so
+    /// every version in (watermark, start] plus the newest one at or below
+    /// the watermark — everything a reader at `start` can need — is
+    /// retained. The `SeqCst` fence orders the registration before the
+    /// snapshot load (see the module docs on the fence pairing).
+    #[inline]
+    pub fn begin(&self, clock: &GlobalClock) -> (Registration<'_>, Version) {
+        let reg = self.register(clock.now());
+        fence(Ordering::SeqCst);
+        (reg, clock.now())
     }
 
     /// Minimum start version among live transactions, or `fallback` when no

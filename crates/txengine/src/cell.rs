@@ -799,7 +799,7 @@ mod tests {
         // committed at the newest version <= s (values mirror versions).
         // Readers register before loading their snapshot and the writer
         // trims at the registry's watermark, both fenced, like the real
-        // begin and write-back paths (`MvStm::begin_snapshot`,
+        // begin and write-back paths (`ActiveTxnRegistry::begin`,
         // `CommitChain`).
         use rtf_txbase::ActiveTxnRegistry;
         use std::sync::atomic::AtomicU64;

@@ -1,15 +1,16 @@
 //! The unified transactional access engine of the `rtf` stack.
 //!
-//! Both transaction shapes in this workspace — flat top-level transactions
-//! (the `rtf-mvstm` substrate) and the sub-transaction trees of
-//! transactional futures (the `rtf` core) — run the same generic pipeline:
+//! The `rtf` core runs two kinds of access through the same generic
+//! pipeline: the top level of a transaction (snapshot reads, and the
+//! commit-time validation of the helping commit chain in `rtf-mvstm`) and
+//! the sub-transaction trees of transactional futures:
 //!
 //! * versioned storage — [`VBox`]/[`VBoxCell`] with a permanent version list
 //!   and a tentative list ([`cell`]);
 //! * typed access sets — [`ReadSet`]/[`ReadLog`]/[`WriteSet`] ([`readset`]);
 //! * one read-resolution walk and one validation loop, parameterized by a
 //!   [`Visibility`] policy ([`access`]);
-//! * retry pacing for optimistic re-execution ([`retry`]);
+//! * retry pacing for the top-level re-execution loop ([`retry`]);
 //! * instrumentation through an [`EventSink`] ([`events`]).
 //!
 //! The client crates contribute only their *policies* (which tentative
@@ -40,7 +41,5 @@ pub use events::{
     StallKind, StatsSink, TeeSink, TraceSink, WaitSiteGuard,
 };
 pub use readset::{ReadLog, ReadRecord, ReadSet, Source, WriteEntry, WriteSet};
-pub use retry::{
-    retry_backoff, ExpBackoff, RetryBudget, RetryDriver, RetryExhausted, RetryPolicy, SeededBackoff,
-};
+pub use retry::{Backoff, RetryBudget, RetryDriver, RetryExhausted, SeededBackoff};
 pub use value::{downcast, erase, TxData, Val};

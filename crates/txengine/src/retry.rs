@@ -1,62 +1,66 @@
-//! Retry pacing shared by every optimistic re-execution driver.
+//! Retry pacing of the top-level re-execution loop.
 //!
-//! Top-level transactions (`MvStm::atomic`, `Rtf::atomic`) and the partial
-//! re-execution of aborted sub-transactions all follow the same loop shape:
-//! run, fail, back off, run again. The [`RetryPolicy`] trait isolates the
-//! pacing decision; [`ExpBackoff`] is the production ladder (brief spin,
-//! then yields, then escalating sleeps) tuned for commit-time conflicts that
-//! resolve within microseconds but must not melt the scheduler when they
-//! don't.
+//! `Rtf::run_attempts` follows the loop shape run, fail, back off, run
+//! again. A [`RetryDriver`] counts the failed attempts, enforces the
+//! [`RetryBudget`] and pauses between attempts with one of two [`Backoff`]
+//! arms: the default ladder (brief spin, then yields, then escalating
+//! sleeps), tuned for commit-time conflicts that resolve within
+//! microseconds but must not melt the scheduler when they don't, or the
+//! serving side's [`SeededBackoff`].
 
 use std::time::{Duration, Instant};
 
-/// Decides how long attempt number `attempt` (1-based: the first *retry* is
-/// attempt 1) should pause before re-executing. Returns the nanoseconds the
-/// policy *slept* (scheduler-visible pauses only — spins and yields report
-/// 0), so drivers can account backoff time without re-reading the clock.
-pub trait RetryPolicy {
-    /// Blocks the calling thread appropriately for `attempt`; returns slept
-    /// nanoseconds.
-    fn pause(&self, attempt: u32) -> u64;
+/// How a [`RetryDriver`] pauses before attempt number `attempt` (1-based:
+/// the first *retry* is attempt 1).
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Backoff {
+    /// The default ladder: spin briefly, then yield, then sleep in
+    /// escalating (capped) slices.
+    #[default]
+    Ladder,
+    /// Capped exponential sleeps with deterministic jitter.
+    Seeded(SeededBackoff),
 }
 
-/// The production backoff ladder: spin briefly, then yield, then sleep in
-/// escalating (capped) slices.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExpBackoff;
-
-impl RetryPolicy for ExpBackoff {
+impl Backoff {
+    /// Blocks the calling thread appropriately for `attempt`. Returns the
+    /// nanoseconds slept (scheduler-visible pauses only — spins and yields
+    /// report 0), so the driver's caller can account backoff time without
+    /// re-reading the clock.
     fn pause(&self, attempt: u32) -> u64 {
-        match attempt {
-            0 => 0,
-            1..=3 => {
-                for _ in 0..(1u32 << attempt) {
-                    std::hint::spin_loop();
+        match self {
+            Backoff::Ladder => match attempt {
+                0 => 0,
+                1..=3 => {
+                    for _ in 0..(1u32 << attempt) {
+                        std::hint::spin_loop();
+                    }
+                    0
                 }
-                0
-            }
-            4..=6 => {
-                std::thread::yield_now();
-                0
-            }
-            n => {
-                let us = ((n - 6) as u64 * 50).min(2_000);
-                std::thread::sleep(Duration::from_micros(us));
-                us * 1_000
+                4..=6 => {
+                    std::thread::yield_now();
+                    0
+                }
+                n => {
+                    let us = ((n - 6) as u64 * 50).min(2_000);
+                    std::thread::sleep(Duration::from_micros(us));
+                    us * 1_000
+                }
+            },
+            Backoff::Seeded(p) => {
+                let pause = p.pause_for(attempt);
+                if pause.is_zero() {
+                    return 0;
+                }
+                std::thread::sleep(pause);
+                pause.as_nanos().min(u128::from(u64::MAX)) as u64
             }
         }
     }
 }
 
-/// Backs off for retry attempt `attempt` using the production ladder —
-/// compatibility shim for callers that manage their own attempt counter.
-#[inline]
-pub fn retry_backoff(attempt: u32) {
-    ExpBackoff.pause(attempt);
-}
-
 /// Capped exponential backoff with deterministic, seed-derived jitter —
-/// the serving-side policy. Where [`ExpBackoff`] optimizes for
+/// the serving-side policy. Where [`Backoff::Ladder`] optimizes for
 /// microsecond-scale commit conflicts (spin first), this one optimizes for
 /// sustained contention under load: every retry sleeps, the window doubles
 /// per attempt up to `cap`, and the actual pause is drawn uniformly from
@@ -88,8 +92,8 @@ impl SeededBackoff {
             .min(cap)
     }
 
-    /// The deterministic pause for `attempt` (what [`RetryPolicy::pause`]
-    /// will sleep), exposed so callers can pre-check deadlines.
+    /// The deterministic pause for `attempt` (what [`Backoff::Seeded`]
+    /// sleeps), exposed so callers can pre-check deadlines.
     pub fn pause_for(&self, attempt: u32) -> Duration {
         if attempt == 0 {
             return Duration::ZERO;
@@ -106,17 +110,6 @@ impl SeededBackoff {
         );
         let half = window / 2;
         Duration::from_nanos(half + draw % half.max(1))
-    }
-}
-
-impl RetryPolicy for SeededBackoff {
-    fn pause(&self, attempt: u32) -> u64 {
-        let pause = self.pause_for(attempt);
-        if pause.is_zero() {
-            return 0;
-        }
-        std::thread::sleep(pause);
-        pause.as_nanos().min(u128::from(u64::MAX)) as u64
     }
 }
 
@@ -166,33 +159,19 @@ impl RetryExhausted {
     }
 }
 
-/// Counts attempts and applies a [`RetryPolicy`] between them: the single
-/// retry-with-backoff driver for both the top-level `atomic` loop and the
-/// tree re-execution driver.
+/// Counts failed attempts, enforces a [`RetryBudget`] and pauses with a
+/// [`Backoff`] between attempts: the retry driver of the top-level loop.
 #[derive(Debug, Default)]
-pub struct RetryDriver<P: RetryPolicy = ExpBackoff> {
+pub struct RetryDriver {
     attempt: u32,
-    policy: P,
+    backoff: Backoff,
     budget: RetryBudget,
 }
 
-impl RetryDriver<ExpBackoff> {
-    /// A driver with the production backoff ladder.
-    pub fn new() -> RetryDriver<ExpBackoff> {
-        RetryDriver::with_policy(ExpBackoff)
-    }
-}
-
-impl<P: RetryPolicy> RetryDriver<P> {
-    /// A driver pacing retries with `policy`.
-    pub fn with_policy(policy: P) -> RetryDriver<P> {
-        RetryDriver { attempt: 0, policy, budget: RetryBudget::UNLIMITED }
-    }
-
-    /// Installs an attempt/deadline budget (builder style).
-    pub fn with_budget(mut self, budget: RetryBudget) -> RetryDriver<P> {
-        self.budget = budget;
-        self
+impl RetryDriver {
+    /// A driver pacing retries with `backoff` within `budget`.
+    pub fn new(backoff: Backoff, budget: RetryBudget) -> RetryDriver {
+        RetryDriver { attempt: 0, backoff, budget }
     }
 
     /// Number of failed attempts so far.
@@ -204,7 +183,7 @@ impl<P: RetryPolicy> RetryDriver<P> {
     /// (unbounded: ignores the budget). Returns slept nanoseconds.
     pub fn backoff(&mut self) -> u64 {
         self.attempt += 1;
-        self.policy.pause(self.attempt)
+        self.backoff.pause(self.attempt)
     }
 
     /// Registers a failed attempt; pauses and returns the slept nanoseconds
@@ -222,18 +201,17 @@ impl<P: RetryPolicy> RetryDriver<P> {
                 return Err(RetryExhausted::Deadline { attempts: self.attempt });
             }
         }
-        Ok(self.policy.pause(self.attempt))
+        Ok(self.backoff.pause(self.attempt))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn driver_counts_attempts() {
-        let mut d = RetryDriver::new();
+        let mut d = RetryDriver::default();
         assert_eq!(d.attempt(), 0);
         d.backoff();
         d.backoff();
@@ -242,25 +220,20 @@ mod tests {
 
     #[test]
     fn driver_consults_policy_with_one_based_attempts() {
-        struct Recording(AtomicU32);
-        impl RetryPolicy for &Recording {
-            fn pause(&self, attempt: u32) -> u64 {
-                self.0.store(attempt, Ordering::Relaxed);
-                0
-            }
-        }
-        let rec = Recording(AtomicU32::new(0));
-        let mut d = RetryDriver::with_policy(&rec);
-        d.backoff();
-        assert_eq!(rec.0.load(Ordering::Relaxed), 1);
-        d.backoff();
-        assert_eq!(rec.0.load(Ordering::Relaxed), 2);
+        // The seeded windows of attempts 1 and 2 are disjoint, so each
+        // slept duration names the attempt number the driver passed.
+        let p = SeededBackoff::new(Duration::from_micros(10), Duration::from_millis(1), 3);
+        let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::UNLIMITED);
+        assert_eq!(d.backoff(), p.pause_for(1).as_nanos() as u64);
+        assert_eq!(d.backoff(), p.pause_for(2).as_nanos() as u64);
     }
 
     #[test]
     fn attempt_budget_exhausts() {
-        let mut d =
-            RetryDriver::new().with_budget(RetryBudget { max_attempts: Some(3), deadline: None });
+        let mut d = RetryDriver::new(
+            Backoff::Ladder,
+            RetryBudget { max_attempts: Some(3), deadline: None },
+        );
         assert!(d.try_backoff().is_ok());
         assert!(d.try_backoff().is_ok());
         assert_eq!(d.try_backoff(), Err(RetryExhausted::Attempts { attempts: 3 }));
@@ -268,10 +241,13 @@ mod tests {
 
     #[test]
     fn deadline_budget_exhausts() {
-        let mut d = RetryDriver::new().with_budget(RetryBudget {
-            max_attempts: None,
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-        });
+        let mut d = RetryDriver::new(
+            Backoff::Ladder,
+            RetryBudget {
+                max_attempts: None,
+                deadline: Some(Instant::now() - Duration::from_millis(1)),
+            },
+        );
         match d.try_backoff() {
             Err(RetryExhausted::Deadline { attempts: 1 }) => {}
             other => panic!("expected deadline exhaustion, got {other:?}"),
@@ -281,7 +257,7 @@ mod tests {
     #[test]
     fn unlimited_budget_never_exhausts() {
         assert!(RetryBudget::UNLIMITED.is_unlimited());
-        let mut d = RetryDriver::new();
+        let mut d = RetryDriver::default();
         for _ in 0..8 {
             assert!(d.try_backoff().is_ok());
         }
@@ -291,7 +267,7 @@ mod tests {
     fn backoff_levels_terminate() {
         // Spin, yield and sleep levels all return promptly.
         for attempt in 0..=8 {
-            retry_backoff(attempt);
+            Backoff::Ladder.pause(attempt);
         }
     }
 
@@ -325,7 +301,7 @@ mod tests {
     #[test]
     fn seeded_backoff_reports_slept_ns() {
         let p = SeededBackoff::new(Duration::from_micros(10), Duration::from_micros(20), 1);
-        let mut d = RetryDriver::with_policy(p);
+        let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::UNLIMITED);
         let slept = d.backoff();
         assert_eq!(slept, p.pause_for(1).as_nanos() as u64);
         assert!(slept > 0);

@@ -15,8 +15,7 @@
 //!   window, no unbounded queue per connection.
 //! * `workers` **executor** threads popping admitted jobs from one FIFO
 //!   queue and running each as a top-level transaction on the executor
-//!   thread itself ([`rtf::Rtf::run_with_budget`] /
-//!   [`rtf::Rtf::run_ticketed_with_budget`]); a thread blocked inside one
+//!   thread itself ([`rtf::Rtf::run_with`]); a thread blocked inside one
 //!   helps the runtime's pool rather than sleeping, so a zero-worker
 //!   runtime still serves. A panic escaping a request is contained at the
 //!   executor and answered [`Status::ErrPanicked`]. Ordered tickets are

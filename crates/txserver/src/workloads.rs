@@ -7,10 +7,10 @@
 //! * the STAMP Vacation [`Manager`] (reservations and bills);
 //! * the TPC-C [`TpccDb`] (Payment and StockLevel over the public tables).
 //!
-//! All bodies run on the calling thread through [`Rtf::run_with_budget`] /
-//! [`Rtf::run_ticketed_with_budget`] — *never* the panicking `atomic`
-//! wrappers — so every failure mode the runtime can produce arrives as a
-//! typed [`TxError`] the protocol layer maps to a wire status. The stock crate executors (`TpccExecutor`,
+//! All bodies run on the calling thread through [`Rtf::run_with`] — *never*
+//! the panicking `atomic` wrappers — so every failure mode the runtime can
+//! produce arrives as a typed [`TxError`] the protocol layer maps to a wire
+//! status. The stock crate executors (`TpccExecutor`,
 //! Vacation `Client`) use `atomic` internally and are therefore bypassed:
 //! the bodies here are written against the tx-level table APIs directly.
 
@@ -167,19 +167,21 @@ pub fn execute(
     let kv = &state.kv;
     match op {
         Op::Ping => Ok(Vec::new()),
-        Op::KvGet { key } => run(tm, budget, ticket, |tx| match kv.get(tx, &key) {
+        Op::KvGet { key } => tm.run_with(budget, ticket, |tx| match kv.get(tx, &key) {
             Some(v) => encode_flag_u64(1, v),
             None => encode_flag_u64(0, 0),
         }),
-        Op::KvPut { key, value } => run(tm, budget, ticket, |tx| match kv.insert(tx, key, value) {
+        Op::KvPut { key, value } => {
+            tm.run_with(budget, ticket, |tx| match kv.insert(tx, key, value) {
+                Some(old) => encode_flag_u64(1, old),
+                None => encode_flag_u64(0, 0),
+            })
+        }
+        Op::KvDel { key } => tm.run_with(budget, ticket, |tx| match kv.remove(tx, &key) {
             Some(old) => encode_flag_u64(1, old),
             None => encode_flag_u64(0, 0),
         }),
-        Op::KvDel { key } => run(tm, budget, ticket, |tx| match kv.remove(tx, &key) {
-            Some(old) => encode_flag_u64(1, old),
-            None => encode_flag_u64(0, 0),
-        }),
-        Op::KvCas { key, expect, new } => run(tm, budget, ticket, |tx| {
+        Op::KvCas { key, expect, new } => tm.run_with(budget, ticket, |tx| {
             let cur = kv.get(tx, &key);
             if cur == Some(expect) {
                 kv.insert(tx, key, new);
@@ -188,16 +190,16 @@ pub fn execute(
                 encode_flag_u64(0, cur.unwrap_or(0))
             }
         }),
-        Op::KvIncr { key, delta } => run(tm, budget, ticket, |tx| {
+        Op::KvIncr { key, delta } => tm.run_with(budget, ticket, |tx| {
             let next = kv.get(tx, &key).unwrap_or(0).wrapping_add(delta);
             kv.insert(tx, key, next);
             next.to_le_bytes().to_vec()
         }),
-        Op::VacReserve { customer, kind, resource } => run(tm, budget, ticket, |tx| {
+        Op::VacReserve { customer, kind, resource } => tm.run_with(budget, ticket, |tx| {
             vec![state.vacation.reserve(tx, customer, kind, resource) as u8]
         }),
         Op::VacBill { customer } => {
-            run(tm, budget, ticket, |tx| match state.vacation.query_bill(tx, customer) {
+            tm.run_with(budget, ticket, |tx| match state.vacation.query_bill(tx, customer) {
                 Some(bill) => {
                     let mut out = vec![1u8];
                     out.extend_from_slice(&bill.to_le_bytes());
@@ -206,24 +208,12 @@ pub fn execute(
                 None => vec![0u8, 0, 0, 0, 0],
             })
         }
-        Op::TpccPayment { w, d, c, amount } => run(tm, budget, ticket, |tx| {
+        Op::TpccPayment { w, d, c, amount } => tm.run_with(budget, ticket, |tx| {
             payment_body(tx, &state.tpcc, w, d, c, amount).to_le_bytes().to_vec()
         }),
-        Op::TpccStockLevel { w, d, threshold } => run(tm, budget, ticket, |tx| {
+        Op::TpccStockLevel { w, d, threshold } => tm.run_with(budget, ticket, |tx| {
             stock_level_body(tx, &state.tpcc, w, d, threshold).to_le_bytes().to_vec()
         }),
-    }
-}
-
-fn run(
-    tm: &Rtf,
-    budget: RunBudget,
-    ticket: Option<rtf::OrderedTicket>,
-    body: impl Fn(&mut Tx) -> Vec<u8>,
-) -> Result<Vec<u8>, TxError> {
-    match ticket {
-        Some(t) => tm.run_ticketed_with_budget(budget, t, body),
-        None => tm.run_with_budget(budget, body),
     }
 }
 

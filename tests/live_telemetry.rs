@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rtf::{LiveConfig, MetricsSnapshot, ObsConfig, Rtf, TxObs, VBox};
+use rtf::{LiveConfig, MetricsSnapshot, ObsConfig, Rtf, RunBudget, TxObs, VBox};
 use rtf_txobs::{Json, StallKind, STREAM_SCHEMA};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -235,7 +235,7 @@ fn seeded_ordered_stall_shows_live_ticket_wait_edge() {
         let b = b.clone();
         let ticket = tm.ticket();
         std::thread::spawn(move || {
-            tm.run_ticketed(ticket, move |tx| {
+            tm.run_with(RunBudget::default(), Some(ticket), move |tx| {
                 let v = *tx.read(&b);
                 tx.write(&b, v + 1);
             })

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtf::{Rtf, Tx, VBox};
+use rtf::{Rtf, RunBudget, Tx, VBox};
 use std::sync::Arc;
 
 const BOXES: usize = 6;
@@ -200,7 +200,9 @@ fn ordered_batch_case(seed: u64) {
                             let prog = progs[k].clone();
                             let boxes = Arc::clone(&boxes);
                             let acc = tm
-                                .run_ticketed(ticket, move |tx| run_tm(tx, &prog, &boxes, 7))
+                                .run_with(RunBudget::default(), Some(ticket), move |tx| {
+                                    run_tm(tx, &prog, &boxes, 7)
+                                })
                                 .expect("ticketed program failed");
                             accs.lock().unwrap()[k] = acc;
                         }

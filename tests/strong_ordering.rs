@@ -3,7 +3,7 @@
 //! the sequential program in which each future body runs synchronously at
 //! its submission point.
 
-use rtf::{Rtf, VBox};
+use rtf::{Rtf, RunBudget, VBox};
 use std::sync::{Arc, Condvar, Mutex};
 
 fn tm() -> Rtf {
@@ -213,7 +213,7 @@ fn ordered_lane_composes_with_intra_tree_strong_ordering() {
             std::thread::spawn(move || {
                 for (i, ticket) in slice {
                     let trace = trace.clone();
-                    tm.run_ticketed(ticket, move |tx| {
+                    tm.run_with(RunBudget::default(), Some(ticket), move |tx| {
                         // Transaction i writes [10i, 10i+1, 10i+2]: root,
                         // then its future, then its continuation.
                         push(tx, &trace, 10 * i);
