@@ -1,11 +1,12 @@
-//! Golden-file tests for the exporters: the JSON metrics snapshot and the
-//! Chrome trace document must stay byte-stable for a fixed input. Regenerate
+//! Golden-file tests for the exporters: the JSON metrics snapshot, the text
+//! report, the Prometheus exposition and the Chrome trace document must stay
+//! byte-stable for a fixed input. Regenerate
 //! with `RTF_BLESS_GOLDEN=1 cargo test -p rtf-txobs --test golden` after an
 //! intentional format change, and review the diff.
 
 use rtf_txobs::{
-    chrome_trace, ConflictTable, HistSnapshot, Json, MetricsSnapshot, SpanKind, SpanObs, SpanRec,
-    WaitEdge,
+    chrome_trace, render_prometheus, ConflictTable, HistSnapshot, Json, MetricsSnapshot, SpanKind,
+    SpanObs, SpanRec, WaitEdge,
 };
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -129,4 +130,9 @@ fn chrome_trace_matches_golden() {
 #[test]
 fn text_report_matches_golden() {
     check("report.txt", &fixed_snapshot().text_report());
+}
+
+#[test]
+fn prometheus_matches_golden() {
+    check("prometheus.txt", &render_prometheus(&fixed_snapshot()));
 }
