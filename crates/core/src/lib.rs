@@ -52,8 +52,8 @@
 //! * [`TxFuture`] — the future handle; sendable anywhere, evaluatable even
 //!   from other top-level transactions (paper Fig 2).
 //! * Substrates: `rtf-txengine` (versioned cells, the shared
-//!   read-resolution / token-validation pipeline, the [`EventSink`]
-//!   instrumentation seam), `rtf-mvstm` (top-level snapshot policy and
+//!   read-resolution / token-validation pipeline, the [`Telemetry`]
+//!   every event reports to), `rtf-mvstm` (top-level snapshot policy and
 //!   lock-free helping commit) and `rtf-taskpool` (helping work pool).
 //!
 //! The concurrency control implements the paper's machinery: per-box
@@ -71,7 +71,7 @@
 //! continuations; mutex-guarded tentative lists with unchanged ordering
 //! semantics).
 //!
-//! [`EventSink`]: rtf_txengine::EventSink
+//! [`Telemetry`]: rtf_txengine::Telemetry
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -100,7 +100,7 @@ pub use tx::Tx;
 
 // Re-export the data layer so `rtf` alone suffices for applications.
 pub use rtf_txbase::{StatSnapshot, Ticket};
-pub use rtf_txengine::{Event, EventSink, TxData, VBox};
+pub use rtf_txengine::{Counter, Event, EventSink, Telemetry, TxData, VBox};
 
 // Observability layer (attach via [`RtfBuilder::observer`] or the
 // `RTF_METRICS` / `RTF_METRICS_TEXT` / `RTF_CHROME_TRACE` env vars).
@@ -718,7 +718,7 @@ mod tests {
     }
 
     /// Ordered mode: concurrent clients' commits land in strict ticket
-    /// order, observable through a custom event sink capturing the
+    /// order, observable through a custom observer capturing the
     /// `TicketCommit` stream.
     #[test]
     fn ordered_mode_commit_log_is_strictly_ascending() {

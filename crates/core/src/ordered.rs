@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use rtf_taskpool::OrderTag;
 use rtf_txbase::{Ticket, TicketDispenser, TicketLane};
-use rtf_txengine::{Event, EventSink};
+use rtf_txengine::{Counter, Event, Telemetry};
 
 /// High bit marking an [`OrderTag`] realm as a ticket lane rather than a
 /// transaction tree (tree ids are sequential and never reach this range).
@@ -41,20 +41,20 @@ pub(crate) fn lane_order_tag(t: Ticket) -> OrderTag {
 /// submission order (and passed to [`crate::Rtf::run_with`]).
 pub struct OrderedTicket {
     dispenser: Arc<TicketDispenser>,
-    sink: Arc<dyn EventSink>,
+    telemetry: Arc<Telemetry>,
     ticket: Ticket,
     done: bool,
 }
 
 impl OrderedTicket {
-    /// Draws the next ticket and reports [`Event::TicketIssued`].
+    /// Draws the next ticket and counts it as `tickets_issued`.
     pub(crate) fn acquire(
         dispenser: Arc<TicketDispenser>,
-        sink: Arc<dyn EventSink>,
+        telemetry: Arc<Telemetry>,
     ) -> OrderedTicket {
         let ticket = dispenser.acquire();
-        sink.event(Event::TicketIssued);
-        OrderedTicket { dispenser, sink, ticket, done: false }
+        telemetry.count(Counter::TicketsIssued, 1);
+        OrderedTicket { dispenser, telemetry, ticket, done: false }
     }
 
     /// The held `(lane, seq)` position.
@@ -72,7 +72,11 @@ impl OrderedTicket {
     /// holding the turn* — so log entries of one lane are strictly
     /// ascending — then passes the turn to the successor.
     pub(crate) fn complete(mut self, tree: u64) {
-        self.sink.event(Event::TicketCommit { lane: self.ticket.lane, seq: self.ticket.seq, tree });
+        self.telemetry.event(Event::TicketCommit {
+            lane: self.ticket.lane,
+            seq: self.ticket.seq,
+            tree,
+        });
         self.done = true;
         self.dispenser.lane(self.ticket.lane).retire(self.ticket.seq);
     }
@@ -83,7 +87,7 @@ impl Drop for OrderedTicket {
         if !self.done {
             // Abandoned before commit (abort path or unwind): record the
             // hole and let the lane skip it.
-            self.sink
+            self.telemetry
                 .event(Event::TicketAbandoned { lane: self.ticket.lane, seq: self.ticket.seq });
             self.dispenser.lane(self.ticket.lane).retire(self.ticket.seq);
         }
@@ -100,18 +104,16 @@ impl std::fmt::Debug for OrderedTicket {
 mod tests {
     use super::*;
     use rtf_txbase::TmStats;
-    use rtf_txengine::StatsSink;
 
-    fn fixture() -> (Arc<TicketDispenser>, Arc<TmStats>, Arc<dyn EventSink>) {
-        let stats = Arc::new(TmStats::default());
-        let sink: Arc<dyn EventSink> = Arc::new(StatsSink::new(Arc::clone(&stats)));
-        (Arc::new(TicketDispenser::new(1)), stats, sink)
+    fn fixture() -> (Arc<TicketDispenser>, Arc<TmStats>, Arc<Telemetry>) {
+        let tel = Arc::new(Telemetry::default());
+        (Arc::new(TicketDispenser::new(1)), Arc::clone(tel.stats()), tel)
     }
 
     #[test]
     fn complete_emits_commit_and_advances_lane() {
-        let (d, stats, sink) = fixture();
-        let t = OrderedTicket::acquire(Arc::clone(&d), Arc::clone(&sink));
+        let (d, stats, tel) = fixture();
+        let t = OrderedTicket::acquire(Arc::clone(&d), Arc::clone(&tel));
         assert_eq!((t.ticket().lane, t.ticket().seq), (0, 0));
         t.complete(42);
         let s = stats.snapshot();
@@ -123,9 +125,9 @@ mod tests {
 
     #[test]
     fn drop_abandons_and_unblocks_successor() {
-        let (d, stats, sink) = fixture();
-        let first = OrderedTicket::acquire(Arc::clone(&d), Arc::clone(&sink));
-        let second = OrderedTicket::acquire(Arc::clone(&d), Arc::clone(&sink));
+        let (d, stats, tel) = fixture();
+        let first = OrderedTicket::acquire(Arc::clone(&d), Arc::clone(&tel));
+        let second = OrderedTicket::acquire(Arc::clone(&d), Arc::clone(&tel));
         drop(first);
         assert_eq!(d.lane(0).turn(), 1, "abandonment must pass the turn");
         second.complete(7);

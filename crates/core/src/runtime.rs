@@ -36,9 +36,9 @@ use rtf_txbase::{
     TmStats, STRIPES,
 };
 use rtf_txengine::{
-    obs_now_ns, Backoff, Event, EventSink, ReadRecord, ReadSet, RetryBudget, RetryDriver,
-    SeededBackoff, Source, SpanKind, SpanRec, StallKind, StatsSink, TeeSink, TraceSink,
-    WaitSiteGuard, WriteEntry, WriteSet,
+    obs_now_ns, Backoff, Counter, Event, EventSink, ReadRecord, ReadSet, RetryBudget, RetryDriver,
+    SeededBackoff, Source, SpanKind, SpanRec, StallKind, Telemetry, WaitSiteGuard, WriteEntry,
+    WriteSet,
 };
 use rtf_txobs::{LiveConfig, LiveExporter, ObsConfig, TxObs};
 
@@ -156,9 +156,8 @@ pub struct RtfConfig {
     /// global total order). `None` (the default) is the ordinary
     /// first-validated-first-committed race.
     pub ordered: Option<usize>,
-    /// Additional event sinks composed into the runtime's sink tee (e.g. a
-    /// commit-order recorder). Independent of `observer` and the env-driven
-    /// sinks.
+    /// Additional observers of the runtime's events (e.g. a commit-order
+    /// recorder). Independent of `observer` and the env-driven observer.
     pub extra_sinks: Vec<Arc<dyn EventSink>>,
     /// Live telemetry: `Some` runs a background sampler streaming snapshots
     /// of this runtime's observer for the lifetime of the runtime (stopped —
@@ -290,8 +289,8 @@ impl RtfBuilder {
         self
     }
 
-    /// Composes an additional [`EventSink`] into the runtime's event
-    /// stream (e.g. `rtf_txobs::CommitLog` for commit-order recording).
+    /// Attaches an additional [`EventSink`] observer to the runtime's
+    /// events (e.g. `rtf_txobs::CommitLog` for commit-order recording).
     pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
         self.config.extra_sinks.push(sink);
         self
@@ -349,8 +348,6 @@ struct RtfInner {
     /// The helping commit chain every read-write root commits through.
     /// Shared with the `commit_lane_depth` gauge.
     chain: Arc<CommitChain>,
-    /// Event counters, fed by the [`StatsSink`] at the head of the sink tee.
-    stats: Arc<TmStats>,
     /// One replica of the transaction environment per thread stripe
     /// ([`rtf_txbase::thread_stripe`]): a root `Tx` clones its thread's
     /// replica, so the reference count an attempt bumps is one no other
@@ -409,18 +406,14 @@ impl Rtf {
     /// Runtime with an explicit configuration.
     pub fn with_config(config: RtfConfig) -> Rtf {
         install_quiet_poison_hook();
-        // One sink for the whole runtime: statistics always, plus the
-        // stderr trace stream when `RTF_TRACE` requests it, plus any
-        // observability layer (explicit via the builder, or env-driven via
-        // `RTF_METRICS` / `RTF_METRICS_TEXT` / `RTF_CHROME_TRACE`), plus the
-        // configured extra sinks. The top-level and sub-transaction paths
-        // and the pool all report into it.
-        let stats = Arc::new(TmStats::default());
-        let mut sinks: Vec<Arc<dyn EventSink>> = vec![Arc::new(StatsSink::new(Arc::clone(&stats)))];
+        // One telemetry for the whole runtime: statistics always, the
+        // stderr trace stream when `RTF_TRACE` requests it, and as
+        // observers any observability layer (explicit via the builder, or
+        // env-driven via `RTF_METRICS` / `RTF_METRICS_TEXT` /
+        // `RTF_CHROME_TRACE`) plus the configured extra sinks. The
+        // top-level and sub-transaction paths and the pool all report
+        // into it.
         let mut observers: Vec<Arc<TxObs>> = Vec::new();
-        if TraceSink::env_enabled() {
-            sinks.push(Arc::new(TraceSink::from_env()));
-        }
         if let Some(obs) = TxObs::global_from_env() {
             observers.push(obs);
         }
@@ -434,21 +427,22 @@ impl Rtf {
             // Live metrics need something to sample.
             observers.push(TxObs::new(ObsConfig::default()));
         }
-        sinks.extend(observers.iter().map(TxObs::sink));
-        sinks.extend(config.extra_sinks.iter().cloned());
-        let sink: Arc<dyn EventSink> = match sinks.len() {
-            1 => sinks.remove(0),
-            _ => Arc::new(TeeSink::new(sinks)),
-        };
+        let sinks = observers.iter().map(TxObs::sink).chain(config.extra_sinks.iter().cloned());
+        let telemetry =
+            Arc::new(Telemetry::new(Arc::default(), sinks.collect(), Telemetry::trace_from_env()));
         let clock = Arc::new(GlobalClock::new());
         let chain = Arc::new(CommitChain::new());
-        let pool_runner = Pool::start_with_sink(config.workers, Arc::clone(&sink));
+        let pool_runner = Pool::start_with_telemetry(config.workers, Arc::clone(&telemetry));
         let stall = StallThresholds::resolve(config.stall_warn, config.stall_abort);
         let dispenser = config.ordered.map(|shards| Arc::new(TicketDispenser::new(shards)));
         let envs: Box<[Arc<TxEnv>]> = (0..STRIPES)
             .map(|_| {
-                let sink = Arc::clone(&sink);
-                Arc::new(TxEnv { pool: pool_runner.pool(), sink, ro_opt: config.ro_opt, stall })
+                Arc::new(TxEnv {
+                    pool: pool_runner.pool(),
+                    telemetry: Arc::clone(&telemetry),
+                    ro_opt: config.ro_opt,
+                    stall,
+                })
             })
             .collect();
         // Structural depth gauges, sampled into every snapshot. The gauge
@@ -486,7 +480,6 @@ impl Rtf {
                 clock,
                 registry: ActiveTxnRegistry::new(),
                 chain,
-                stats,
                 envs,
                 config,
                 observers,
@@ -567,11 +560,11 @@ impl Rtf {
         self.inner.env().pool.pending()
     }
 
-    /// The runtime's instrumentation sink. External components (servers,
+    /// The runtime's instrumentation. External components (servers,
     /// harnesses) report their own [`Event`]s here so their counters land
     /// in the same [`StatSnapshot`] / export pipeline as the engine's.
-    pub fn event_sink(&self) -> Arc<dyn EventSink> {
-        Arc::clone(&self.inner.env().sink)
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.inner.env().telemetry
     }
 
     /// Draws a commit ticket *now*, before the transaction body exists —
@@ -588,7 +581,7 @@ impl Rtf {
             .dispenser
             .as_ref()
             .expect("Rtf::ticket requires ordered mode (RtfBuilder::ordered)");
-        OrderedTicket::acquire(Arc::clone(dispenser), Arc::clone(&self.inner.env().sink))
+        OrderedTicket::acquire(Arc::clone(dispenser), Arc::clone(&self.inner.env().telemetry))
     }
 
     /// Runs `body` as a read-only top-level transaction: reads skip
@@ -646,7 +639,7 @@ impl Rtf {
             inner
                 .dispenser
                 .as_ref()
-                .map(|d| OrderedTicket::acquire(Arc::clone(d), Arc::clone(&env.sink)))
+                .map(|d| OrderedTicket::acquire(Arc::clone(d), Arc::clone(&env.telemetry)))
         });
         // Fence the whole ticketed run at the ticket's lane position: any
         // helping reached from inside it (future evaluation, quiescence,
@@ -676,7 +669,7 @@ impl Rtf {
     ) -> Result<R, TxError> {
         let inner = &self.inner;
         let env = inner.env();
-        let sink = &env.sink;
+        let telemetry = &env.telemetry;
         // Per-call overrides compose with the runtime-level limits: the
         // tighter attempt cap and the earlier deadline win.
         let config_deadline = inner.config.retry_deadline.map(|d| Instant::now() + d);
@@ -714,16 +707,16 @@ impl Rtf {
         loop {
             let fallback = consecutive_restarts >= inner.config.fallback_threshold;
             if fallback {
-                sink.event(Event::FallbackRun);
+                telemetry.count(Counter::FallbackRuns, 1);
             }
             let (_reg, start) = inner.registry.begin(&inner.clock);
             let tree = TreeCtx::new(start, fallback);
             // One TopLevel span per attempt: aborted attempts close with
             // ok=false, so the trace shows the retry structure.
-            let span_start = if sink.spans_enabled() { Some(obs_now_ns()) } else { None };
+            let span_start = if telemetry.spans() { Some(obs_now_ns()) } else { None };
             let top_span = |ok: bool| {
                 if let Some(start_ns) = span_start {
-                    sink.span(SpanRec {
+                    telemetry.span(SpanRec {
                         kind: SpanKind::TopLevel,
                         tree: tree.tree_id.0,
                         node: tree.root.id.raw(),
@@ -781,7 +774,7 @@ impl Rtf {
                     // An implicit continuation missed a write: without FCC
                     // the whole top-level transaction restarts (D1).
                     self.teardown(&tree);
-                    sink.event(Event::ContinuationRestart);
+                    telemetry.count(Counter::ContinuationRestarts, 1);
                     consecutive_restarts += 1;
                     top_span(false);
                 }
@@ -797,11 +790,11 @@ impl Rtf {
                         self.teardown(&tree);
                         match tree.take_poison() {
                             Some(PoisonKind::InterTree) => {
-                                sink.event(Event::InterTreeAbort);
+                                telemetry.count(Counter::InterTreeAborts, 1);
                                 consecutive_restarts += 1;
                             }
                             Some(PoisonKind::ContinuationRestart) => {
-                                sink.event(Event::ContinuationRestart);
+                                telemetry.count(Counter::ContinuationRestarts, 1);
                                 consecutive_restarts += 1;
                             }
                             Some(PoisonKind::UserPanic(p)) => {
@@ -839,11 +832,12 @@ impl Rtf {
             match retry.try_backoff() {
                 Ok(slept_ns) => {
                     if slept_ns > 0 {
-                        sink.event(Event::RetryBackoffNs(slept_ns));
+                        telemetry.count(Counter::RetryBackoffs, 1);
+                        telemetry.count(Counter::RetryBackoffNs, slept_ns);
                     }
                 }
                 Err(e) => {
-                    sink.event(Event::RetryExhausted);
+                    telemetry.count(Counter::RetriesExhausted, 1);
                     return Err(TxError::RetryExhausted { attempts: e.attempts() });
                 }
             }
@@ -862,7 +856,7 @@ impl Rtf {
             StallKind::Quiescence,
             tree.tree_id.0,
             tree.root.id.raw(),
-            env.sink.as_ref(),
+            env.telemetry.as_ref(),
             env.stall,
         );
         // Only publish a wait-graph edge when there genuinely is something
@@ -870,7 +864,7 @@ impl Rtf {
         // tree already quiescent.
         let _wait = (tree.tasks_in_flight() > 0).then(|| {
             WaitSiteGuard::enter(
-                env.sink.as_ref(),
+                env.telemetry.as_ref(),
                 StallKind::Quiescence,
                 tree.tree_id.0,
                 tree.tasks_in_flight() as u64,
@@ -907,12 +901,12 @@ impl Rtf {
             return Ok(());
         }
         let env = self.inner.env();
-        let sink = &env.sink;
+        let telemetry = &env.telemetry;
         let t0 = obs_now_ns();
         // Publish the blocked-on edge for the live wait-graph inspector:
         // "this thread waits for lane/seq" (dropped when the wait resolves).
         let _wait = WaitSiteGuard::enter(
-            sink.as_ref(),
+            telemetry.as_ref(),
             StallKind::TicketWait,
             tree.tree_id.0,
             u64::from(ticket.ticket().lane),
@@ -922,7 +916,7 @@ impl Rtf {
             StallKind::TicketWait,
             tree.tree_id.0,
             tree.root.id.raw(),
-            sink.as_ref(),
+            telemetry.as_ref(),
             env.stall,
         );
         let mut stalled = None;
@@ -941,11 +935,11 @@ impl Rtf {
                 }
             },
         );
-        sink.event(Event::TicketWaitNs(obs_now_ns().saturating_sub(t0)));
+        telemetry.count(Counter::TicketWaitNs, obs_now_ns().saturating_sub(t0));
         if wait.spurious_wakes > 0 {
             // Flushed per wait, not per wakeup: spurious wakeups only exist
-            // under contention, exactly when per-event sink traffic hurts.
-            sink.event(Event::TicketSpuriousWakes(wait.spurious_wakes));
+            // under contention, exactly when per-event telemetry traffic hurts.
+            telemetry.count(Counter::TicketSpuriousWakes, wait.spurious_wakes);
         }
         if wait.arrived {
             Ok(())
@@ -960,14 +954,14 @@ impl Rtf {
     /// version order.
     fn root_commit(&self, tree: &TreeCtx, ticket: Option<&OrderedTicket>) -> RootCommit {
         let inner = &self.inner;
-        let sink = &inner.env().sink;
+        let telemetry = &inner.env().telemetry;
         // The commit's start time feeds only the TopCommit span and the
-        // `TopCommitNs` duration; read the clock only if a sink wants one.
-        let timed = sink.timings_enabled();
-        let t0 = if timed || sink.spans_enabled() { obs_now_ns() } else { 0 };
+        // `TopCommitNs` duration; read the clock only if a telemetry wants one.
+        let timed = telemetry.timings();
+        let t0 = if timed || telemetry.spans() { obs_now_ns() } else { 0 };
         let commit_span = |ok: bool| {
-            if sink.spans_enabled() {
-                sink.span(SpanRec {
+            if telemetry.spans() {
+                telemetry.span(SpanRec {
                     kind: SpanKind::TopCommit,
                     tree: tree.tree_id.0,
                     node: tree.root.id.raw(),
@@ -1025,14 +1019,14 @@ impl Rtf {
                 for (cell, token) in inbox.perm_reads {
                     reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
                 }
-                if inner.chain.validate_ro(&reads, sink.as_ref()).is_err() {
-                    sink.event(Event::TopValidationAbort);
+                if inner.chain.validate_ro(&reads, telemetry.as_ref()).is_err() {
+                    telemetry.count(Counter::TopValidationAborts, 1);
                     tree.scrub_tentative();
                     commit_span(false);
                     return RootCommit::Conflict;
                 }
             }
-            sink.event(Event::TopRoCommit);
+            telemetry.count(Counter::TopRoCommits, 1);
             tree.scrub_tentative();
             commit_span(true);
             return RootCommit::Committed;
@@ -1066,23 +1060,23 @@ impl Rtf {
                 writes.into_writes(),
                 &inner.clock,
                 &inner.registry,
-                sink.as_ref(),
+                telemetry.as_ref(),
             )
         };
         tree.scrub_tentative();
         let committed = result.is_ok();
         if committed {
             if timed {
-                sink.event(Event::TopCommitNs(obs_now_ns().saturating_sub(t0)));
+                telemetry.event(Event::TopCommitNs(obs_now_ns().saturating_sub(t0)));
             }
-            sink.event(Event::TopCommit);
+            telemetry.count(Counter::TopCommits, 1);
         } else if let Some(waited_ms) = stalled {
             // A stall-abandoned turn wait is not a validation conflict:
             // report it as the structured stall it is.
             commit_span(false);
             return RootCommit::Stalled { waited_ms };
         } else {
-            sink.event(Event::TopValidationAbort);
+            telemetry.count(Counter::TopValidationAborts, 1);
         }
         commit_span(committed);
         if committed {
@@ -1094,12 +1088,12 @@ impl Rtf {
 
     /// Event counters of this runtime.
     pub fn stats(&self) -> StatSnapshot {
-        self.inner.stats.snapshot()
+        self.inner.env().telemetry.stats().snapshot()
     }
 
     /// Shared counter handle (benchmark harnesses diff snapshots).
     pub fn stats_arc(&self) -> Arc<TmStats> {
-        Arc::clone(&self.inner.stats)
+        Arc::clone(self.inner.env().telemetry.stats())
     }
 
     /// Current configuration.
@@ -1134,7 +1128,7 @@ mod tests {
     use std::sync::Mutex;
 
     /// Strong counts of every `Arc` that attempts on *other* thread stripes
-    /// clone: their env replicas, the pool's shared state and the sink.
+    /// clone: their env replicas, the pool's shared state and the telemetry.
     fn others_counts(tm: &Rtf) -> Vec<usize> {
         let inner = &tm.inner;
         let mine = thread_stripe();
@@ -1143,7 +1137,7 @@ mod tests {
             .map(|i| Arc::strong_count(&inner.envs[i]))
             .collect();
         counts.push(inner.env().pool.handle_count());
-        counts.push(Arc::strong_count(&inner.env().sink));
+        counts.push(Arc::strong_count(&inner.env().telemetry));
         counts
     }
 
@@ -1188,7 +1182,7 @@ mod tests {
         let b = VBox::new(1u64);
         let counts = |tm: &Rtf| {
             let env = tm.inner.env();
-            (env.pool.handle_count(), Arc::strong_count(&env.sink))
+            (env.pool.handle_count(), Arc::strong_count(&env.telemetry))
         };
         let during = Arc::new(Mutex::new(None));
         let v = tm.atomic(|tx| {

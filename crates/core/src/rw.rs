@@ -59,9 +59,9 @@ pub struct InterTreeConflict {
 }
 
 // Retries spent in `orec_snapshot` on this thread since the last flush.
-// Each `Tx` drains the counter when it drops and reports it as one
-// `Event::OrecSnapshotRetries` batch — a per-retry shared counter would
-// serialize the lock-free read path it measures.
+// Each `Tx` drains the counter when it drops and adds it to
+// `Counter::OrecSnapshotRetries` in one batch — a per-retry shared counter
+// would serialize the lock-free read path it measures.
 thread_local! {
     static OREC_SNAPSHOT_RETRIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }

@@ -25,7 +25,7 @@
 
 use std::time::{Duration, Instant};
 
-use rtf_txengine::{Event, EventSink, StallKind};
+use rtf_txengine::{Counter, Event, StallKind, Telemetry};
 
 /// Default warn threshold when neither the builder nor the environment sets
 /// one: long enough to never fire on a healthy commit, short enough to
@@ -71,14 +71,14 @@ pub(crate) enum StallAction {
 /// Watchdog attached to one blocking wait (one `waitTurn`, one quiescence
 /// wait, one `eval`). Cheap to construct; `tick` is called once per wait
 /// loop round (i.e. at most a few thousand times per second), never on the
-/// fast path. It borrows the runtime's sink: a wait is entered on every
+/// fast path. It borrows the runtime's telemetry: a wait is entered on every
 /// `eval` and blocking `waitTurn`, and a clone would write the reference
 /// count every thread shares.
 pub(crate) struct StallWatch<'a> {
     kind: StallKind,
     tree: u64,
     node: u64,
-    sink: &'a dyn EventSink,
+    telemetry: &'a Telemetry,
     start: Instant,
     next_warn: Duration,
     abort_at: Option<Duration>,
@@ -90,14 +90,14 @@ impl<'a> StallWatch<'a> {
         kind: StallKind,
         tree: u64,
         node: u64,
-        sink: &'a dyn EventSink,
+        telemetry: &'a Telemetry,
         thresholds: StallThresholds,
     ) -> StallWatch<'a> {
         StallWatch {
             kind,
             tree,
             node,
-            sink,
+            telemetry,
             start: Instant::now(),
             next_warn: thresholds.warn,
             abort_at: thresholds.abort,
@@ -111,10 +111,10 @@ impl<'a> StallWatch<'a> {
         kind: StallKind,
         tree: u64,
         node: u64,
-        sink: &'a dyn EventSink,
+        telemetry: &'a Telemetry,
         thresholds: StallThresholds,
     ) -> StallWatch<'a> {
-        StallWatch::new(kind, tree, node, sink, StallThresholds { abort: None, ..thresholds })
+        StallWatch::new(kind, tree, node, telemetry, StallThresholds { abort: None, ..thresholds })
     }
 
     /// One watchdog round: emits [`Event::StallDetected`] past the warn
@@ -123,7 +123,7 @@ impl<'a> StallWatch<'a> {
     pub fn tick(&mut self) -> StallAction {
         let elapsed = self.start.elapsed();
         if elapsed >= self.next_warn {
-            self.sink.event(Event::StallDetected {
+            self.telemetry.event(Event::StallDetected {
                 kind: self.kind,
                 tree: self.tree,
                 node: self.node,
@@ -135,7 +135,7 @@ impl<'a> StallWatch<'a> {
         }
         if let Some(abort_at) = self.abort_at {
             if elapsed >= abort_at {
-                self.sink.event(Event::StallAbort);
+                self.telemetry.count(Counter::StallAborts, 1);
                 return StallAction::Abort { waited_ms: elapsed.as_millis() as u64 };
             }
         }
@@ -149,18 +149,17 @@ mod tests {
     use std::sync::Arc;
 
     use rtf_txbase::TmStats;
-    use rtf_txengine::StatsSink;
 
-    fn sink() -> (Arc<TmStats>, Arc<dyn EventSink>) {
-        let stats = Arc::new(TmStats::default());
-        (Arc::clone(&stats), Arc::new(StatsSink::new(stats)))
+    fn telemetry() -> (Arc<TmStats>, Telemetry) {
+        let tel = Telemetry::default();
+        (Arc::clone(tel.stats()), tel)
     }
 
     #[test]
     fn warns_once_past_threshold_then_rearms_doubled() {
-        let (stats, sink) = sink();
+        let (stats, tel) = telemetry();
         let th = StallThresholds { warn: Duration::from_millis(1), abort: None };
-        let mut w = StallWatch::new(StallKind::WaitTurn, 1, 2, &*sink, th);
+        let mut w = StallWatch::new(StallKind::WaitTurn, 1, 2, &tel, th);
         assert_eq!(w.tick(), StallAction::Continue, "below threshold: no event");
         assert_eq!(stats.snapshot().stalls_detected, 0);
         std::thread::sleep(Duration::from_millis(3));
@@ -173,12 +172,12 @@ mod tests {
 
     #[test]
     fn abort_threshold_reports_abort_and_counts() {
-        let (stats, sink) = sink();
+        let (stats, tel) = telemetry();
         let th = StallThresholds {
             warn: Duration::from_millis(1),
             abort: Some(Duration::from_millis(2)),
         };
-        let mut w = StallWatch::new(StallKind::Quiescence, 1, 2, &*sink, th);
+        let mut w = StallWatch::new(StallKind::Quiescence, 1, 2, &tel, th);
         std::thread::sleep(Duration::from_millis(4));
         match w.tick() {
             StallAction::Abort { waited_ms } => assert!(waited_ms >= 2),
@@ -190,12 +189,12 @@ mod tests {
 
     #[test]
     fn warn_only_never_aborts() {
-        let (_, sink) = sink();
+        let (_, tel) = telemetry();
         let th = StallThresholds {
             warn: Duration::from_millis(1),
             abort: Some(Duration::from_millis(1)),
         };
-        let mut w = StallWatch::warn_only(StallKind::Quiescence, 1, 2, &*sink, th);
+        let mut w = StallWatch::warn_only(StallKind::Quiescence, 1, 2, &tel, th);
         std::thread::sleep(Duration::from_millis(3));
         assert_eq!(w.tick(), StallAction::Continue);
     }

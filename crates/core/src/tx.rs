@@ -40,9 +40,9 @@ use std::sync::Arc;
 
 use rtf_taskpool::{OrderTag, Pool};
 use rtf_txengine::{
-    downcast, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind, Event, EventSink,
-    ReadLog, ReadPath, ReadRecord, Source, SpanKind, SpanRec, StallKind, TxData, VBox, VBoxCell,
-    Val, WaitSiteGuard,
+    downcast, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind, Counter, Event,
+    ReadLog, ReadPath, ReadRecord, Source, SpanKind, SpanRec, StallKind, Telemetry, TxData, VBox,
+    VBoxCell, Val, WaitSiteGuard,
 };
 
 use crate::error::TxError;
@@ -109,7 +109,7 @@ impl Frame {
             written: Vec::new(),
             wrote: false,
             ro_snapshot,
-            born_ns: if env.sink.spans_enabled() { obs_now_ns() } else { 0 },
+            born_ns: if env.telemetry.spans() { obs_now_ns() } else { 0 },
         }
     }
 
@@ -140,9 +140,9 @@ impl Frame {
 #[repr(align(128))]
 pub(crate) struct TxEnv {
     pub pool: Pool,
-    /// Instrumentation sink (statistics, and tracing when `RTF_TRACE` is
-    /// set); every runtime event of the tree machinery reports here.
-    pub sink: Arc<dyn EventSink>,
+    /// The runtime's instrumentation: every event of the tree machinery
+    /// reports here.
+    pub telemetry: Arc<Telemetry>,
     /// §IV-E read-only validation skip enabled (ablation A2 turns it off).
     pub ro_opt: bool,
     /// Starvation-watchdog thresholds (builder/env resolved once at build).
@@ -159,8 +159,8 @@ pub struct Tx {
     frames: Vec<Frame>,
     /// Read-only transaction: skip read-set recording, forbid writes.
     ro_mode: bool,
-    /// Read-path counts accumulated locally and flushed as one
-    /// [`Event::ReadPathBatch`] when the handle drops (a per-read shared
+    /// Read-path counts accumulated locally and flushed once, as
+    /// `read_fast` / `read_slow`, when the handle drops (a per-read shared
     /// counter would serialize the lock-free read path it measures).
     reads_fast: u64,
     reads_slow: u64,
@@ -168,14 +168,15 @@ pub struct Tx {
 
 impl Drop for Tx {
     fn drop(&mut self) {
-        if self.reads_fast > 0 || self.reads_slow > 0 {
-            self.env
-                .sink
-                .event(Event::ReadPathBatch { fast: self.reads_fast, slow: self.reads_slow });
+        if self.reads_fast > 0 {
+            self.env.telemetry.count(Counter::ReadFast, self.reads_fast);
+        }
+        if self.reads_slow > 0 {
+            self.env.telemetry.count(Counter::ReadSlow, self.reads_slow);
         }
         let orec_retries = crate::rw::take_orec_snapshot_retries();
         if orec_retries > 0 {
-            self.env.sink.event(Event::OrecSnapshotRetries(orec_retries));
+            self.env.telemetry.count(Counter::OrecSnapshotRetries, orec_retries);
         }
     }
 }
@@ -304,7 +305,7 @@ impl Tx {
             Err(c) => {
                 // ownedByAnotherTree: tear the whole tree down; the atomic
                 // runner re-executes (eventually in fallback mode).
-                self.env.sink.event(Event::Conflict {
+                self.env.telemetry.event(Event::Conflict {
                     kind: ConflictKind::InterTree,
                     cell: cell.id(),
                     writer_tree: c.writer_tree,
@@ -339,7 +340,7 @@ impl Tx {
         F: Fn(&mut Tx) -> A + Send + 'static,
     {
         self.check_poison();
-        self.env.sink.event(Event::FutureSubmitted);
+        self.env.telemetry.count(Counter::FuturesSubmitted, 1);
         if self.tree.fallback {
             // Sequential fallback: run inline at the submission point —
             // literally the sequential execution the semantics are defined
@@ -356,7 +357,7 @@ impl Tx {
         let frame =
             Frame::child(&parent, NodeKind::Continuation { fork_idx }, &self.tree, &self.env);
         tx_trace!(
-            self.env.sink,
+            self.env.telemetry,
             "submit: parent {:?} fork {} cont {:?}",
             parent.id,
             fork_idx,
@@ -385,7 +386,7 @@ impl Tx {
         C: Fn(&mut Tx, &TxFuture<A>) -> B,
     {
         self.check_poison();
-        self.env.sink.event(Event::FutureSubmitted);
+        self.env.telemetry.count(Counter::FuturesSubmitted, 1);
         if self.tree.fallback {
             let v = self.timed_inline(body);
             let handle = TxFuture::ready(Arc::new(v));
@@ -409,7 +410,7 @@ impl Tx {
                 Ok(()) => return out,
                 Err(SubConflict) => {
                     self.abort_frames_down_to(depth);
-                    self.env.sink.event(Event::SubValidationAbort);
+                    self.env.telemetry.count(Counter::SubValidationAborts, 1);
                 }
             }
         }
@@ -484,15 +485,15 @@ impl Tx {
             self.tree.poison(PoisonKind::ContinuationRestart);
             std::panic::panic_any(PoisonSignal);
         }
-        tx_trace!(self.env.sink, "eval begin (node {:?})", self.current().node.id);
-        // Borrow the pool, tree and sink: cloning them would write reference
-        // counts every thread shares, once per evaluation.
+        tx_trace!(self.env.telemetry, "eval begin (node {:?})", self.current().node.id);
+        // Borrow the pool, tree and telemetry: cloning them would write
+        // reference counts every thread shares, once per evaluation.
         let (pool, tree) = (&self.env.pool, &*self.tree);
         let mut watch = StallWatch::new(
             StallKind::FutureWait,
             tree.tree_id.0,
             self.current().node.id.raw(),
-            self.env.sink.as_ref(),
+            &self.env.telemetry,
             self.env.stall,
         );
         // Helping is fenced at the current node's serialization position:
@@ -504,7 +505,7 @@ impl Tx {
         // unsettled — the common already-committed eval stays a probe.
         let _wait = (!fut.is_settled()).then(|| {
             WaitSiteGuard::enter(
-                self.env.sink.as_ref(),
+                &self.env.telemetry,
                 StallKind::FutureWait,
                 self.tree.tree_id.0,
                 self.current().node.id.raw(),
@@ -546,14 +547,14 @@ impl Tx {
     }
 
     /// Runs a future body inline (sequential fallback), reporting its
-    /// lifetime when a sink consumes it.
+    /// lifetime when an observer consumes it.
     fn timed_inline<A>(&mut self, body: impl Fn(&mut Tx) -> A) -> A {
-        if !self.env.sink.timings_enabled() {
+        if !self.env.telemetry.timings() {
             return body(self);
         }
         let t0 = obs_now_ns();
         let v = body(self);
-        self.env.sink.event(Event::FutureLifetimeNs(obs_now_ns().saturating_sub(t0)));
+        self.env.telemetry.event(Event::FutureLifetimeNs(obs_now_ns().saturating_sub(t0)));
         v
     }
 
@@ -577,7 +578,7 @@ impl Tx {
             ro_mode: self.ro_mode,
             pending: None,
             requeues: 0,
-            submitted_ns: if self.env.sink.timings_enabled() { obs_now_ns() } else { 0 },
+            submitted_ns: if self.env.telemetry.timings() { obs_now_ns() } else { 0 },
         };
         stage.tree.task_started();
         let tag = order_tag(&self.tree, &parent.path.child_future(fork_idx));
@@ -681,12 +682,12 @@ fn commit_frame(
 ) -> Result<(), CommitBlock> {
     let node = &frame.node;
     let parent = Arc::clone(node.parent.as_ref().expect("sub-transactions have a parent"));
-    let spans = env.sink.spans_enabled();
+    let spans = env.telemetry.spans();
     // Phase spans share the node/parent coordinates of the frame span so
     // the exporters can nest them under the right tree position.
     let phase_span = |kind: SpanKind, start_ns: u64, end_ns: u64, ok: bool| {
         if spans {
-            env.sink.span(SpanRec {
+            env.telemetry.span(SpanRec {
                 kind,
                 tree: tree.tree_id.0,
                 node: node.id.raw(),
@@ -708,7 +709,7 @@ fn commit_frame(
         }
         if blocking {
             tx_trace!(
-                env.sink,
+                env.telemetry,
                 "waitTurn {:?} {:?} -> target {:?} nclock {} >= {}",
                 node.id,
                 node.kind,
@@ -725,14 +726,14 @@ fn commit_frame(
                 StallKind::WaitTurn,
                 tree.tree_id.0,
                 node.id.raw(),
-                env.sink.as_ref(),
+                &env.telemetry,
                 env.stall,
             );
             // Wait-graph edge: "this thread waits for `target`'s nClock to
             // reach `threshold`" — skipped when the turn is already here.
             let _wait = (target.nclock() < threshold).then(|| {
                 WaitSiteGuard::enter(
-                    env.sink.as_ref(),
+                    &env.telemetry,
                     StallKind::WaitTurn,
                     tree.tree_id.0,
                     target.id.raw(),
@@ -755,15 +756,15 @@ fn commit_frame(
                 || tree.is_poisoned(),
             );
             let t1 = obs_now_ns();
-            env.sink.event(Event::WaitTurnNs(t1.saturating_sub(t0)));
+            env.telemetry.count(Counter::WaitTurnNs, t1.saturating_sub(t0));
             phase_span(SpanKind::WaitTurn, t0, t1, ok);
             if !ok {
                 std::panic::panic_any(PoisonSignal);
             }
-            tx_trace!(env.sink, "waitTurn {:?} done (ok)", node.id);
+            tx_trace!(env.telemetry, "waitTurn {:?} done (ok)", node.id);
         } else if target.nclock() < threshold {
             tx_trace!(
-                env.sink,
+                env.telemetry,
                 "waitTurn {:?} not ready (target {:?} {} < {}), requeue",
                 node.id,
                 target.id,
@@ -791,7 +792,7 @@ fn commit_frame(
         && !wrote_any
         && tree.rw_commit_clock.load(Ordering::Acquire) == frame.ro_snapshot;
     tx_trace!(
-        env.sink,
+        env.telemetry,
         "commit {:?} {:?}: wrote_any={} skip={} reads={} rw_clock={} ro_snap={}",
         node.id,
         node.kind,
@@ -802,18 +803,18 @@ fn commit_frame(
         frame.ro_snapshot
     );
     if can_skip {
-        env.sink.event(Event::RoValidationSkip);
+        env.telemetry.count(Counter::RoValidationSkips, 1);
     } else {
         if !wrote_any {
-            env.sink.event(Event::RoValidationTaken);
+            env.telemetry.count(Counter::RoValidationTaken, 1);
         }
         let tv = obs_now_ns();
         let outcome = validate_reads_detailed(tree, node, frame.reads.iter());
         let tv_end = obs_now_ns();
-        env.sink.event(Event::ValidationNs(tv_end.saturating_sub(tv)));
+        env.telemetry.count(Counter::ValidationNs, tv_end.saturating_sub(tv));
         phase_span(SpanKind::Validation, tv, tv_end, outcome.is_ok());
         if let Err(site) = outcome {
-            env.sink.event(Event::Conflict {
+            env.telemetry.event(Event::Conflict {
                 kind: ConflictKind::SubValidation,
                 cell: site.cell,
                 writer_tree: site.writer_tree,
@@ -876,7 +877,7 @@ fn commit_frame(
     } else {
         parent.bump_nclock();
     }
-    env.sink.event(Event::SubCommit);
+    env.telemetry.count(Counter::SubCommits, 1);
     if spans && frame.born_ns != 0 {
         let kind = match node.kind {
             NodeKind::Future { .. } => SpanKind::Future,
@@ -930,7 +931,7 @@ struct FutureStage<A: TxData, F> {
     requeues: u32,
     /// Submission timestamp; resolution emits [`Event::FutureLifetimeNs`]
     /// (submission-to-completion latency, including every re-execution).
-    /// `0`, and no event, when no sink consumes timings.
+    /// `0`, and no event, when no observer consumes timings.
     submitted_ns: u64,
 }
 
@@ -946,7 +947,7 @@ impl<A: TxData, F> Drop for FutureStage<A, F> {
             // the closure, or the closure was discarded unrun. There is no
             // payload left to resume — surface a structured future-panic
             // and wake every waiter.
-            self.env.sink.event(Event::FuturePanicked);
+            self.env.telemetry.count(Counter::FuturePanics, 1);
             self.tree.poison(PoisonKind::FuturePanicked {
                 message: format!(
                     "future task (fork {} under {:?}) died before settling its handle",
@@ -989,7 +990,7 @@ where
                 &stage.env,
             );
             tx_trace!(
-                stage.env.sink,
+                stage.env.telemetry,
                 "task run future {:?} parent {:?} fork {}",
                 frame.node.id,
                 stage.parent.id,
@@ -1016,7 +1017,7 @@ where
                 Ok(None) => {
                     // Injected fault: treat as a spurious abort of this
                     // body attempt and re-execute from scratch.
-                    stage.env.sink.event(Event::SubValidationAbort);
+                    stage.env.telemetry.count(Counter::SubValidationAborts, 1);
                     continue;
                 }
                 Err(payload) => {
@@ -1025,7 +1026,7 @@ where
                     } else {
                         // User panic inside the future: poison the tree; the
                         // atomic runner resumes the payload on the caller.
-                        stage.env.sink.event(Event::FuturePanicked);
+                        stage.env.telemetry.count(Counter::FuturePanics, 1);
                         stage.tree.poison(PoisonKind::UserPanic(payload));
                         stage.handle.cancel_panicked();
                     }
@@ -1037,7 +1038,7 @@ where
             // Injected commit failure: partial rollback and re-execution.
             let (mut tx, _) = stage.pending.take().expect("pending set above");
             tx.abort_frames_down_to(0);
-            stage.env.sink.event(Event::SubValidationAbort);
+            stage.env.telemetry.count(Counter::SubValidationAborts, 1);
             stage.requeues = 0;
             continue;
         }
@@ -1047,10 +1048,10 @@ where
         }));
         match attempt {
             Ok(Ok(())) => {
-                tx_trace!(stage.env.sink, "task complete");
+                tx_trace!(stage.env.telemetry, "task complete");
                 let (_, value) = stage.pending.take().expect("pending");
-                if stage.env.sink.timings_enabled() {
-                    stage.env.sink.event(Event::FutureLifetimeNs(
+                if stage.env.telemetry.timings() {
+                    stage.env.telemetry.event(Event::FutureLifetimeNs(
                         obs_now_ns().saturating_sub(stage.submitted_ns),
                     ));
                 }
@@ -1061,7 +1062,7 @@ where
                 // Partial rollback: abort this subtree, re-execute the body.
                 let (mut tx, _) = stage.pending.take().expect("pending");
                 tx.abort_frames_down_to(0);
-                stage.env.sink.event(Event::SubValidationAbort);
+                stage.env.telemetry.count(Counter::SubValidationAborts, 1);
                 stage.requeues = 0;
                 continue;
             }
@@ -1095,7 +1096,7 @@ where
                 if payload.is::<PoisonSignal>() {
                     stage.handle.cancel();
                 } else {
-                    stage.env.sink.event(Event::FuturePanicked);
+                    stage.env.telemetry.count(Counter::FuturePanics, 1);
                     stage.tree.poison(PoisonKind::UserPanic(payload));
                     stage.handle.cancel_panicked();
                 }

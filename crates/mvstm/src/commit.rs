@@ -27,7 +27,8 @@ use std::sync::atomic::{fence, AtomicBool, Ordering};
 
 use rtf_txbase::{ActiveTxnRegistry, GlobalClock, TreeId, Version};
 use rtf_txengine::{
-    validate_reads_detailed, ConflictKind, ConflictSite, Event, EventSink, ReadSet, WriteEntry,
+    validate_reads_detailed, ConflictKind, ConflictSite, Counter, Event, ReadSet, Telemetry,
+    WriteEntry,
 };
 
 use crate::txn::TopVisibility;
@@ -104,7 +105,7 @@ impl CommitChain {
     /// `reads` records the write token observed for each box read; `writes`
     /// is the private write-set to install. Returns the commit version on
     /// success. Instrumentation (helped write-backs, GC trims) is reported
-    /// to `sink`.
+    /// to `telemetry`.
     ///
     /// No snapshot version is needed: validation compares write tokens, and
     /// "the token I read is still the newest" is exactly "nothing newer than
@@ -115,7 +116,7 @@ impl CommitChain {
         writes: Vec<WriteEntry>,
         clock: &GlobalClock,
         registry: &ActiveTxnRegistry,
-        sink: &dyn EventSink,
+        telemetry: &Telemetry,
     ) -> Result<Version, Conflict> {
         debug_assert!(!writes.is_empty(), "read-only transactions skip the commit chain");
         // Injected abort: behave exactly like a failed validation, so the
@@ -136,7 +137,7 @@ impl CommitChain {
             // conflicting commit is either still enqueued behind it or
             // already in the permanent lists.
             if let Err(site) = Self::validate_against(tail, reads, &guard) {
-                Self::report_conflict(sink, site);
+                Self::report_conflict(telemetry, site);
                 // `newrec` (and the write values it owns) drop here.
                 return Err(Conflict);
             }
@@ -157,7 +158,7 @@ impl CommitChain {
             }
         };
         let my_version = unsafe { me.deref() }.version;
-        Self::write_back_through(me, clock, registry, sink, &guard);
+        Self::write_back_through(me, clock, registry, telemetry, &guard);
         unsafe { Self::cleanup(me, &guard) };
         Ok(my_version)
     }
@@ -178,7 +179,7 @@ impl CommitChain {
         writes: Vec<WriteEntry>,
         clock: &GlobalClock,
         registry: &ActiveTxnRegistry,
-        sink: &dyn EventSink,
+        telemetry: &Telemetry,
     ) -> Result<Version, Conflict> {
         if let Some(gate) = gate {
             // Injected abort at the ticket handoff: the ticket is abandoned
@@ -191,7 +192,7 @@ impl CommitChain {
                 return Err(Conflict);
             }
         }
-        self.try_commit(reads, writes, clock, registry, sink)
+        self.try_commit(reads, writes, clock, registry, telemetry)
     }
 
     /// Read-set-only validation for empty-write-set (read-only) top-level
@@ -201,7 +202,7 @@ impl CommitChain {
     /// its ticket position, so once the turn is won its reads must still
     /// be current. Returns `Err(Conflict)` (reporting the displaced cell)
     /// when they are not; the caller re-executes at the same position.
-    pub fn validate_ro(&self, reads: &ReadSet, sink: &dyn EventSink) -> Result<(), Conflict> {
+    pub fn validate_ro(&self, reads: &ReadSet, telemetry: &Telemetry) -> Result<(), Conflict> {
         if rtf_txfault::fail_point!("mvstm.commit.validate").is_abort() {
             return Err(Conflict);
         }
@@ -209,16 +210,16 @@ impl CommitChain {
         let tail = self.tail.load(Ordering::Acquire, &guard);
         match Self::validate_against(tail, reads, &guard) {
             Err(site) => {
-                Self::report_conflict(sink, site);
+                Self::report_conflict(telemetry, site);
                 Err(Conflict)
             }
             Ok(()) => Ok(()),
         }
     }
 
-    /// Reports an attributed top-level validation failure to the sink.
-    fn report_conflict(sink: &dyn EventSink, site: ConflictSite) {
-        sink.event(Event::Conflict {
+    /// Reports an attributed top-level validation failure.
+    fn report_conflict(telemetry: &Telemetry, site: ConflictSite) {
+        telemetry.event(Event::Conflict {
             kind: ConflictKind::TopValidation,
             cell: site.cell,
             writer_tree: site.writer_tree,
@@ -264,7 +265,7 @@ impl CommitChain {
         me: Shared<'_, Record>,
         clock: &GlobalClock,
         registry: &ActiveTxnRegistry,
-        sink: &dyn EventSink,
+        telemetry: &Telemetry,
         guard: &Guard,
     ) {
         // Collect the unwritten suffix (me .. first done record].
@@ -302,10 +303,10 @@ impl CommitChain {
             let first = !rec.done.swap(true, Ordering::AcqRel);
             clock.publish(version);
             if first && shared != me {
-                sink.event(Event::HelpedWriteback);
+                telemetry.count(Counter::HelpedWritebacks, 1);
             }
             if gced > 0 {
-                sink.event(Event::VersionsGced(gced as u64));
+                telemetry.count(Counter::VersionsGced, gced as u64);
             }
         }
     }
@@ -378,7 +379,7 @@ impl Drop for CommitChain {
 mod tests {
     use super::*;
     use rtf_txbase::new_write_token;
-    use rtf_txengine::{downcast, erase, NullSink, ReadRecord, Source, VBox};
+    use rtf_txengine::{downcast, erase, ReadRecord, Source, Telemetry, VBox};
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
@@ -391,16 +392,16 @@ mod tests {
         CommitWrite { cell: Arc::clone(b.cell()), value: erase(v), token: new_write_token() }
     }
 
-    fn harness() -> (CommitChain, GlobalClock, ActiveTxnRegistry) {
-        (CommitChain::new(), GlobalClock::new(), ActiveTxnRegistry::new())
+    fn harness() -> (CommitChain, GlobalClock, ActiveTxnRegistry, Telemetry) {
+        (CommitChain::new(), GlobalClock::new(), ActiveTxnRegistry::new(), Telemetry::default())
     }
 
     #[test]
     fn single_commit_advances_clock_and_writes_back() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let b = VBox::new(0u64);
         let reads = ReadSet::new();
-        let v = chain.try_commit(&reads, vec![write_of(&b, 9)], &clock, &reg, &NullSink).unwrap();
+        let v = chain.try_commit(&reads, vec![write_of(&b, 9)], &clock, &reg, &tel).unwrap();
         assert_eq!(v, 1);
         assert_eq!(clock.now(), 1);
         assert_eq!(*downcast::<u64>(b.cell().read_at(1).0), 9);
@@ -409,15 +410,15 @@ mod tests {
 
     #[test]
     fn stale_read_conflicts() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let b = VBox::new(0u64);
         // T1 starts at snapshot 0 and reads b.
         let mut reads = ReadSet::new();
         reads.record(read_obs(&b, 0));
         // T2 commits a write to b.
-        chain.try_commit(&ReadSet::new(), vec![write_of(&b, 5)], &clock, &reg, &NullSink).unwrap();
+        chain.try_commit(&ReadSet::new(), vec![write_of(&b, 5)], &clock, &reg, &tel).unwrap();
         // T1 now fails validation.
-        let r = chain.try_commit(&reads, vec![write_of(&b, 7)], &clock, &reg, &NullSink);
+        let r = chain.try_commit(&reads, vec![write_of(&b, 7)], &clock, &reg, &tel);
         assert_eq!(r, Err(Conflict));
         assert_eq!(clock.now(), 1);
         assert_eq!(*downcast::<u64>(b.cell().read_at(1).0), 5);
@@ -425,11 +426,11 @@ mod tests {
 
     #[test]
     fn disjoint_writes_all_commit() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let a = VBox::new(0u64);
         let b = VBox::new(0u64);
-        chain.try_commit(&ReadSet::new(), vec![write_of(&a, 1)], &clock, &reg, &NullSink).unwrap();
-        chain.try_commit(&ReadSet::new(), vec![write_of(&b, 2)], &clock, &reg, &NullSink).unwrap();
+        chain.try_commit(&ReadSet::new(), vec![write_of(&a, 1)], &clock, &reg, &tel).unwrap();
+        chain.try_commit(&ReadSet::new(), vec![write_of(&b, 2)], &clock, &reg, &tel).unwrap();
         assert_eq!(clock.now(), 2);
         assert_eq!(*downcast::<u64>(a.cell().read_at(2).0), 1);
         assert_eq!(*downcast::<u64>(b.cell().read_at(2).0), 2);
@@ -459,6 +460,7 @@ mod tests {
                     Arc::clone(&total_committed),
                 );
                 std::thread::spawn(move || {
+                    let tel = Telemetry::default();
                     let mut committed = 0;
                     while committed < per {
                         // The real begin path: registering first pins the
@@ -481,7 +483,7 @@ mod tests {
                             value: erase(cur + 1),
                             token: new_write_token(),
                         };
-                        if chain.try_commit(&reads, vec![w], &clock, &reg, &NullSink).is_ok() {
+                        if chain.try_commit(&reads, vec![w], &clock, &reg, &tel).is_ok() {
                             committed += 1;
                             total.fetch_add(1, Ordering::Relaxed);
                         }
@@ -500,7 +502,7 @@ mod tests {
 
     #[test]
     fn gate_refusal_aborts_without_writing() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let b = VBox::new(0u64);
         let mut refused = || false;
         let r = chain.try_commit_in_turn(
@@ -509,7 +511,7 @@ mod tests {
             vec![write_of(&b, 1)],
             &clock,
             &reg,
-            &NullSink,
+            &tel,
         );
         assert_eq!(r, Err(Conflict));
         assert_eq!(clock.now(), 0, "a refused gate must not touch the chain");
@@ -518,7 +520,7 @@ mod tests {
 
     #[test]
     fn gate_admission_commits_and_none_gate_is_transparent() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let b = VBox::new(0u64);
         let mut waited = false;
         let mut admit = || {
@@ -532,20 +534,13 @@ mod tests {
                 vec![write_of(&b, 8)],
                 &clock,
                 &reg,
-                &NullSink,
+                &tel,
             )
             .unwrap();
         assert_eq!(v, 1);
         assert!(waited, "the gate must have been consulted");
         let v2 = chain
-            .try_commit_in_turn(
-                None,
-                &ReadSet::new(),
-                vec![write_of(&b, 9)],
-                &clock,
-                &reg,
-                &NullSink,
-            )
+            .try_commit_in_turn(None, &ReadSet::new(), vec![write_of(&b, 9)], &clock, &reg, &tel)
             .unwrap();
         assert_eq!(v2, 2);
         assert_eq!(*downcast::<u64>(b.cell().read_at(2).0), 9);
@@ -553,12 +548,10 @@ mod tests {
 
     #[test]
     fn chain_does_not_grow_unboundedly() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let b = VBox::new(0u64);
         for i in 0..1000u64 {
-            chain
-                .try_commit(&ReadSet::new(), vec![write_of(&b, i)], &clock, &reg, &NullSink)
-                .unwrap();
+            chain.try_commit(&ReadSet::new(), vec![write_of(&b, i)], &clock, &reg, &tel).unwrap();
         }
         // Walk the chain: it must be short (cleanup keeps only a small tail).
         let guard = epoch::pin();
@@ -573,21 +566,21 @@ mod tests {
 
     #[test]
     fn validate_ro_accepts_fresh_reads_and_rejects_stale_ones() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         let b = VBox::new(0u64);
-        chain.try_commit(&ReadSet::new(), vec![write_of(&b, 8)], &clock, &reg, &NullSink).unwrap();
+        chain.try_commit(&ReadSet::new(), vec![write_of(&b, 8)], &clock, &reg, &tel).unwrap();
         let mut fresh = ReadSet::new();
         fresh.record(read_obs(&b, clock.now()));
-        assert!(chain.validate_ro(&fresh, &NullSink).is_ok());
+        assert!(chain.validate_ro(&fresh, &tel).is_ok());
         let mut stale = ReadSet::new();
         stale.record(read_obs(&b, 0));
-        assert!(chain.validate_ro(&stale, &NullSink).is_err());
+        assert!(chain.validate_ro(&stale, &tel).is_err());
         assert_eq!(chain.backlog(&clock), 0, "the chain is fully written back");
     }
 
     #[test]
     fn backlog_above_64_reads_as_its_exact_size() {
-        let (chain, clock, reg) = harness();
+        let (chain, clock, reg, tel) = harness();
         // Enqueue 100 records without writing them back, as 100 committers
         // stalled between their enqueue CAS and their write-back would.
         {
@@ -608,9 +601,8 @@ mod tests {
         assert_eq!(chain.backlog(&clock), 100);
         // The next committer helps the whole backlog through.
         let b = VBox::new(0u64);
-        let v = chain
-            .try_commit(&ReadSet::new(), vec![write_of(&b, 1)], &clock, &reg, &NullSink)
-            .unwrap();
+        let v =
+            chain.try_commit(&ReadSet::new(), vec![write_of(&b, 1)], &clock, &reg, &tel).unwrap();
         assert_eq!(v, 101);
         assert_eq!(clock.now(), 101);
         assert_eq!(chain.backlog(&clock), 0);

@@ -24,7 +24,7 @@
 //!
 //! use rtf_mvstm::{erase, CommitChain, CommitWrite, ReadSet, VBox};
 //! use rtf_txbase::{new_write_token, ActiveTxnRegistry, GlobalClock};
-//! use rtf_txengine::NullSink;
+//! use rtf_txengine::Telemetry;
 //!
 //! let (chain, clock) = (CommitChain::new(), GlobalClock::new());
 //! let registry = ActiveTxnRegistry::new();
@@ -33,7 +33,8 @@
 //! let seen = *balance.read_committed() - 30;
 //! let write =
 //!     CommitWrite { cell: Arc::clone(balance.cell()), value: erase(seen), token: new_write_token() };
-//! let version = chain.try_commit(&ReadSet::new(), vec![write], &clock, &registry, &NullSink);
+//! let telemetry = Telemetry::default();
+//! let version = chain.try_commit(&ReadSet::new(), vec![write], &clock, &registry, &telemetry);
 //! assert_eq!(version, Ok(snapshot + 1));
 //! assert_eq!(*balance.read_committed(), 70);
 //! ```

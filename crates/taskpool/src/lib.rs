@@ -38,7 +38,7 @@
 
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use rtf_txbase::WaitQueue;
-use rtf_txengine::{obs_now_ns, Event, EventSink, NullSink, SpanKind, SpanRec};
+use rtf_txengine::{obs_now_ns, Counter, SpanKind, SpanRec, Telemetry};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,11 +48,11 @@ use std::time::Duration;
 /// A unit of work. Tasks are one-shot closures. Panics are *contained* at
 /// the pool layer: every task runs under `catch_unwind`, a panicking task
 /// neither kills its worker nor unwinds into a helping thread's suspended
-/// transaction frames, and the panic is reported through the sink as
-/// [`Event::PoolTaskPanicked`]. The payload is dropped here — submitters
-/// that need to observe the failure must arrange their own signalling (the
-/// `rtf` runtime does, converting an abandoned future task into a
-/// structured cancellation via the task's own drop guard).
+/// transaction frames, and the panic is counted as `pool_task_panics`. The
+/// payload is dropped here — submitters that need to observe the failure
+/// must arrange their own signalling (the `rtf` runtime does, converting an
+/// abandoned future task into a structured cancellation via the task's own
+/// drop guard).
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// A task's position in the serialization order of its *realm* (one
@@ -138,7 +138,7 @@ struct Shared {
     idle: WaitQueue,
     pending: AtomicUsize,
     shutdown: AtomicBool,
-    sink: Arc<dyn EventSink>,
+    telemetry: Arc<Telemetry>,
 }
 
 /// Work pool handle. Cloning is cheap; the pool shuts down when the last
@@ -170,12 +170,12 @@ impl Pool {
     /// Builds a pool with `workers` background threads (0 is allowed: all
     /// tasks then run via [`Pool::help_one`] on helping threads).
     pub fn start(workers: usize) -> PoolRunner {
-        Self::start_with_sink(workers, Arc::new(NullSink))
+        Self::start_with_telemetry(workers, Arc::default())
     }
 
-    /// Like [`Pool::start`], but reporting helping/fence activity through
-    /// `sink` ([`Event::PoolTaskHelped`], [`Event::PoolFenceDeferrals`]).
-    pub fn start_with_sink(workers: usize, sink: Arc<dyn EventSink>) -> PoolRunner {
+    /// Like [`Pool::start`], but reporting helping, fence deferrals, task
+    /// panics and helping spans through `telemetry`.
+    pub fn start_with_telemetry(workers: usize, telemetry: Arc<Telemetry>) -> PoolRunner {
         let worker_deques: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_fifo()).collect();
         let stealers = worker_deques.iter().map(|w| w.stealer()).collect();
         let shared = Arc::new(Shared {
@@ -184,7 +184,7 @@ impl Pool {
             idle: WaitQueue::new(),
             pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            sink,
+            telemetry,
         });
         let pool = Pool { shared: Arc::clone(&shared) };
         let handles = worker_deques
@@ -254,7 +254,7 @@ impl Pool {
             }
         }
         if !deferred.is_empty() {
-            shared.sink.event(Event::PoolFenceDeferrals(deferred.len() as u64));
+            shared.telemetry.count(Counter::PoolFenceDeferrals, deferred.len() as u64);
         }
         for job in deferred {
             shared.injector.push(job);
@@ -263,13 +263,13 @@ impl Pool {
             Some(job) => {
                 shared.pending.fetch_sub(1, Ordering::Release);
                 let realm = job.tag.as_ref().map(|t| t.realm).unwrap_or(0);
-                let t0 = if shared.sink.spans_enabled() { obs_now_ns() } else { 0 };
+                let t0 = if shared.telemetry.spans() { obs_now_ns() } else { 0 };
                 // Containment matters doubly here: the helper's stack holds
                 // suspended transaction frames, and a helped task's panic
                 // unwinding into them would tear down an innocent bystander.
                 let ok = run_contained(shared, job.run);
                 if t0 != 0 {
-                    shared.sink.span(SpanRec {
+                    shared.telemetry.span(SpanRec {
                         kind: SpanKind::PoolHelp,
                         tree: realm,
                         node: 0,
@@ -279,7 +279,7 @@ impl Pool {
                         ok,
                     });
                 }
-                shared.sink.event(Event::PoolTaskHelped);
+                shared.telemetry.count(Counter::PoolHelpedTasks, 1);
                 true
             }
             None => false,
@@ -374,7 +374,7 @@ fn find_task(shared: &Shared, local: Option<&Worker<Job>>) -> Option<Job> {
 }
 
 /// Runs one task with panic containment: an unwinding task is caught, its
-/// payload dropped, and the panic reported as [`Event::PoolTaskPanicked`].
+/// payload dropped, and the panic counted as `pool_task_panics`.
 /// Returns `true` when the task completed normally.
 ///
 /// The `taskpool.task.run` failpoint fires *inside* the containment scope,
@@ -387,13 +387,13 @@ fn run_contained(shared: &Shared, task: Task) -> bool {
         task();
     }));
     if outcome.is_err() {
-        shared.sink.event(Event::PoolTaskPanicked);
+        shared.telemetry.count(Counter::PoolTaskPanics, 1);
     }
     outcome.is_ok()
 }
 
 /// Backstop for the (should-be-unreachable) case of a panic escaping
-/// [`run_contained`] — e.g. a panicking sink: if the worker thread unwinds,
+/// [`run_contained`] — e.g. a panicking observer: if the worker thread unwinds,
 /// spawn a detached replacement so the pool keeps its capacity. The
 /// replacement exits promptly on shutdown like any worker; its local deque
 /// is not registered for stealing, which only costs steal opportunities.

@@ -34,5 +34,5 @@ pub use fxmap::{FxHashMap, FxHashSet};
 pub use ids::{new_node_id, new_tree_id, new_write_token, NodeId, TreeId, Version, WriteToken};
 pub use order::{follows, OrderKey, Ticket, TicketDispenser, TicketLane, TurnWait};
 pub use orec::{Orec, OrecStatus};
-pub use stats::{thread_stripe, StatSnapshot, TmStats, STRIPES};
+pub use stats::{thread_stripe, Counter, StatSnapshot, TmStats, STRIPES};
 pub use wait::{Parked, WaitQueue};

@@ -1,27 +1,31 @@
-//! Engine instrumentation: a single [`EventSink`] seam instead of scattered
-//! counter bumps and ad-hoc tracing.
+//! Engine instrumentation: one [`Telemetry`] per runtime instead of
+//! scattered counter bumps and ad-hoc tracing.
 //!
 //! Every noteworthy runtime event — commits, aborts, helping, GC, time spent
-//! waiting — is reported as an [`Event`] to a sink threaded through the
-//! engine and its client crates. The default production wiring is a
-//! [`StatsSink`] over the shared [`TmStats`] counters; the `RTF_TRACE`
-//! diagnostic stream is just another sink ([`TraceSink`]), composed in via
-//! [`TeeSink`] when enabled. Tests and benchmarks can substitute their own
-//! sinks without touching the hot paths.
+//! waiting — is reported as an [`Event`] to the runtime's [`Telemetry`],
+//! which the engine and its client crates hold or borrow. An event that only
+//! bumps a counter is [`Event::Count`]; the few that carry data (a duration
+//! for a histogram, a conflicting cell, a commit-order position, a wait
+//! site) have variants of their own. [`Event::counter`] is the one mapping
+//! from events to the [`TmStats`] counters: the telemetry applies it to the
+//! runtime's store, and observers that keep a store of their own apply the
+//! same function.
 //!
-//! Beyond point events, sinks may opt into *spans* — closed intervals of a
+//! Observers ([`EventSink`]) see every event after the counters do. With no
+//! observer attached, an event is one striped counter add and no virtual
+//! call. Observers may also opt into *spans* — closed intervals of a
 //! transaction's lifecycle ([`SpanRec`]) stamped against the process-wide
-//! monotonic clock ([`obs_now_ns`]). Span emission is double-gated: call
-//! sites check [`EventSink::spans_enabled`] before reading the clock, so the
-//! default ([`NullSink`]) path costs one virtual call returning a constant.
-//! Duration-only events are gated the same way by
-//! [`EventSink::timings_enabled`]: the default runtime sink ([`StatsSink`])
-//! ignores them, so a transaction reads no clock to produce them.
+//! monotonic clock ([`obs_now_ns`]) — and into the duration-only events
+//! ([`EventSink::timings_enabled`]). The telemetry asks each observer once,
+//! when it is built, and call sites check [`Telemetry::spans`] and
+//! [`Telemetry::timings`] before reading the clock, so the default path reads
+//! no clock for either. The `RTF_TRACE` diagnostic stream is the telemetry's
+//! [`Telemetry::tracing`] flag, also fixed when it is built.
 
 use std::fmt;
 use std::sync::Arc;
 
-use rtf_txbase::{TmStats, TreeId};
+use rtf_txbase::{Counter, TmStats, TreeId};
 
 use crate::cell::CellId;
 
@@ -67,39 +71,10 @@ impl StallKind {
 /// One observable runtime event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// A top-level read-write transaction committed.
-    TopCommit,
-    /// A top-level read-only transaction committed (validation skipped).
-    TopRoCommit,
-    /// A top-level transaction failed commit-time validation.
-    TopValidationAbort,
-    /// A whole tree aborted on an inter-tree tentative-list conflict
-    /// (`ownedByAnotherTree`).
-    InterTreeAbort,
-    /// A top-level re-execution ran in sequential fallback mode.
-    FallbackRun,
-    /// A sub-transaction (future or continuation) committed.
-    SubCommit,
-    /// A sub-transaction failed validation and re-executed (partial
-    /// rollback).
-    SubValidationAbort,
-    /// An implicit continuation failed validation and restarted the whole
-    /// top-level transaction (FCC substitution, DESIGN.md D1).
-    ContinuationRestart,
-    /// A transactional future was submitted.
-    FutureSubmitted,
-    /// A read-only sub-transaction skipped validation (§IV-E).
-    RoValidationSkip,
-    /// A read-only sub-transaction could not skip validation.
-    RoValidationTaken,
-    /// A commit record was written back by a helping thread.
-    HelpedWriteback,
-    /// Permanent versions trimmed by the version GC.
-    VersionsGced(u64),
-    /// Nanoseconds spent blocked in `waitTurn`.
-    WaitTurnNs(u64),
-    /// Nanoseconds spent in sub-transaction read-set validation.
-    ValidationNs(u64),
+    /// Adds to a flat counter: an occurrence that carries nothing beyond
+    /// its count (a commit, an abort, a helped task), or a batch or
+    /// duration that only a counter accumulates.
+    Count(Counter, u64),
     /// Nanoseconds a successful top-level commit spent in the commit chain
     /// (validation + write-back, helping included).
     TopCommitNs(u64),
@@ -118,19 +93,6 @@ pub enum Event {
         /// displacement was an already-permanent commit).
         writer_tree: TreeId,
     },
-    /// A blocked or idle thread ran a queued pool task inline.
-    PoolTaskHelped,
-    /// A helping attempt had to defer queued tasks its fence stack forbids.
-    PoolFenceDeferrals(u64),
-    /// A transaction's accumulated read-path counts, flushed once at
-    /// commit/teardown (per-read shared-counter traffic would serialize the
-    /// lock-free read path this event exists to observe).
-    ReadPathBatch {
-        /// Reads served by the wait-free fast path.
-        fast: u64,
-        /// Reads that walked the version list.
-        slow: u64,
-    },
     /// The starvation watchdog observed a blocking wait exceeding its
     /// threshold (the waiter keeps waiting; this is the escalation signal).
     StallDetected {
@@ -143,23 +105,6 @@ pub enum Event {
         /// How long the waiter had been blocked when the report fired.
         waited_ns: u64,
     },
-    /// A permanently stalled wait was converted into a structured abort
-    /// (`RTF_STALL_ABORT_MS` exceeded).
-    StallAbort,
-    /// A pool task panicked and was contained by the worker/helper
-    /// `catch_unwind` (the worker survives).
-    PoolTaskPanicked,
-    /// A transactional future's task panicked and was converted into a
-    /// structured cancellation instead of a hang.
-    FuturePanicked,
-    /// A retry driver exhausted its attempt/deadline budget.
-    RetryExhausted,
-    /// `orec_snapshot` retries accumulated by one transaction (flushed with
-    /// the read-path batch; each retry is one full re-read forced by a
-    /// racing ownership propagation).
-    OrecSnapshotRetries(u64),
-    /// An ordered-lane commit ticket was issued.
-    TicketIssued,
     /// An ordered-lane transaction committed at its ticket's turn. The
     /// `(lane, seq)` pair is the transaction's position in the predefined
     /// commit order; the stream of these events *is* the commit-order log
@@ -182,30 +127,6 @@ pub enum Event {
         /// Position within the lane.
         seq: u64,
     },
-    /// Nanoseconds an ordered-lane commit spent waiting for its turn.
-    TicketWaitNs(u64),
-    /// Spurious ordered-lane wakeups accumulated by one turn wait (woken
-    /// with the turn still pending; flushed once when the turn arrives).
-    TicketSpuriousWakes(u64),
-    /// A retry driver slept in capped-exponential conflict backoff before
-    /// re-executing (0 ns never happens: immediate retries emit nothing).
-    RetryBackoffNs(u64),
-    /// A server request was admitted past the admission controller.
-    ServerAdmitted,
-    /// An admitted server request ran to a verdict and was answered
-    /// (`ok` distinguishes success from a typed transactional failure).
-    ServerCompleted {
-        /// Whether the transaction committed (vs. a typed `TxError`).
-        ok: bool,
-    },
-    /// A request was refused by the admission/overload ladder before
-    /// running (token bucket, in-flight cap, saturation, drain).
-    ServerShed,
-    /// An in-flight request was force-resolved during graceful drain.
-    ServerDrained,
-    /// A client connection dropped mid-stream (EOF/reset with requests in
-    /// flight, or an injected disconnect).
-    ServerConnReset,
     /// The calling thread entered a registered blocking wait site and
     /// published what it waits on — the raw material of the live wait-graph
     /// inspector. `(a, b)` are kind-specific coordinates: `(lane, seq)` for
@@ -227,6 +148,26 @@ pub enum Event {
     },
     /// The calling thread left its innermost registered wait site.
     WaitEnd,
+}
+
+impl Event {
+    /// The counter this event adds to, and by how much: the one mapping from
+    /// events to [`TmStats`] counters, shared by [`Telemetry`] and by
+    /// observers that keep a store of their own.
+    #[inline]
+    pub fn counter(self) -> Option<(Counter, u64)> {
+        match self {
+            Event::Count(c, n) => Some((c, n)),
+            Event::StallDetected { .. } => Some((Counter::StallsDetected, 1)),
+            Event::TicketCommit { .. } => Some((Counter::OrderedCommits, 1)),
+            Event::TicketAbandoned { .. } => Some((Counter::TicketsAbandoned, 1)),
+            Event::TopCommitNs(_)
+            | Event::FutureLifetimeNs(_)
+            | Event::Conflict { .. }
+            | Event::WaitBegin { .. }
+            | Event::WaitEnd => None,
+        }
+    }
 }
 
 /// Phases of the transaction-tree lifecycle a [`SpanRec`] can cover.
@@ -332,25 +273,19 @@ pub fn stable_thread_id() -> u64 {
     })
 }
 
-/// Receiver of engine instrumentation. The default implementations make a
-/// no-op sink, so policies and tests implement only what they observe.
+/// An observer of a runtime's events: `rtf_txobs::TxObs`, a commit-order
+/// recorder, a test capture. The default implementations make a no-op
+/// observer, so implementations override only what they observe.
+///
+/// [`Telemetry::new`] asks [`EventSink::spans_enabled`] and
+/// [`EventSink::timings_enabled`] once, when the runtime is built, so an
+/// observer's answers must not change over its lifetime.
 pub trait EventSink: Send + Sync {
     /// Reports one event.
     fn event(&self, _event: Event) {}
 
-    /// Whether [`EventSink::trace`] wants input — callers skip formatting
-    /// entirely when this is `false` (the hot-path guard the old
-    /// `rtf_trace!` macro provided).
-    fn trace_enabled(&self) -> bool {
-        false
-    }
-
-    /// Receives one pre-formatted diagnostic line.
-    fn trace(&self, _msg: fmt::Arguments<'_>) {}
-
-    /// Whether [`EventSink::span`] wants input — callers skip clock reads
-    /// and record assembly entirely when this is `false`, keeping the
-    /// default path free of `Instant` syscalls.
+    /// Whether [`EventSink::span`] wants input. While no attached observer
+    /// does, call sites skip clock reads and record assembly entirely.
     fn spans_enabled(&self) -> bool {
         false
     }
@@ -358,240 +293,137 @@ pub trait EventSink: Send + Sync {
     /// Receives one completed lifecycle span.
     fn span(&self, _rec: SpanRec) {}
 
-    /// Whether the sink consumes the duration-only events
-    /// ([`Event::TopCommitNs`], [`Event::FutureLifetimeNs`]) — callers skip
-    /// the clock reads that time them when this is `false`. Events that
-    /// feed counters (`WaitTurnNs`, `ValidationNs`, `TicketWaitNs`) are
-    /// always timed. Defaults to `true`, so a sink that does not say
-    /// otherwise sees every event.
+    /// Whether the observer consumes the duration-only events
+    /// ([`Event::TopCommitNs`], [`Event::FutureLifetimeNs`]). While no
+    /// attached observer does, call sites skip the clock reads that time
+    /// them. Durations that feed a counter are always timed. Defaults to
+    /// `true`, so an observer that does not say otherwise sees every event.
     fn timings_enabled(&self) -> bool {
         true
     }
 }
 
+/// A runtime's instrumentation: its counters, its observers, and the
+/// switches call sites consult before doing work only an observer or the
+/// trace stream would use. Built once per runtime and shared (by `Arc` or
+/// by reference) with everything that reports events.
+#[derive(Default)]
+pub struct Telemetry {
+    stats: Arc<TmStats>,
+    observers: Box<[Arc<dyn EventSink>]>,
+    spans: bool,
+    timings: bool,
+    trace: bool,
+}
+
+impl Telemetry {
+    /// Telemetry counting into `stats`, forwarding to `observers`, and
+    /// printing trace lines to stderr when `trace` is set. Whether spans and
+    /// timings are wanted is decided here, from the observers.
+    pub fn new(stats: Arc<TmStats>, observers: Vec<Arc<dyn EventSink>>, trace: bool) -> Telemetry {
+        let spans = observers.iter().any(|o| o.spans_enabled());
+        let timings = observers.iter().any(|o| o.timings_enabled());
+        Telemetry { stats, observers: observers.into(), spans, timings, trace }
+    }
+
+    /// Whether the `RTF_TRACE` environment variable requests the trace
+    /// stream (any value other than `0`).
+    pub fn trace_from_env() -> bool {
+        std::env::var("RTF_TRACE").is_ok_and(|v| v != "0")
+    }
+
+    /// The counters every event feeds.
+    pub fn stats(&self) -> &Arc<TmStats> {
+        &self.stats
+    }
+
+    /// Reports one event: counts it, then hands it to every observer.
+    #[inline]
+    pub fn event(&self, event: Event) {
+        if let Some((c, n)) = event.counter() {
+            self.stats.add(c, n);
+        }
+        for o in self.observers.iter() {
+            o.event(event);
+        }
+    }
+
+    /// Adds `n` to counter `c` ([`Event::Count`]).
+    #[inline]
+    pub fn count(&self, c: Counter, n: u64) {
+        self.event(Event::Count(c, n));
+    }
+
+    /// Whether some observer wants spans.
+    #[inline]
+    pub fn spans(&self) -> bool {
+        self.spans
+    }
+
+    /// Hands one completed span to the observers that want spans.
+    pub fn span(&self, rec: SpanRec) {
+        for o in self.observers.iter().filter(|o| o.spans_enabled()) {
+            o.span(rec);
+        }
+    }
+
+    /// Whether some observer consumes the duration-only events.
+    #[inline]
+    pub fn timings(&self) -> bool {
+        self.timings
+    }
+
+    /// Whether the trace stream is on (see [`tx_trace!`](crate::tx_trace)).
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.trace
+    }
+
+    /// Prints one diagnostic line to stderr, tagged with the calling
+    /// thread's [`stable_thread_id`].
+    pub fn trace(&self, msg: fmt::Arguments<'_>) {
+        eprintln!("[rtf t{:02}] {}", stable_thread_id(), msg);
+    }
+}
+
 /// RAII publication of one blocking wait for the live wait-graph inspector:
 /// emits [`Event::WaitBegin`] on construction and [`Event::WaitEnd`] on drop.
-/// Construct and drop on the waiting thread — the receiving sink attributes
-/// the pair to [`stable_thread_id`]. Guards may nest (a waiter that helps
-/// the pool and blocks again publishes an inner site); interested sinks keep
-/// a per-thread stack.
+/// Construct and drop on the waiting thread — the receiving observer
+/// attributes the pair to [`stable_thread_id`]. Guards may nest (a waiter
+/// that helps the pool and blocks again publishes an inner site);
+/// interested observers keep a per-thread stack.
 pub struct WaitSiteGuard<'a> {
-    sink: &'a dyn EventSink,
+    telemetry: &'a Telemetry,
 }
 
 impl<'a> WaitSiteGuard<'a> {
-    /// Publishes entry into a wait site through `sink`. `(a, b)` follow the
-    /// kind-specific coordinate conventions of [`Event::WaitBegin`].
+    /// Publishes entry into a wait site through `telemetry`. `(a, b)` follow
+    /// the kind-specific coordinate conventions of [`Event::WaitBegin`].
     pub fn enter(
-        sink: &'a dyn EventSink,
+        telemetry: &'a Telemetry,
         kind: StallKind,
         tree: u64,
         a: u64,
         b: u64,
     ) -> WaitSiteGuard<'a> {
-        sink.event(Event::WaitBegin { kind, tree, a, b });
-        WaitSiteGuard { sink }
+        telemetry.event(Event::WaitBegin { kind, tree, a, b });
+        WaitSiteGuard { telemetry }
     }
 }
 
 impl Drop for WaitSiteGuard<'_> {
     fn drop(&mut self) {
-        self.sink.event(Event::WaitEnd);
+        self.telemetry.event(Event::WaitEnd);
     }
 }
 
-/// Discards everything (the default sink).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn timings_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Maps events onto the shared [`TmStats`] counters.
-pub struct StatsSink {
-    stats: Arc<TmStats>,
-}
-
-impl StatsSink {
-    /// A sink bumping `stats`.
-    pub fn new(stats: Arc<TmStats>) -> StatsSink {
-        StatsSink { stats }
-    }
-}
-
-impl EventSink for StatsSink {
-    fn event(&self, event: Event) {
-        let s = &self.stats;
-        match event {
-            Event::TopCommit => s.top_commits(),
-            Event::TopRoCommit => s.top_ro_commits(),
-            Event::TopValidationAbort => s.top_validation_aborts(),
-            Event::InterTreeAbort => s.inter_tree_aborts(),
-            Event::FallbackRun => s.fallback_runs(),
-            Event::SubCommit => s.sub_commits(),
-            Event::SubValidationAbort => s.sub_validation_aborts(),
-            Event::ContinuationRestart => s.continuation_restarts(),
-            Event::FutureSubmitted => s.futures_submitted(),
-            Event::RoValidationSkip => s.ro_validation_skips(),
-            Event::RoValidationTaken => s.ro_validation_taken(),
-            Event::HelpedWriteback => s.helped_writebacks(),
-            Event::VersionsGced(n) => s.add_versions_gced(n),
-            Event::WaitTurnNs(ns) => s.add_wait_turn_ns(ns),
-            Event::ValidationNs(ns) => s.add_validation_ns(ns),
-            Event::PoolTaskHelped => s.pool_helped_tasks(),
-            Event::PoolFenceDeferrals(n) => s.add_pool_fence_deferrals(n),
-            Event::ReadPathBatch { fast, slow } => {
-                if fast > 0 {
-                    s.add_read_fast(fast);
-                }
-                if slow > 0 {
-                    s.add_read_slow(slow);
-                }
-            }
-            Event::StallDetected { .. } => s.stalls_detected(),
-            Event::StallAbort => s.stall_aborts(),
-            Event::PoolTaskPanicked => s.pool_task_panics(),
-            Event::FuturePanicked => s.future_panics(),
-            Event::RetryExhausted => s.retries_exhausted(),
-            Event::OrecSnapshotRetries(n) => s.add_orec_snapshot_retries(n),
-            Event::TicketIssued => s.tickets_issued(),
-            Event::TicketCommit { .. } => s.ordered_commits(),
-            Event::TicketAbandoned { .. } => s.tickets_abandoned(),
-            Event::TicketWaitNs(ns) => s.add_ticket_wait_ns(ns),
-            Event::TicketSpuriousWakes(n) => s.add_ticket_spurious_wakes(n),
-            Event::RetryBackoffNs(ns) => {
-                s.retry_backoffs();
-                s.add_retry_backoff_ns(ns);
-            }
-            Event::ServerAdmitted => s.server_admitted(),
-            Event::ServerCompleted { ok } => {
-                s.server_completed();
-                if !ok {
-                    s.server_failed();
-                }
-            }
-            Event::ServerShed => s.server_shed(),
-            Event::ServerDrained => s.server_drained(),
-            Event::ServerConnReset => s.server_conn_resets(),
-            // Timing and attribution detail beyond the flat counters is the
-            // observability layer's business (see `rtf-txobs`), as is the
-            // live wait-site publication.
-            Event::TopCommitNs(_)
-            | Event::FutureLifetimeNs(_)
-            | Event::Conflict { .. }
-            | Event::WaitBegin { .. }
-            | Event::WaitEnd => {}
-        }
-    }
-
-    fn timings_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Prints diagnostic lines to stderr. Whether the sink is live is decided at
-/// construction — [`TraceSink::from_env`] consults `RTF_TRACE` (any value
-/// other than `0` enables it), [`TraceSink::new`] takes the flag directly so
-/// tests can exercise tracing without mutating process env. Events are
-/// ignored — tracing call sites describe themselves.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TraceSink {
-    enabled: bool,
-}
-
-impl TraceSink {
-    /// A sink with tracing explicitly switched on or off.
-    pub fn new(enabled: bool) -> TraceSink {
-        TraceSink { enabled }
-    }
-
-    /// A sink honouring the `RTF_TRACE` environment variable.
-    pub fn from_env() -> TraceSink {
-        TraceSink::new(TraceSink::env_enabled())
-    }
-
-    /// Whether `RTF_TRACE` requests tracing (computed once per process).
-    pub fn env_enabled() -> bool {
-        static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *ENABLED.get_or_init(|| std::env::var("RTF_TRACE").is_ok_and(|v| v != "0"))
-    }
-}
-
-impl EventSink for TraceSink {
-    fn trace_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    fn trace(&self, msg: fmt::Arguments<'_>) {
-        eprintln!("[rtf t{:02}] {}", stable_thread_id(), msg);
-    }
-
-    fn timings_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Fans out to several sinks (e.g. stats + trace).
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn EventSink>>,
-}
-
-impl TeeSink {
-    /// A sink forwarding to every sink in `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn EventSink>>) -> TeeSink {
-        TeeSink { sinks }
-    }
-}
-
-impl EventSink for TeeSink {
-    fn event(&self, event: Event) {
-        for s in &self.sinks {
-            s.event(event);
-        }
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.trace_enabled())
-    }
-
-    fn trace(&self, msg: fmt::Arguments<'_>) {
-        for s in &self.sinks {
-            if s.trace_enabled() {
-                s.trace(msg);
-            }
-        }
-    }
-
-    fn spans_enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.spans_enabled())
-    }
-
-    fn span(&self, rec: SpanRec) {
-        for s in &self.sinks {
-            if s.spans_enabled() {
-                s.span(rec);
-            }
-        }
-    }
-
-    fn timings_enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.timings_enabled())
-    }
-}
-
-/// Emits a diagnostic line through a sink, formatting the message only when
-/// the sink asks for traces (the successor of the old `rtf_trace!` macro,
-/// whose `RTF_TRACE` behaviour now lives in [`TraceSink`]).
+/// Emits a diagnostic line through a [`Telemetry`], formatting the message
+/// only when its trace stream is on.
 #[macro_export]
 macro_rules! tx_trace {
-    ($sink:expr, $($arg:tt)*) => {{
-        // Method-call syntax so `$sink` may be a sink, a reference, or an
-        // `Arc<dyn EventSink>` alike.
-        if $sink.trace_enabled() {
-            $sink.trace(format_args!($($arg)*));
+    ($telemetry:expr, $($arg:tt)*) => {{
+        if $telemetry.tracing() {
+            $telemetry.trace(format_args!($($arg)*));
         }
     }};
 }
@@ -602,29 +434,46 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
+    struct Record(Mutex<Vec<Event>>);
+
+    impl EventSink for Record {
+        fn event(&self, e: Event) {
+            self.0.lock().unwrap().push(e);
+        }
+    }
+
+    fn observed(observers: Vec<Arc<dyn EventSink>>) -> Telemetry {
+        Telemetry::new(Arc::new(TmStats::default()), observers, false)
+    }
+
     #[test]
-    fn stats_sink_maps_events_to_counters() {
-        let stats = Arc::new(TmStats::default());
-        let sink = StatsSink::new(Arc::clone(&stats));
-        sink.event(Event::TopCommit);
-        sink.event(Event::TopCommit);
-        sink.event(Event::SubValidationAbort);
-        sink.event(Event::VersionsGced(7));
-        sink.event(Event::WaitTurnNs(120));
-        sink.event(Event::PoolTaskHelped);
-        sink.event(Event::PoolFenceDeferrals(3));
-        sink.event(Event::TicketIssued);
-        sink.event(Event::TicketIssued);
-        sink.event(Event::TicketCommit { lane: 0, seq: 0, tree: 9 });
-        sink.event(Event::TicketAbandoned { lane: 0, seq: 1 });
-        sink.event(Event::TicketWaitNs(40));
-        sink.event(Event::TicketSpuriousWakes(5));
+    fn telemetry_maps_events_to_counters() {
+        let tel = Telemetry::default();
+        tel.count(Counter::TopCommits, 1);
+        tel.count(Counter::TopCommits, 1);
+        tel.count(Counter::SubValidationAborts, 1);
+        tel.count(Counter::VersionsGced, 7);
+        tel.count(Counter::WaitTurnNs, 120);
+        tel.count(Counter::PoolHelpedTasks, 1);
+        tel.count(Counter::PoolFenceDeferrals, 3);
+        tel.count(Counter::TicketsIssued, 1);
+        tel.count(Counter::TicketsIssued, 1);
+        tel.event(Event::TicketCommit { lane: 0, seq: 0, tree: 9 });
+        tel.event(Event::TicketAbandoned { lane: 0, seq: 1 });
+        tel.event(Event::StallDetected {
+            kind: StallKind::WaitTurn,
+            tree: 1,
+            node: 2,
+            waited_ns: 3,
+        });
+        tel.count(Counter::TicketWaitNs, 40);
+        tel.count(Counter::TicketSpuriousWakes, 5);
         // Detail-only events fall through without touching counters.
-        sink.event(Event::TopCommitNs(999));
-        sink.event(Event::FutureLifetimeNs(999));
-        sink.event(Event::WaitBegin { kind: StallKind::TicketWait, tree: 1, a: 0, b: 5 });
-        sink.event(Event::WaitEnd);
-        let snap = stats.snapshot();
+        tel.event(Event::TopCommitNs(999));
+        tel.event(Event::FutureLifetimeNs(999));
+        tel.event(Event::WaitBegin { kind: StallKind::TicketWait, tree: 1, a: 0, b: 5 });
+        tel.event(Event::WaitEnd);
+        let snap = tel.stats().snapshot();
         assert_eq!(snap.top_commits, 2);
         assert_eq!(snap.sub_validation_aborts, 1);
         assert_eq!(snap.versions_gced, 7);
@@ -634,24 +483,22 @@ mod tests {
         assert_eq!(snap.tickets_issued, 2);
         assert_eq!(snap.ordered_commits, 1);
         assert_eq!(snap.tickets_abandoned, 1);
+        assert_eq!(snap.stalls_detected, 1);
         assert_eq!(snap.ticket_wait_ns, 40);
         assert_eq!(snap.ticket_spurious_wakes, 5);
+        let counted: u64 = Counter::ALL.iter().map(|&c| snap.get(c)).sum();
+        assert_eq!(counted, 2 + 1 + 7 + 120 + 1 + 3 + 2 + 1 + 1 + 1 + 40 + 5);
     }
 
     #[test]
     fn wait_site_guard_pairs_begin_and_end_lifo() {
-        struct Record(Mutex<Vec<Event>>);
-        impl EventSink for Record {
-            fn event(&self, e: Event) {
-                self.0.lock().unwrap().push(e);
-            }
-        }
-        let sink = Record(Mutex::new(Vec::new()));
+        let rec = Arc::new(Record(Mutex::new(Vec::new())));
+        let tel = observed(vec![rec.clone()]);
         {
-            let _outer = WaitSiteGuard::enter(&sink, StallKind::TicketWait, 7, 0, 42);
-            let _inner = WaitSiteGuard::enter(&sink, StallKind::WaitTurn, 7, 3, 9);
+            let _outer = WaitSiteGuard::enter(&tel, StallKind::TicketWait, 7, 0, 42);
+            let _inner = WaitSiteGuard::enter(&tel, StallKind::WaitTurn, 7, 3, 9);
         }
-        let got = sink.0.into_inner().unwrap();
+        let got = rec.0.lock().unwrap().clone();
         assert_eq!(
             got,
             vec![
@@ -665,15 +512,26 @@ mod tests {
 
     #[test]
     fn null_sink_ignores_everything() {
-        let sink: Arc<dyn EventSink> = Arc::new(NullSink);
-        sink.event(Event::TopCommit);
-        assert!(!sink.trace_enabled());
-        assert!(!sink.spans_enabled());
-        tx_trace!(sink, "never formatted {}", 1);
+        // An observer that overrides nothing: it drops events, wants no
+        // spans, and with it attached (and trace off) nothing is formatted.
+        struct Null;
+        impl EventSink for Null {}
+        let tel = observed(vec![Arc::new(Null)]);
+        tel.count(Counter::TopCommits, 1);
+        assert!(!tel.spans());
+        assert!(!tel.tracing());
+        struct Loud;
+        impl fmt::Display for Loud {
+            fn fmt(&self, _f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("formatted with tracing off")
+            }
+        }
+        tx_trace!(tel, "never formatted {}", Loud);
+        assert_eq!(tel.stats().snapshot().top_commits, 1);
     }
 
     #[test]
-    fn tee_fans_out() {
+    fn telemetry_fans_out_to_every_observer() {
         struct Counting(AtomicU64);
         impl EventSink for Counting {
             fn event(&self, _e: Event) {
@@ -682,15 +540,16 @@ mod tests {
         }
         let a = Arc::new(Counting(AtomicU64::new(0)));
         let b = Arc::new(Counting(AtomicU64::new(0)));
-        let tee = TeeSink::new(vec![a.clone() as Arc<dyn EventSink>, b.clone()]);
-        tee.event(Event::SubCommit);
-        tee.event(Event::SubCommit);
+        let tel = observed(vec![a.clone(), b.clone()]);
+        tel.count(Counter::SubCommits, 1);
+        tel.count(Counter::SubCommits, 1);
         assert_eq!(a.0.load(Ordering::Relaxed), 2);
         assert_eq!(b.0.load(Ordering::Relaxed), 2);
+        assert_eq!(tel.stats().snapshot().sub_commits, 2);
     }
 
     #[test]
-    fn tee_forwards_spans_only_to_interested_sinks() {
+    fn telemetry_forwards_spans_only_to_interested_observers() {
         struct Spans(Mutex<Vec<SpanRec>>);
         impl EventSink for Spans {
             fn spans_enabled(&self) -> bool {
@@ -700,9 +559,16 @@ mod tests {
                 self.0.lock().unwrap().push(rec);
             }
         }
+        struct NoSpans;
+        impl EventSink for NoSpans {
+            fn span(&self, _rec: SpanRec) {
+                panic!("span sent to an observer that did not ask for spans");
+            }
+        }
+        assert!(!observed(vec![Arc::new(NoSpans)]).spans());
         let spans = Arc::new(Spans(Mutex::new(Vec::new())));
-        let tee = TeeSink::new(vec![Arc::new(NullSink) as Arc<dyn EventSink>, spans.clone()]);
-        assert!(tee.spans_enabled());
+        let tel = observed(vec![Arc::new(NoSpans), spans.clone()]);
+        assert!(tel.spans());
         let rec = SpanRec {
             kind: SpanKind::WaitTurn,
             tree: 1,
@@ -712,7 +578,7 @@ mod tests {
             end_ns: 20,
             ok: true,
         };
-        tee.span(rec);
+        tel.span(rec);
         assert_eq!(*spans.0.lock().unwrap(), vec![rec]);
     }
 
@@ -720,23 +586,24 @@ mod tests {
     fn only_sinks_that_consume_durations_ask_for_timings() {
         struct Timed;
         impl EventSink for Timed {}
-        let stats: Arc<dyn EventSink> = Arc::new(StatsSink::new(Arc::new(TmStats::default())));
-        let null: Arc<dyn EventSink> = Arc::new(NullSink);
-        assert!(!stats.timings_enabled());
-        assert!(!null.timings_enabled());
-        assert!(!TraceSink::new(true).timings_enabled());
+        struct Untimed;
+        impl EventSink for Untimed {
+            fn timings_enabled(&self) -> bool {
+                false
+            }
+        }
         assert!(Timed.timings_enabled(), "the trait default sees every event");
-        let quiet = TeeSink::new(vec![Arc::clone(&stats), Arc::clone(&null)]);
-        assert!(!quiet.timings_enabled());
-        let timed = TeeSink::new(vec![stats, null, Arc::new(Timed)]);
-        assert!(timed.timings_enabled());
+        assert!(!Telemetry::default().timings(), "no observer, no timings");
+        assert!(!observed(vec![Arc::new(Untimed)]).timings());
+        assert!(observed(vec![Arc::new(Untimed), Arc::new(Timed)]).timings());
     }
 
     #[test]
     fn trace_sink_flag_is_injectable() {
-        assert!(TraceSink::new(true).trace_enabled());
-        assert!(!TraceSink::new(false).trace_enabled());
-        assert!(!TraceSink::default().trace_enabled());
+        let stats = || Arc::new(TmStats::default());
+        assert!(Telemetry::new(stats(), Vec::new(), true).tracing());
+        assert!(!Telemetry::new(stats(), Vec::new(), false).tracing());
+        assert!(!Telemetry::default().tracing());
     }
 
     #[test]

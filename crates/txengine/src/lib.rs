@@ -11,7 +11,7 @@
 //! * one read-resolution walk and one validation loop, parameterized by a
 //!   [`Visibility`] policy ([`access`]);
 //! * retry pacing for the top-level re-execution loop ([`retry`]);
-//! * instrumentation through an [`EventSink`] ([`events`]).
+//! * instrumentation through one [`Telemetry`] per runtime ([`events`]).
 //!
 //! The client crates contribute only their *policies* (which tentative
 //! entries a reader may observe, which snapshot bounds permanent reads) and
@@ -37,9 +37,10 @@ pub use cell::{
     TentativeGuard, VBox, VBoxCell,
 };
 pub use events::{
-    obs_now_ns, stable_thread_id, ConflictKind, Event, EventSink, NullSink, SpanKind, SpanRec,
-    StallKind, StatsSink, TeeSink, TraceSink, WaitSiteGuard,
+    obs_now_ns, stable_thread_id, ConflictKind, Event, EventSink, SpanKind, SpanRec, StallKind,
+    Telemetry, WaitSiteGuard,
 };
 pub use readset::{ReadLog, ReadRecord, ReadSet, Source, WriteEntry, WriteSet};
 pub use retry::{Backoff, RetryBudget, RetryDriver, RetryExhausted, SeededBackoff};
+pub use rtf_txbase::Counter;
 pub use value::{downcast, erase, TxData, Val};

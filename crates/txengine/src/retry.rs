@@ -126,11 +126,6 @@ pub struct RetryBudget {
 impl RetryBudget {
     /// The unlimited budget (retry forever).
     pub const UNLIMITED: RetryBudget = RetryBudget { max_attempts: None, deadline: None };
-
-    /// True when neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_attempts.is_none() && self.deadline.is_none()
-    }
 }
 
 /// Why a bounded retry loop gave up (see [`RetryDriver::try_backoff`]).
@@ -174,18 +169,6 @@ impl RetryDriver {
         RetryDriver { attempt: 0, backoff, budget }
     }
 
-    /// Number of failed attempts so far.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Registers a failed attempt and pauses before the next one
-    /// (unbounded: ignores the budget). Returns slept nanoseconds.
-    pub fn backoff(&mut self) -> u64 {
-        self.attempt += 1;
-        self.backoff.pause(self.attempt)
-    }
-
     /// Registers a failed attempt; pauses and returns the slept nanoseconds
     /// if the budget permits another try, or reports [`RetryExhausted`]
     /// without pausing.
@@ -212,10 +195,10 @@ mod tests {
     #[test]
     fn driver_counts_attempts() {
         let mut d = RetryDriver::default();
-        assert_eq!(d.attempt(), 0);
-        d.backoff();
-        d.backoff();
-        assert_eq!(d.attempt(), 2);
+        assert_eq!(d.attempt, 0);
+        assert!(d.try_backoff().is_ok());
+        assert!(d.try_backoff().is_ok());
+        assert_eq!(d.attempt, 2);
     }
 
     #[test]
@@ -224,8 +207,8 @@ mod tests {
         // slept duration names the attempt number the driver passed.
         let p = SeededBackoff::new(Duration::from_micros(10), Duration::from_millis(1), 3);
         let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::UNLIMITED);
-        assert_eq!(d.backoff(), p.pause_for(1).as_nanos() as u64);
-        assert_eq!(d.backoff(), p.pause_for(2).as_nanos() as u64);
+        assert_eq!(d.try_backoff(), Ok(p.pause_for(1).as_nanos() as u64));
+        assert_eq!(d.try_backoff(), Ok(p.pause_for(2).as_nanos() as u64));
     }
 
     #[test]
@@ -256,8 +239,9 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_exhausts() {
-        assert!(RetryBudget::UNLIMITED.is_unlimited());
-        let mut d = RetryDriver::default();
+        let b = RetryBudget::UNLIMITED;
+        assert!(b.max_attempts.is_none() && b.deadline.is_none());
+        let mut d = RetryDriver::new(Backoff::Ladder, b);
         for _ in 0..8 {
             assert!(d.try_backoff().is_ok());
         }
@@ -302,7 +286,7 @@ mod tests {
     fn seeded_backoff_reports_slept_ns() {
         let p = SeededBackoff::new(Duration::from_micros(10), Duration::from_micros(20), 1);
         let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::UNLIMITED);
-        let slept = d.backoff();
+        let slept = d.try_backoff().unwrap();
         assert_eq!(slept, p.pause_for(1).as_nanos() as u64);
         assert!(slept > 0);
     }

@@ -1,9 +1,9 @@
 //! Observability for the `rtf` transactional-memory stack.
 //!
-//! The runtime reports everything it does through the [`EventSink`] seam of
-//! `rtf-txengine`; this crate is the sink that turns those reports into
-//! answers. One [`TxObs`] attached to a TM instance (or shared by many)
-//! aggregates:
+//! The runtime reports everything it does through the `Telemetry` of
+//! `rtf-txengine`, which hands every event to its [`EventSink`] observers;
+//! this crate is the observer that turns those reports into answers. One
+//! [`TxObs`] attached to a TM instance (or shared by many) aggregates:
 //!
 //! * **spans** — per-transaction lifecycle intervals (top-level attempts,
 //!   future/continuation bodies, `waitTurn`, validation, the commit chain,
@@ -23,8 +23,9 @@
 //!   workload runs ([`live`]), and the exposition renderer plus optional
 //!   scrape endpoint ([`prom`]).
 //!
-//! Everything is opt-in: with no observer attached the runtime pays one
-//! virtual `spans_enabled()` call per potential span and nothing else.
+//! Everything is opt-in: with no observer attached the runtime counts each
+//! event with one striped add, makes no virtual call, and reads no clock
+//! for spans or duration-only events.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -57,5 +58,5 @@ pub use snapshot::{SnapshotDiff, WaitEdge};
 // Re-exported so observer clients need not depend on the engine crate for
 // the sink vocabulary.
 pub use rtf_txengine::{
-    obs_now_ns, stable_thread_id, Event, EventSink, SpanKind, SpanRec, StallKind,
+    obs_now_ns, stable_thread_id, Counter, Event, EventSink, SpanKind, SpanRec, StallKind,
 };

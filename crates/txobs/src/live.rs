@@ -295,7 +295,7 @@ mod tests {
         };
         let mut exporter = LiveExporter::start(Arc::clone(&obs), config).unwrap();
         for i in 0..50 {
-            obs.event(Event::TopCommit);
+            obs.event(Event::Count(crate::Counter::TopCommits, 1));
             obs.event(Event::TopCommitNs(1_000 + i));
             if i % 10 == 0 {
                 std::thread::sleep(Duration::from_millis(2));
@@ -339,11 +339,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rtf-live-prom-{}", std::process::id()));
         let path = dir.join("prom.txt");
         let obs = TxObs::new(ObsConfig { spans: false, ..ObsConfig::default() });
-        obs.event(Event::TopCommit);
+        obs.event(Event::Count(crate::Counter::TopCommits, 1));
         let mut sink = PromTextSink::new(path.clone());
         sink.tick(0, 1, &obs.metrics()).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().contains("rtf_top_commits_total 1"));
-        obs.event(Event::TopCommit);
+        obs.event(Event::Count(crate::Counter::TopCommits, 1));
         sink.tick(1, 2, &obs.metrics()).unwrap();
         assert!(std::fs::read_to_string(&path).unwrap().contains("rtf_top_commits_total 2"));
         std::fs::remove_dir_all(&dir).ok();

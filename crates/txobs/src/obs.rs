@@ -1,11 +1,12 @@
 //! The observer: one [`TxObs`] aggregates everything the instrumentation
 //! seam emits.
 //!
-//! A `TxObs` is itself an [`EventSink`]; attach it (alongside the usual
-//! `StatsSink`) to any TM instance and it accumulates:
+//! A `TxObs` is an [`EventSink`] observer; attach it to any TM instance and
+//! it accumulates:
 //!
-//! * counters — its own [`TmStats`], so one observer can aggregate across
-//!   many TM instances (e.g. every cell of a benchmark sweep);
+//! * counters — its own [`TmStats`], fed by the same [`Event::counter`]
+//!   mapping as the runtime's, so one observer can aggregate across many TM
+//!   instances (e.g. every cell of a benchmark sweep);
 //! * latency histograms — commit, `waitTurn`, validation and future
 //!   submission-to-completion, log-bucketed ([`LogHist`]);
 //! * abort attribution — a per-cell [`ConflictTable`];
@@ -22,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use rtf_txbase::{FxHashMap, StatSnapshot, TmStats};
-use rtf_txengine::{obs_now_ns, stable_thread_id, Event, EventSink, SpanRec, StatsSink};
+use rtf_txbase::{Counter, FxHashMap, StatSnapshot, TmStats};
+use rtf_txengine::{obs_now_ns, stable_thread_id, Event, EventSink, SpanRec};
 
 use crate::chrome::chrome_trace;
 use crate::conflicts::{ConflictTable, Hotspot};
@@ -126,46 +127,9 @@ impl MetricsSnapshot {
     /// The machine-readable export document (`RTF_METRICS` format).
     pub fn to_json(&self) -> Json {
         let c = &self.counters;
-        let counters = Json::Obj(vec![
-            ("top_commits".into(), Json::U64(c.top_commits)),
-            ("top_ro_commits".into(), Json::U64(c.top_ro_commits)),
-            ("top_validation_aborts".into(), Json::U64(c.top_validation_aborts)),
-            ("inter_tree_aborts".into(), Json::U64(c.inter_tree_aborts)),
-            ("fallback_runs".into(), Json::U64(c.fallback_runs)),
-            ("sub_commits".into(), Json::U64(c.sub_commits)),
-            ("sub_validation_aborts".into(), Json::U64(c.sub_validation_aborts)),
-            ("continuation_restarts".into(), Json::U64(c.continuation_restarts)),
-            ("futures_submitted".into(), Json::U64(c.futures_submitted)),
-            ("ro_validation_skips".into(), Json::U64(c.ro_validation_skips)),
-            ("ro_validation_taken".into(), Json::U64(c.ro_validation_taken)),
-            ("helped_writebacks".into(), Json::U64(c.helped_writebacks)),
-            ("versions_gced".into(), Json::U64(c.versions_gced)),
-            ("wait_turn_ns".into(), Json::U64(c.wait_turn_ns)),
-            ("validation_ns".into(), Json::U64(c.validation_ns)),
-            ("pool_helped_tasks".into(), Json::U64(c.pool_helped_tasks)),
-            ("pool_fence_deferrals".into(), Json::U64(c.pool_fence_deferrals)),
-            ("read_fast".into(), Json::U64(c.read_fast)),
-            ("read_slow".into(), Json::U64(c.read_slow)),
-            ("stalls_detected".into(), Json::U64(c.stalls_detected)),
-            ("stall_aborts".into(), Json::U64(c.stall_aborts)),
-            ("pool_task_panics".into(), Json::U64(c.pool_task_panics)),
-            ("future_panics".into(), Json::U64(c.future_panics)),
-            ("retries_exhausted".into(), Json::U64(c.retries_exhausted)),
-            ("orec_snapshot_retries".into(), Json::U64(c.orec_snapshot_retries)),
-            ("tickets_issued".into(), Json::U64(c.tickets_issued)),
-            ("ordered_commits".into(), Json::U64(c.ordered_commits)),
-            ("tickets_abandoned".into(), Json::U64(c.tickets_abandoned)),
-            ("ticket_wait_ns".into(), Json::U64(c.ticket_wait_ns)),
-            ("ticket_spurious_wakes".into(), Json::U64(c.ticket_spurious_wakes)),
-            ("retry_backoff_ns".into(), Json::U64(c.retry_backoff_ns)),
-            ("retry_backoffs".into(), Json::U64(c.retry_backoffs)),
-            ("server_admitted".into(), Json::U64(c.server_admitted)),
-            ("server_completed".into(), Json::U64(c.server_completed)),
-            ("server_failed".into(), Json::U64(c.server_failed)),
-            ("server_shed".into(), Json::U64(c.server_shed)),
-            ("server_drained".into(), Json::U64(c.server_drained)),
-            ("server_conn_resets".into(), Json::U64(c.server_conn_resets)),
-        ]);
+        let counters = Json::Obj(
+            Counter::ALL.iter().map(|&k| (k.name().into(), Json::U64(c.get(k)))).collect(),
+        );
         let derived = Json::Obj(vec![
             ("commits".into(), Json::U64(c.commits())),
             ("top_aborts".into(), Json::U64(c.top_aborts())),
@@ -252,8 +216,7 @@ pub struct TxObs {
     id: u64,
     config: ObsConfig,
     exports: ExportPaths,
-    stats: Arc<TmStats>,
-    stats_sink: StatsSink,
+    stats: TmStats,
     hist_commit: LogHist,
     hist_wait_turn: LogHist,
     hist_validation: LogHist,
@@ -282,13 +245,11 @@ impl TxObs {
 
     /// A fresh observer that [`TxObs::export_or_warn`] will write out.
     pub fn with_exports(config: ObsConfig, exports: ExportPaths) -> Arc<TxObs> {
-        let stats = Arc::new(TmStats::default());
         Arc::new(TxObs {
             id: OBS_IDS.fetch_add(1, Ordering::Relaxed),
             config,
             exports,
-            stats_sink: StatsSink::new(Arc::clone(&stats)),
-            stats,
+            stats: TmStats::default(),
             hist_commit: LogHist::new(),
             hist_wait_turn: LogHist::new(),
             hist_validation: LogHist::new(),
@@ -476,11 +437,13 @@ impl TxObs {
 
 impl EventSink for TxObs {
     fn event(&self, event: Event) {
-        self.stats_sink.event(event);
+        if let Some((c, n)) = event.counter() {
+            self.stats.add(c, n);
+        }
         match event {
             Event::TopCommitNs(ns) => self.hist_commit.record(ns),
-            Event::WaitTurnNs(ns) => self.hist_wait_turn.record(ns),
-            Event::ValidationNs(ns) => self.hist_validation.record(ns),
+            Event::Count(Counter::WaitTurnNs, ns) => self.hist_wait_turn.record(ns),
+            Event::Count(Counter::ValidationNs, ns) => self.hist_validation.record(ns),
             Event::FutureLifetimeNs(ns) => self.hist_future.record(ns),
             Event::Conflict { kind, cell, writer_tree } => {
                 self.conflicts.record(kind, cell.raw() as u64, writer_tree.0);
@@ -533,11 +496,11 @@ mod tests {
     fn events_feed_counters_histograms_and_hotspots() {
         let obs = TxObs::new(ObsConfig::default());
         let sink = obs.sink();
-        sink.event(Event::TopCommit);
+        sink.event(Event::Count(Counter::TopCommits, 1));
         sink.event(Event::TopCommitNs(1_000));
         sink.event(Event::TopCommitNs(2_000));
-        sink.event(Event::WaitTurnNs(500));
-        sink.event(Event::ValidationNs(50));
+        sink.event(Event::Count(Counter::WaitTurnNs, 500));
+        sink.event(Event::Count(Counter::ValidationNs, 50));
         sink.event(Event::FutureLifetimeNs(9_999));
         sink.event(Event::Conflict {
             kind: ConflictKind::SubValidation,
@@ -671,7 +634,7 @@ mod tests {
             chrome_trace: Some(dir.join("t.json")),
         };
         let obs = TxObs::with_exports(ObsConfig::default(), exports);
-        obs.event(Event::TopCommit);
+        obs.event(Event::Count(Counter::TopCommits, 1));
         obs.event(Event::TopCommitNs(123));
         obs.span(SpanRec {
             kind: SpanKind::TopLevel,

@@ -17,6 +17,8 @@
 
 use std::fmt::Write as _;
 
+use rtf_txbase::Counter;
+
 use crate::hist::HistSnapshot;
 use crate::obs::MetricsSnapshot;
 
@@ -45,49 +47,9 @@ fn summary(out: &mut String, name: &str, help: &str, h: &HistSnapshot) {
 
 /// Renders `snap` as one Prometheus text-exposition document.
 pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
-    let c = &snap.counters;
     let mut out = String::new();
-    for (name, help, v) in [
-        ("top_commits", "Top-level read-write commits", c.top_commits),
-        ("top_ro_commits", "Top-level read-only commits", c.top_ro_commits),
-        ("top_validation_aborts", "Top-level validation aborts", c.top_validation_aborts),
-        ("inter_tree_aborts", "Whole-tree inter-tree aborts", c.inter_tree_aborts),
-        ("fallback_runs", "Sequential fallback executions", c.fallback_runs),
-        ("sub_commits", "Sub-transaction commits", c.sub_commits),
-        ("sub_validation_aborts", "Sub-transaction validation aborts", c.sub_validation_aborts),
-        ("continuation_restarts", "Continuation-driven full restarts", c.continuation_restarts),
-        ("futures_submitted", "Transactional futures submitted", c.futures_submitted),
-        ("ro_validation_skips", "Read-only validation skips", c.ro_validation_skips),
-        ("ro_validation_taken", "Read-only validations taken", c.ro_validation_taken),
-        ("helped_writebacks", "Commit records written back by helpers", c.helped_writebacks),
-        ("versions_gced", "Permanent versions trimmed by GC", c.versions_gced),
-        ("wait_turn_ns", "Nanoseconds blocked in waitTurn", c.wait_turn_ns),
-        ("validation_ns", "Nanoseconds validating read sets", c.validation_ns),
-        ("pool_helped_tasks", "Pool tasks run inline by helpers", c.pool_helped_tasks),
-        ("pool_fence_deferrals", "Helping attempts deferred by fences", c.pool_fence_deferrals),
-        ("read_fast", "Wait-free fast-path reads", c.read_fast),
-        ("read_slow", "Version-list walk reads", c.read_slow),
-        ("stalls_detected", "Waits flagged by the stall watchdog", c.stalls_detected),
-        ("stall_aborts", "Stalled waits converted to aborts", c.stall_aborts),
-        ("pool_task_panics", "Pool task panics contained", c.pool_task_panics),
-        ("future_panics", "Future panics converted to cancellations", c.future_panics),
-        ("retries_exhausted", "Retry budgets exhausted", c.retries_exhausted),
-        ("orec_snapshot_retries", "orec snapshot re-reads", c.orec_snapshot_retries),
-        ("tickets_issued", "Ordered-lane tickets issued", c.tickets_issued),
-        ("ordered_commits", "Commits through the ordered lane", c.ordered_commits),
-        ("tickets_abandoned", "Ordered-lane tickets abandoned", c.tickets_abandoned),
-        ("ticket_wait_ns", "Nanoseconds waiting for ticket turns", c.ticket_wait_ns),
-        ("ticket_spurious_wakes", "Ordered-lane spurious wakeups", c.ticket_spurious_wakes),
-        ("retry_backoff_ns", "Nanoseconds slept in conflict retry backoff", c.retry_backoff_ns),
-        ("retry_backoffs", "Retry attempts that slept in backoff", c.retry_backoffs),
-        ("server_admitted", "Server requests admitted", c.server_admitted),
-        ("server_completed", "Admitted server requests answered", c.server_completed),
-        ("server_failed", "Admitted requests answered with a typed TxError", c.server_failed),
-        ("server_shed", "Requests refused by the admission/overload ladder", c.server_shed),
-        ("server_drained", "In-flight requests force-resolved during drain", c.server_drained),
-        ("server_conn_resets", "Client connections dropped mid-stream", c.server_conn_resets),
-    ] {
-        counter(&mut out, &format!("rtf_{name}_total"), help, v);
+    for &c in Counter::ALL {
+        counter(&mut out, &format!("rtf_{}_total", c.name()), c.help(), snap.counters.get(c));
     }
     summary(&mut out, "rtf_commit_latency_ns", "Top-level commit-chain latency", &snap.commit);
     summary(&mut out, "rtf_wait_turn_latency_ns", "waitTurn blocking time", &snap.wait_turn);
@@ -294,7 +256,7 @@ mod tests {
         use std::io::{Read, Write};
         let obs = crate::obs::TxObs::new(crate::obs::ObsConfig::default());
         use rtf_txengine::{Event, EventSink};
-        obs.event(Event::TopCommit);
+        obs.event(Event::Count(Counter::TopCommits, 1));
         let mut server = PromServer::start("127.0.0.1:0", std::sync::Arc::clone(&obs)).unwrap();
         for _ in 0..2 {
             let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();

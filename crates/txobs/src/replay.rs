@@ -35,7 +35,7 @@ pub const REPLAY_SCHEMA: &str = "rtf-replay-v1";
 
 /// An [`EventSink`] recording the ordered lane's commit order: one
 /// `(lane, seq)` entry per [`Event::TicketCommit`], in emission order.
-/// Attach via `RtfBuilder::event_sink` (or any sink tee).
+/// Attach via `RtfBuilder::event_sink`.
 #[derive(Default)]
 pub struct CommitLog {
     entries: Mutex<Vec<(u32, u64)>>,
@@ -277,7 +277,7 @@ mod tests {
         log.event(Event::TicketCommit { lane: 0, seq: 0, tree: 11 });
         log.event(Event::TicketCommit { lane: 1, seq: 0, tree: 12 });
         log.event(Event::TicketCommit { lane: 0, seq: 1, tree: 13 });
-        log.event(Event::TicketIssued); // ignored by the log
+        log.event(Event::Count(crate::Counter::TicketsIssued, 1)); // ignored by the log
         let stats = StatSnapshot { tickets_issued: 4, ordered_commits: 3, ..Default::default() };
         ReplayArtifact::from_run("unit", 0xC0FFEE, 2, &log, state_hash([1, 2, 3]), &stats)
     }
@@ -286,7 +286,7 @@ mod tests {
     fn log_captures_only_ticket_commits_in_order() {
         let log = CommitLog::new();
         assert!(log.is_empty());
-        log.event(Event::TopCommit);
+        log.event(Event::Count(crate::Counter::TopCommits, 1));
         log.event(Event::TicketCommit { lane: 0, seq: 0, tree: 1 });
         log.event(Event::TicketAbandoned { lane: 0, seq: 1 });
         log.event(Event::TicketCommit { lane: 0, seq: 2, tree: 2 });

@@ -144,13 +144,13 @@ mod tests {
     fn diff_between_live_snapshots_is_exact_and_non_negative() {
         let obs = TxObs::new(ObsConfig { spans: false, ..ObsConfig::default() });
         let sink = obs.sink();
-        sink.event(Event::TopCommit);
+        sink.event(Event::Count(crate::Counter::TopCommits, 1));
         sink.event(Event::TopCommitNs(1_000));
         let a = obs.metrics();
-        sink.event(Event::TopCommit);
-        sink.event(Event::TopCommit);
+        sink.event(Event::Count(crate::Counter::TopCommits, 1));
+        sink.event(Event::Count(crate::Counter::TopCommits, 1));
         sink.event(Event::TopCommitNs(2_000));
-        sink.event(Event::SubCommit);
+        sink.event(Event::Count(crate::Counter::SubCommits, 1));
         let b = obs.metrics();
         let d = b.diff_since(&a);
         assert_eq!(d.counters.top_commits, 2);

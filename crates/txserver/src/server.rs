@@ -49,7 +49,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rtf::{Event, Rtf, TxError};
+use rtf::{Counter, Rtf, TxError};
 
 use crate::admission::{Admission, AdmissionConfig, Decision};
 use crate::protocol::{read_frame, write_frame, Request, Response, Status};
@@ -124,7 +124,7 @@ impl ConnShared {
     /// tears the socket down so the peer and our reader both notice).
     fn mark_reset(&self, tm: &Rtf) {
         if !self.reset.swap(true, Ordering::AcqRel) {
-            tm.event_sink().event(Event::ServerConnReset);
+            tm.telemetry().count(Counter::ServerConnResets, 1);
             let _ = self.write.lock().shutdown(Shutdown::Both);
             self.cv.notify_all();
         }
@@ -240,8 +240,8 @@ pub struct Server {
 impl Server {
     /// Binds and starts serving on `config.addr`. The runtime is supplied
     /// by the caller (build it ordered to honor [`crate::protocol::FLAG_ORDERED`];
-    /// attach observers/live metrics there too — the server only emits
-    /// events into its sink).
+    /// attach observers/live metrics there too — the server only reports
+    /// events to its telemetry).
     pub fn start(tm: Rtf, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -407,7 +407,7 @@ fn accept_loop(
 }
 
 fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
-    let sink = shared.tm.event_sink();
+    let telemetry = shared.tm.telemetry();
     // One read syscall takes in every frame a pipelining client has sent,
     // rather than two per frame (prefix, then payload).
     let mut stream = BufReader::new(stream);
@@ -458,11 +458,11 @@ fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
         );
         match decision {
             Decision::Shed(status) => {
-                sink.event(Event::ServerShed);
+                telemetry.count(Counter::ServerShed, 1);
                 conn.send(&Response { req_id: req.req_id, status, body: vec![] }, &shared.tm);
             }
             Decision::Admit => {
-                sink.event(Event::ServerAdmitted);
+                telemetry.count(Counter::ServerAdmitted, 1);
                 // Backpressure: block here (not in the kernel) until the
                 // connection has a free slot; while blocked, no further
                 // frames are read from this socket.
@@ -475,7 +475,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
-    let sink = shared.tm.event_sink();
+    let telemetry = shared.tm.telemetry();
     loop {
         let (job, ticket) = {
             let mut q = shared.queue.lock();
@@ -500,6 +500,10 @@ fn executor_loop(shared: &Arc<Shared>) {
                 if shared.stop_workers.load(Ordering::Acquire) {
                     return;
                 }
+                // A delay here holds the executor between its stop check
+                // and its park: the window in which a `stop_workers` store
+                // made outside the queue lock would lose its wakeup.
+                rtf_txfault::fail_point!("txserver.exec.park");
                 shared.qcv.wait(&mut q);
             }
         };
@@ -508,7 +512,7 @@ fn executor_loop(shared: &Arc<Shared>) {
             // just-drawn ticket (if any) drops here — abandoned, so the
             // ordered lane skips its turn instead of wedging successors.
             drop(ticket);
-            sink.event(Event::ServerDrained);
+            telemetry.count(Counter::ServerDrained, 1);
             job.conn.send(
                 &Response { req_id: job.req_id, status: Status::ShedDraining, body: vec![] },
                 &shared.tm,
@@ -535,7 +539,10 @@ fn executor_loop(shared: &Arc<Shared>) {
                 Response { req_id: job.req_id, status: Status::from_tx_error(e), body: vec![] }
             }
         };
-        sink.event(Event::ServerCompleted { ok: result.is_ok() });
+        telemetry.count(Counter::ServerCompleted, 1);
+        if result.is_err() {
+            telemetry.count(Counter::ServerFailed, 1);
+        }
         job.conn.send(&resp, &shared.tm);
         shared.admission.release();
         job.conn.release_slot();

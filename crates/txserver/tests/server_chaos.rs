@@ -9,10 +9,13 @@
 //! * A request that panics inside the executor (failpoint
 //!   `txserver.exec`, armed only with `--features fault-inject`): the
 //!   client gets a typed `ErrPanicked`, and the executor keeps serving.
+//! * A shutdown that lands while an idle executor sits between its stop
+//!   check and its park (failpoint `txserver.exec.park`): the executor
+//!   must still wake and exit, so `shutdown` returns.
 
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{mpsc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use rtf_txfault::{FaultPlan, SiteRule};
 use rtf_txserver::protocol::{
@@ -186,5 +189,39 @@ fn panicking_request_is_answered_and_the_executor_keeps_serving() {
     let report = server.shutdown();
     assert_eq!((report.admitted, report.completed, report.drained), (5, 5, 0));
     assert_eq!(report.failed, 1);
+    assert!(report.reconciled, "leftover in-flight {}", report.leftover_inflight);
+}
+
+#[test]
+fn shutdown_wakes_an_executor_held_between_its_stop_check_and_its_park() {
+    if !rtf_txfault::enabled() {
+        eprintln!("skipped: build with --features fault-inject");
+        return;
+    }
+    let _gate = lock();
+    // The idle executor's first pass through the park failpoint sleeps
+    // 500 ms, with the stop flag already checked and the park still ahead.
+    rtf_txfault::install(
+        FaultPlan::new(5).rule(SiteRule::at("txserver.exec.park").delay(1_000_000, 500_000).cap(1)),
+    );
+    let config = ServerConfig { exec_workers: 1, ..chaos_server_config() };
+    let server = Server::start(rtf::Rtf::builder().workers(1).build(), config).unwrap();
+    let held_by = Instant::now() + Duration::from_secs(5);
+    while rtf_txfault::injected_total() == 0 {
+        assert!(Instant::now() < held_by, "the executor never reached txserver.exec.park");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Shut down inside the window. A stop flag stored outside the queue
+    // lock lands now, its notify finds no waiter, and the executor then
+    // parks for good: `shutdown` would block in `join` forever, so it runs
+    // on its own thread under a deadline.
+    let (done, finished) = mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let report = finished.recv_timeout(Duration::from_secs(10));
+    rtf_txfault::clear();
+    let report = report.expect("shutdown did not return within 10 s: lost executor wakeup");
+    shutdown.join().unwrap();
     assert!(report.reconciled, "leftover in-flight {}", report.leftover_inflight);
 }
