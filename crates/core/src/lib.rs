@@ -110,18 +110,6 @@ pub use rtf_txobs::{
     WaitEdge, STREAM_SCHEMA,
 };
 
-// Internal APIs for sibling crates (data structures, benches) and tests.
-#[doc(hidden)]
-pub mod internals {
-    pub use crate::node::{Node, NodeKind};
-    pub use crate::rw::{
-        sub_write, validate_reads, validate_reads_detailed, InterTreeConflict, SubRead,
-        SubValidation,
-    };
-    pub use crate::tree::TreeCtx;
-    pub use rtf_txengine::{ReadRecord, Source};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@
 //!   the order key of the node's own writes.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 use rtf_txbase::{new_node_id, FxHashMap, NodeId, OrderKey, Orec, WaitQueue, WriteToken};
@@ -88,9 +88,6 @@ pub struct Node {
     pub fork_count: AtomicU32,
     /// Contributions from committed children.
     pub inbox: Mutex<Inbox>,
-    /// Set when the node's subtree is being torn down; running descendants
-    /// poll it at operation boundaries and unwind.
-    cancelled: AtomicBool,
 }
 
 impl Node {
@@ -108,7 +105,6 @@ impl Node {
             nclock_waiters: WaitQueue::new(),
             fork_count: AtomicU32::new(0),
             inbox: Mutex::new(Inbox::default()),
-            cancelled: AtomicBool::new(false),
         })
     }
 
@@ -150,7 +146,6 @@ impl Node {
             nclock_waiters: WaitQueue::new(),
             fork_count: AtomicU32::new(0),
             inbox: Mutex::new(Inbox::default()),
-            cancelled: AtomicBool::new(false),
         })
     }
 
@@ -174,10 +169,13 @@ impl Node {
 
     /// Waits until `nclock >= threshold`, interleaving calls to `help`
     /// (pool helping) and checking `poisoned` (tree teardown). Returns
-    /// `false` when the wait was interrupted by poisoning.
+    /// `false` when the wait was interrupted by poisoning. `forced_round`
+    /// skips the first threshold check, so the waiter helps or parks once
+    /// even when the turn has already come (fault injection).
     pub fn wait_nclock_at_least(
         &self,
         threshold: u64,
+        mut forced_round: bool,
         mut help: impl FnMut() -> bool,
         poisoned: impl Fn() -> bool,
     ) -> bool {
@@ -186,7 +184,7 @@ impl Node {
             // the epoch, so the park below returns Raced instead of
             // sleeping through its own wakeup.
             let token = self.nclock_waiters.epoch();
-            if *self.nclock.lock() >= threshold {
+            if !std::mem::take(&mut forced_round) && *self.nclock.lock() >= threshold {
                 return true;
             }
             if poisoned() {
@@ -203,28 +201,11 @@ impl Node {
         }
     }
 
-    /// Marks this subtree cancelled (tree teardown).
+    /// Wakes every `waitTurn` waiter parked on this node, whatever its
+    /// threshold (subtree abort or tree teardown): they must observe the
+    /// poison flag and give up.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-        // Wake every waitTurn waiter parked on this node, whatever its
-        // threshold: they must observe the poison flag and give up.
         self.nclock_waiters.notify_all();
-    }
-
-    /// Whether this node (or, transitively via checks at each level, an
-    /// ancestor) was cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-
-    /// The root of this node's tree.
-    pub fn root(self: &Arc<Node>) -> Arc<Node> {
-        let mut cur = Arc::clone(self);
-        while let Some(p) = &cur.parent {
-            let p = Arc::clone(p);
-            cur = p;
-        }
-        cur
     }
 
     /// `waitTurn` target (Alg 3, generalized to multi-fork nodes): the
@@ -269,6 +250,7 @@ impl std::fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn child_paths_follow_order_scheme() {
@@ -336,7 +318,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(15));
             r2.bump_nclock();
         });
-        let ok = root.wait_nclock_at_least(1, || false, || false);
+        let ok = root.wait_nclock_at_least(1, false, || false, || false);
         assert!(ok);
         h.join().unwrap();
     }
@@ -350,25 +332,23 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(15));
             f2.store(true, Ordering::Release);
         });
-        let ok = root.wait_nclock_at_least(5, || false, || flag.load(Ordering::Acquire));
+        let ok = root.wait_nclock_at_least(5, false, || false, || flag.load(Ordering::Acquire));
         assert!(!ok);
         h.join().unwrap();
     }
 
     #[test]
-    fn root_discovery() {
+    fn a_forced_round_helps_once_even_when_the_turn_has_come() {
         let root = Node::new_root();
-        let a = Node::new_child(&root, NodeKind::Future { fork_idx: 0 });
-        let b = Node::new_child(&a, NodeKind::Continuation { fork_idx: 0 });
-        assert_eq!(b.root().id, root.id);
-        assert_eq!(root.root().id, root.id);
-    }
-
-    #[test]
-    fn cancel_flag_visible() {
-        let root = Node::new_root();
-        assert!(!root.is_cancelled());
-        root.cancel();
-        assert!(root.is_cancelled());
+        root.bump_nclock();
+        let helps = std::cell::Cell::new(0);
+        let help = || {
+            helps.set(helps.get() + 1);
+            true
+        };
+        assert!(root.wait_nclock_at_least(1, true, help, || false));
+        assert_eq!(helps.get(), 1);
+        assert!(root.wait_nclock_at_least(1, false, help, || false));
+        assert_eq!(helps.get(), 1);
     }
 }

@@ -16,23 +16,8 @@
 
 use std::sync::Arc;
 
-use rtf_taskpool::OrderTag;
 use rtf_txbase::{Ticket, TicketDispenser, TicketLane};
 use rtf_txengine::{Counter, Event, Telemetry};
-
-/// High bit marking an [`OrderTag`] realm as a ticket lane rather than a
-/// transaction tree (tree ids are sequential and never reach this range).
-const LANE_REALM_BIT: u64 = 1 << 63;
-
-/// The helping-fence position of a commit ticket: realm = its lane, position
-/// = its sequence number. A thread executing (or blocked inside) the
-/// transaction holding this ticket must never help a sibling positioned at
-/// or after it — the sibling's commit waits for this very ticket's turn, and
-/// suspending the ticket holder beneath the sibling wedges the lane until a
-/// watchdog breaks it.
-pub(crate) fn lane_order_tag(t: Ticket) -> OrderTag {
-    OrderTag::new(LANE_REALM_BIT | u64::from(t.lane), &[(t.seq >> 32) as u32, t.seq as u32])
-}
 
 /// A held position in the runtime's predefined commit order.
 ///

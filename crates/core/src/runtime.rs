@@ -33,7 +33,7 @@ use rtf_mvstm::{CommitChain, TurnGate, TxData};
 use rtf_taskpool::{Pool, PoolRunner};
 use rtf_txbase::{
     thread_stripe, ActiveTxnRegistry, GlobalClock, OrecStatus, StatSnapshot, TicketDispenser,
-    TmStats, STRIPES,
+    STRIPES,
 };
 use rtf_txengine::{
     obs_now_ns, Backoff, Counter, Event, EventSink, ReadRecord, ReadSet, RetryBudget, RetryDriver,
@@ -101,13 +101,6 @@ pub struct RunBudget {
     /// Absolute deadline for this call. Combined with the runtime-level
     /// [`RtfConfig::retry_deadline`] (whichever expires first wins).
     pub deadline: Option<Instant>,
-}
-
-impl RunBudget {
-    /// A budget expiring `d` from now.
-    pub fn deadline_in(d: Duration) -> RunBudget {
-        RunBudget { max_retries: None, deadline: Some(Instant::now() + d) }
-    }
 }
 
 /// Configuration of an [`Rtf`] instance.
@@ -641,34 +634,6 @@ impl Rtf {
                 .as_ref()
                 .map(|d| OrderedTicket::acquire(Arc::clone(d), Arc::clone(&env.telemetry)))
         });
-        // Fence the whole ticketed run at the ticket's lane position: any
-        // helping reached from inside it (future evaluation, quiescence,
-        // the turn wait itself) may pull *earlier*-ticketed siblings onto
-        // this stack but never later ones — a later sibling's commit waits
-        // for this very ticket's turn, and suspending this frame beneath it
-        // would wedge the lane until the stall watchdog broke the cycle.
-        let fence = ticket.as_ref().map(|t| crate::ordered::lane_order_tag(t.ticket()));
-        let run = move |ticket: &mut Option<OrderedTicket>| {
-            self.run_attempts(body, ro_mode, structured, ticket, over)
-        };
-        match fence {
-            Some(tag) => env.pool.fenced(tag, || run(&mut ticket)),
-            None => run(&mut ticket),
-        }
-    }
-
-    /// The retry loop proper (see [`Rtf::run_top_level`], which sets up the
-    /// ticket and its helping fence before entering).
-    fn run_attempts<R>(
-        &self,
-        body: impl Fn(&mut Tx) -> R,
-        ro_mode: bool,
-        structured: bool,
-        ticket: &mut Option<OrderedTicket>,
-        over: RunBudget,
-    ) -> Result<R, TxError> {
-        let inner = &self.inner;
-        let env = inner.env();
         let telemetry = &env.telemetry;
         // Per-call overrides compose with the runtime-level limits: the
         // tighter attempt cap and the earlier deadline win.
@@ -920,13 +885,12 @@ impl Rtf {
             env.stall,
         );
         let mut stalled = None;
-        // Bound the helping at this ticket's own position (normally already
-        // fenced by `run_top_level`, but the bound keeps the wait safe even
-        // for callers that reach a turn wait outside the fenced run path).
-        let bound = crate::ordered::lane_order_tag(ticket.ticket());
+        // Unfenced helping: the tree has committed down to its root, and no
+        // task waits on a root commit (only later tickets' root commits do,
+        // on their own client threads).
         let wait = lane.wait_turn_counted(
             seq,
-            || env.pool.help_one(Some(&bound)),
+            || env.pool.help_one(None),
             || match watch.tick() {
                 StallAction::Continue => true,
                 StallAction::Abort { waited_ms } => {
@@ -1089,11 +1053,6 @@ impl Rtf {
     /// Event counters of this runtime.
     pub fn stats(&self) -> StatSnapshot {
         self.inner.env().telemetry.stats().snapshot()
-    }
-
-    /// Shared counter handle (benchmark harnesses diff snapshots).
-    pub fn stats_arc(&self) -> Arc<TmStats> {
-        Arc::clone(self.inner.env().telemetry.stats())
     }
 
     /// Current configuration.

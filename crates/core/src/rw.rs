@@ -250,17 +250,10 @@ pub fn sub_write(
 }
 
 /// Validates a sub-transaction's read-set (Alg 4 line 3) through the
-/// engine's single validation loop. `true` = commit may proceed; `false` =
-/// the sub-transaction missed a preceding write and must re-execute.
-pub fn validate_reads<'a, I>(tree: &TreeCtx, node: &Node, reads: I) -> bool
-where
-    I: IntoIterator<Item = &'a ReadRecord>,
-{
-    rtf_txengine::validate_reads(reads, |r| SubValidation::for_read(tree, node, r))
-}
-
-/// [`validate_reads`], attributing a failure: the [`ConflictSite`] names
-/// the first stale cell and the tree owning the displacing write.
+/// engine's single validation loop. `Ok` = commit may proceed; `Err` = the
+/// sub-transaction missed a preceding write and must re-execute, and the
+/// [`ConflictSite`] names the first stale cell and the tree owning the
+/// displacing write.
 pub fn validate_reads_detailed<'a, I>(
     tree: &TreeCtx,
     node: &Node,
@@ -277,6 +270,14 @@ mod tests {
     use super::*;
     use crate::node::NodeKind;
     use rtf_txengine::{downcast, erase, resolve_read, VBox};
+
+    fn validate_reads<'a>(
+        tree: &TreeCtx,
+        node: &Node,
+        reads: impl IntoIterator<Item = &'a ReadRecord>,
+    ) -> bool {
+        validate_reads_detailed(tree, node, reads).is_ok()
+    }
 
     fn tree() -> Arc<TreeCtx> {
         TreeCtx::new(0, false)

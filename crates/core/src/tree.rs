@@ -149,11 +149,6 @@ impl TreeCtx {
         self.root_ws_written.store(true, Ordering::Release);
     }
 
-    /// Whether the top-level write-set is empty (read-only fast path).
-    pub fn root_ws_is_empty(&self) -> bool {
-        self.root_ws.read().is_empty()
-    }
-
     /// Drains the top-level write-set for commit.
     pub fn root_ws_drain(&self) -> Vec<WriteEntry> {
         self.root_ws.write().drain().collect()
@@ -289,7 +284,7 @@ mod tests {
         assert_eq!(t1, t2);
         let drained = tree.root_ws_drain();
         assert_eq!(drained.len(), 1);
-        assert!(tree.root_ws_is_empty());
+        assert!(tree.root_ws_drain().is_empty());
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl Tx {
         downcast(self.read_cell(vbox.cell()))
     }
 
-    /// Reads a `Clone` value out of a box.
-    pub fn read_owned<T: TxData + Clone>(&mut self, vbox: &VBox<T>) -> T {
-        (*self.read(vbox)).clone()
-    }
-
     /// Untyped read (data-structure crates build on this).
     pub fn read_cell(&mut self, cell: &Arc<VBoxCell>) -> Val {
         self.check_poison();
@@ -576,8 +571,7 @@ impl Tx {
             handle,
             body,
             ro_mode: self.ro_mode,
-            pending: None,
-            requeues: 0,
+            attempt: None,
             submitted_ns: if self.env.telemetry.timings() { obs_now_ns() } else { 0 },
         };
         stage.tree.task_started();
@@ -588,30 +582,12 @@ impl Tx {
     // ----------------------------------------------- sub-commit machinery
 
     /// Commits and pops frames until only `depth` remain, blocking in
-    /// `waitTurn` as needed (client-thread use only; see [`CommitBlock`]).
+    /// `waitTurn` as needed. Every caller uses it: the `atomic` body's
+    /// implicit chain, `fork`'s continuation and a future's pool task.
     pub(crate) fn commit_frames_down_to(&mut self, depth: usize) -> Result<(), SubConflict> {
         while self.frames.len() > depth {
             let frame = self.frames.last().expect("frames non-empty");
-            match commit_frame(&self.env, &self.tree, frame, true) {
-                Ok(()) => {
-                    self.frames.pop();
-                }
-                Err(CommitBlock::Conflict) => return Err(SubConflict),
-                Err(CommitBlock::WouldBlock) => {
-                    unreachable!("blocking commit never reports WouldBlock")
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Non-blocking variant for pool tasks: commits as many frames as are
-    /// ready; reports `WouldBlock` when `waitTurn` is not yet satisfied so
-    /// the task can re-queue itself instead of occupying a thread.
-    pub(crate) fn try_commit_frames_down_to(&mut self, depth: usize) -> Result<(), CommitBlock> {
-        while self.frames.len() > depth {
-            let frame = self.frames.last().expect("frames non-empty");
-            commit_frame(&self.env, &self.tree, frame, false)?;
+            commit_frame(&self.env, &self.tree, frame)?;
             self.frames.pop();
         }
         Ok(())
@@ -654,32 +630,15 @@ fn order_tag(tree: &TreeCtx, key: &rtf_txbase::OrderKey) -> OrderTag {
     OrderTag::new(tree.tree_id.0, key.components())
 }
 
-/// Outcome of a non-blocking commit attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CommitBlock {
-    /// Validation failed: the subtree must re-execute.
-    Conflict,
-    /// `waitTurn` is not yet satisfied; retry later. Only returned in
-    /// non-blocking mode (pool tasks re-queue themselves instead of
-    /// blocking, which would invert the helping discipline — a helper
-    /// could otherwise suspend a task underneath a *later*-serialized one
-    /// that then waits for it forever).
-    WouldBlock,
-}
-
 /// Commits one frame's node into its parent: `waitTurn` (Alg 3), read-set
 /// validation with the §IV-E read-only skip, ownership propagation and
-/// `nClock` bump (Alg 4).
+/// `nClock` bump (Alg 4). `Err` means validation failed and the subtree
+/// must re-execute.
 ///
-/// `blocking` chooses the `waitTurn` behaviour: client threads (the atomic
-/// body's implicit chain, `fork`'s continuation) may block and help; pool
-/// tasks must use the non-blocking mode (see [`CommitBlock::WouldBlock`]).
-fn commit_frame(
-    env: &TxEnv,
-    tree: &TreeCtx,
-    frame: &Frame,
-    blocking: bool,
-) -> Result<(), CommitBlock> {
+/// `waitTurn` blocks, helping the pool fenced at the node's position: the
+/// helped tasks are serialized before the node, so none of them waits on
+/// the frames this thread holds suspended (see the taskpool module docs).
+fn commit_frame(env: &TxEnv, tree: &TreeCtx, frame: &Frame) -> Result<(), SubConflict> {
     let node = &frame.node;
     let parent = Arc::clone(node.parent.as_ref().expect("sub-transactions have a parent"));
     let spans = env.telemetry.spans();
@@ -702,77 +661,64 @@ fn commit_frame(
     // waitTurn: everything serialized before this subtree must have
     // committed.
     if let Some((target, threshold)) = node.wait_turn_target() {
-        if rtf_txfault::fail_point!("core.wait_turn").is_abort() && !blocking {
-            // Injected fault: pretend the turn is not ready, forcing the
-            // task through a re-queue round trip.
-            return Err(CommitBlock::WouldBlock);
-        }
-        if blocking {
-            tx_trace!(
-                env.telemetry,
-                "waitTurn {:?} {:?} -> target {:?} nclock {} >= {}",
-                node.id,
-                node.kind,
-                target.id,
-                target.nclock(),
-                threshold
-            );
-            let t0 = obs_now_ns();
-            // Fence helping at the committing node's position, for the same
-            // reason as in `Tx::eval`: everything this wait depends on is
-            // serialized strictly before `node`.
-            let bound = order_tag(tree, &node.path);
-            let mut watch = StallWatch::new(
+        // Injected fault: one help-or-park round before the turn check,
+        // even when the turn has already come.
+        let forced_round = rtf_txfault::fail_point!("core.wait_turn").is_abort();
+        tx_trace!(
+            env.telemetry,
+            "waitTurn {:?} {:?} -> target {:?} nclock {} >= {}",
+            node.id,
+            node.kind,
+            target.id,
+            target.nclock(),
+            threshold
+        );
+        let t0 = obs_now_ns();
+        // Fence helping at the committing node's position, for the same
+        // reason as in `Tx::eval`: everything this wait depends on is
+        // serialized strictly before `node`.
+        let bound = order_tag(tree, &node.path);
+        let mut watch = StallWatch::new(
+            StallKind::WaitTurn,
+            tree.tree_id.0,
+            node.id.raw(),
+            &env.telemetry,
+            env.stall,
+        );
+        // Wait-graph edge: "this thread waits for `target`'s nClock to
+        // reach `threshold`" — skipped when the turn is already here.
+        let _wait = (target.nclock() < threshold).then(|| {
+            WaitSiteGuard::enter(
+                &env.telemetry,
                 StallKind::WaitTurn,
                 tree.tree_id.0,
-                node.id.raw(),
-                &env.telemetry,
-                env.stall,
-            );
-            // Wait-graph edge: "this thread waits for `target`'s nClock to
-            // reach `threshold`" — skipped when the turn is already here.
-            let _wait = (target.nclock() < threshold).then(|| {
-                WaitSiteGuard::enter(
-                    &env.telemetry,
-                    StallKind::WaitTurn,
-                    tree.tree_id.0,
-                    target.id.raw(),
-                    threshold,
-                )
-            });
-            let ok = target.wait_nclock_at_least(
+                target.id.raw(),
                 threshold,
-                || {
-                    if let StallAction::Abort { waited_ms } = watch.tick() {
-                        // Poison instead of unwinding from inside the wait:
-                        // the loop's poison check converges every waiter.
-                        tree.poison(PoisonKind::Stalled {
-                            kind: StallKind::WaitTurn.name(),
-                            waited_ms,
-                        });
-                    }
-                    env.pool.help_one(Some(&bound))
-                },
-                || tree.is_poisoned(),
-            );
-            let t1 = obs_now_ns();
-            env.telemetry.count(Counter::WaitTurnNs, t1.saturating_sub(t0));
-            phase_span(SpanKind::WaitTurn, t0, t1, ok);
-            if !ok {
-                std::panic::panic_any(PoisonSignal);
-            }
-            tx_trace!(env.telemetry, "waitTurn {:?} done (ok)", node.id);
-        } else if target.nclock() < threshold {
-            tx_trace!(
-                env.telemetry,
-                "waitTurn {:?} not ready (target {:?} {} < {}), requeue",
-                node.id,
-                target.id,
-                target.nclock(),
-                threshold
-            );
-            return Err(CommitBlock::WouldBlock);
+            )
+        });
+        let ok = target.wait_nclock_at_least(
+            threshold,
+            forced_round,
+            || {
+                if let StallAction::Abort { waited_ms } = watch.tick() {
+                    // Poison instead of unwinding from inside the wait:
+                    // the loop's poison check converges every waiter.
+                    tree.poison(PoisonKind::Stalled {
+                        kind: StallKind::WaitTurn.name(),
+                        waited_ms,
+                    });
+                }
+                env.pool.help_one(Some(&bound))
+            },
+            || tree.is_poisoned(),
+        );
+        let t1 = obs_now_ns();
+        env.telemetry.count(Counter::WaitTurnNs, t1.saturating_sub(t0));
+        phase_span(SpanKind::WaitTurn, t0, t1, ok);
+        if !ok {
+            std::panic::panic_any(PoisonSignal);
         }
+        tx_trace!(env.telemetry, "waitTurn {:?} done (ok)", node.id);
     }
     if tree.is_poisoned() {
         std::panic::panic_any(PoisonSignal);
@@ -782,7 +728,7 @@ fn commit_frame(
         // Injected validation failure: restore the inbox (the caller aborts
         // the subtree and needs the adopted orecs) and re-execute.
         *node.inbox.lock() = inbox;
-        return Err(CommitBlock::Conflict);
+        return Err(SubConflict);
     }
     let wrote_any = frame.wrote || !inbox.written_cells.is_empty();
 
@@ -822,7 +768,7 @@ fn commit_frame(
             // Put the inbox back: the caller aborts the whole subtree and
             // needs the adopted orecs to mark them aborted.
             *node.inbox.lock() = inbox;
-            return Err(CommitBlock::Conflict);
+            return Err(SubConflict);
         }
     }
 
@@ -831,7 +777,7 @@ fn commit_frame(
         // failure (nothing has been propagated yet, so re-execution is the
         // correct recovery).
         *node.inbox.lock() = inbox;
-        return Err(CommitBlock::Conflict);
+        return Err(SubConflict);
     }
     // Propagation (Alg 4 lines 7–13). `ver` is what the parent's nclock
     // becomes; ordering (re-own, merge, then bump) ensures that once a
@@ -889,14 +835,13 @@ fn commit_frame(
     Ok(())
 }
 
-/// The movable state of one transactional-future position.
+/// The state of one transactional-future position, owned by its pool task.
 ///
-/// A pool task drives this stage: run the body, then *try* to commit the
-/// chain. If `waitTurn` is not yet satisfied the stage re-queues itself
-/// (with the executed transaction state in `pending`), freeing the thread —
-/// pool tasks never block in `waitTurn`, which keeps the helping discipline
-/// deadlock-free: a helper can safely run any queued task inline, because
-/// every task either finishes or returns after re-queueing.
+/// The task runs the body, then commits its frames with the same blocking
+/// [`Tx::commit_frames_down_to`] the client thread uses: `waitTurn` blocks
+/// and helps the pool, fenced at the committing node's position, so it only
+/// runs tasks serialized before that node (the taskpool module docs give
+/// why that cannot deadlock).
 ///
 /// # Drop guard
 ///
@@ -906,8 +851,8 @@ fn commit_frame(
 /// stage with it), a panic escaping [`run_future_task`]'s internal catches,
 /// or the pool discarding queued closures at shutdown — dropping the stage:
 ///
-/// 1. aborts any executed-but-uncommitted frames (their writes stay
-///    invisible and their orecs read as aborted);
+/// 1. aborts the frames of an execution that has not committed (its writes
+///    stay invisible and its orecs read as aborted);
 /// 2. if the handle never settled, poisons the tree as
 ///    [`PoisonKind::FuturePanicked`] and fails the handle, so `eval`ers and
 ///    `waitTurn` waiters wake instead of hanging and the runtime surfaces
@@ -915,8 +860,7 @@ fn commit_frame(
 /// 3. reports `task_finished` exactly once, releasing quiescence waiters.
 ///
 /// Normal completion and teardown paths settle the handle first, making the
-/// guard a no-op beyond the task-count decrement; the re-queue path *moves*
-/// the stage into the next closure, so the guard does not fire early.
+/// guard a no-op beyond the task-count decrement.
 struct FutureStage<A: TxData, F> {
     env: Arc<TxEnv>,
     tree: Arc<TreeCtx>,
@@ -925,21 +869,43 @@ struct FutureStage<A: TxData, F> {
     handle: TxFuture<A>,
     body: F,
     ro_mode: bool,
-    /// Body already executed; awaiting its commit turn.
-    pending: Option<(Tx, A)>,
-    /// Consecutive `WouldBlock` re-queues; damps the retry loop.
-    requeues: u32,
+    /// The current execution, from the start of its body until it commits
+    /// or is aborted for re-execution.
+    attempt: Option<Tx>,
     /// Submission timestamp; resolution emits [`Event::FutureLifetimeNs`]
     /// (submission-to-completion latency, including every re-execution).
     /// `0`, and no event, when no observer consumes timings.
     submitted_ns: u64,
 }
 
+impl<A: TxData, F> FutureStage<A, F> {
+    /// Aborts the current execution's frames before a re-execution.
+    fn abort_attempt(&mut self) {
+        if let Some(mut tx) = self.attempt.take() {
+            tx.abort_frames_down_to(0);
+        }
+        self.env.telemetry.count(Counter::SubValidationAborts, 1);
+    }
+
+    /// Settles the handle after an unwind out of the body or the commit.
+    fn fail(&self, payload: Box<dyn std::any::Any + Send>) {
+        if payload.is::<PoisonSignal>() {
+            self.handle.cancel();
+        } else {
+            // User panic inside the future: poison the tree; the atomic
+            // runner resumes the payload on the caller.
+            self.env.telemetry.count(Counter::FuturePanics, 1);
+            self.tree.poison(PoisonKind::UserPanic(payload));
+            self.handle.cancel_panicked();
+        }
+    }
+}
+
 impl<A: TxData, F> Drop for FutureStage<A, F> {
     fn drop(&mut self) {
         // Abort executed-but-uncommitted frames first: their writes must
         // never become visible, whatever killed the task.
-        if let Some((mut tx, _)) = self.pending.take() {
+        if let Some(mut tx) = self.attempt.take() {
             tx.abort_frames_down_to(0);
         }
         if !self.handle.is_settled() {
@@ -961,148 +927,85 @@ impl<A: TxData, F> Drop for FutureStage<A, F> {
 }
 
 /// Pool task driving one transactional future position: executes the body,
-/// commits its chain (re-queueing while not ready), and re-executes on
+/// commits its chain (blocking in `waitTurn`), and re-executes on
 /// validation conflicts (the future side of partial rollback). Converges on
 /// tree teardown. The stage's drop guard reports `task_finished` exactly
-/// once per lifecycle and cleans up after any abnormal exit.
+/// once and cleans up after any abnormal exit.
 fn run_future_task<A, F>(mut stage: FutureStage<A, F>)
 where
     A: TxData,
     F: Fn(&mut Tx) -> A + Send + 'static,
 {
     loop {
-        // One epoch pin per execution round: every version-list read and
-        // write-back inside the body or the commit attempt pins reentrantly
-        // (a thread-local depth bump instead of the era-advertisement
-        // fence). A local, not a stage field: the stage crosses threads on
-        // re-queue, and a pin is bound to the thread that took it.
+        // One epoch pin per execution: every version-list read and
+        // write-back inside the body or the commit pins reentrantly (a
+        // thread-local depth bump instead of the era-advertisement fence).
         let _pin = read_pin();
         if stage.tree.is_poisoned() {
             stage.handle.cancel();
-            break;
+            return;
         }
-        if stage.pending.is_none() {
-            // Execute (or re-execute) the body in a fresh node attempt.
-            let frame = Frame::child(
-                &stage.parent,
-                NodeKind::Future { fork_idx: stage.fork_idx },
-                &stage.tree,
-                &stage.env,
-            );
-            tx_trace!(
-                stage.env.telemetry,
-                "task run future {:?} parent {:?} fork {}",
-                frame.node.id,
-                stage.parent.id,
-                stage.fork_idx
-            );
-            let mut tx = Tx::new_for_frame(
-                Arc::clone(&stage.env),
-                Arc::clone(&stage.tree),
-                frame,
-                stage.ro_mode,
-            );
-            let body = &stage.body;
-            // The failpoint runs inside the same containment as the body:
-            // an injected *panic* here is indistinguishable from a user
-            // panic (and carries its site in the surfaced message), while
-            // an injected *abort* re-executes the attempt from scratch.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtf_txfault::fail_point!("core.future.body").is_abort() {
-                    return None;
-                }
-                Some(body(&mut tx))
-            })) {
-                Ok(Some(value)) => stage.pending = Some((tx, value)),
-                Ok(None) => {
-                    // Injected fault: treat as a spurious abort of this
-                    // body attempt and re-execute from scratch.
-                    stage.env.telemetry.count(Counter::SubValidationAborts, 1);
-                    continue;
-                }
-                Err(payload) => {
-                    if payload.is::<PoisonSignal>() {
-                        stage.handle.cancel();
-                    } else {
-                        // User panic inside the future: poison the tree; the
-                        // atomic runner resumes the payload on the caller.
-                        stage.env.telemetry.count(Counter::FuturePanics, 1);
-                        stage.tree.poison(PoisonKind::UserPanic(payload));
-                        stage.handle.cancel_panicked();
-                    }
-                    break;
-                }
+        // Execute (or re-execute) the body in a fresh node attempt.
+        let frame = Frame::child(
+            &stage.parent,
+            NodeKind::Future { fork_idx: stage.fork_idx },
+            &stage.tree,
+            &stage.env,
+        );
+        tx_trace!(
+            stage.env.telemetry,
+            "task run future {:?} parent {:?} fork {}",
+            frame.node.id,
+            stage.parent.id,
+            stage.fork_idx
+        );
+        let tx = stage.attempt.insert(Tx::new_for_frame(
+            Arc::clone(&stage.env),
+            Arc::clone(&stage.tree),
+            frame,
+            stage.ro_mode,
+        ));
+        let body = &stage.body;
+        // The failpoint runs inside the same containment as the body:
+        // an injected *panic* here is indistinguishable from a user
+        // panic (and carries its site in the surfaced message), while
+        // an injected *abort* re-executes the attempt from scratch.
+        let value = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if rtf_txfault::fail_point!("core.future.body").is_abort() {
+                return None;
             }
-        }
+            Some(body(tx))
+        })) {
+            Ok(Some(value)) => value,
+            Ok(None) => {
+                stage.abort_attempt();
+                continue;
+            }
+            Err(payload) => return stage.fail(payload),
+        };
         if rtf_txfault::fail_point!("core.future.commit").is_abort() {
             // Injected commit failure: partial rollback and re-execution.
-            let (mut tx, _) = stage.pending.take().expect("pending set above");
-            tx.abort_frames_down_to(0);
-            stage.env.telemetry.count(Counter::SubValidationAborts, 1);
-            stage.requeues = 0;
+            stage.abort_attempt();
             continue;
         }
-        let (tx, _) = stage.pending.as_mut().expect("pending set above");
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tx.try_commit_frames_down_to(0)
-        }));
-        match attempt {
+        let tx = stage.attempt.as_mut().expect("attempt set above");
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.commit_frames_down_to(0)))
+        {
             Ok(Ok(())) => {
                 tx_trace!(stage.env.telemetry, "task complete");
-                let (_, value) = stage.pending.take().expect("pending");
+                stage.attempt = None;
                 if stage.env.telemetry.timings() {
                     stage.env.telemetry.event(Event::FutureLifetimeNs(
                         obs_now_ns().saturating_sub(stage.submitted_ns),
                     ));
                 }
                 stage.handle.complete(Arc::new(value));
-                break;
+                return;
             }
-            Ok(Err(CommitBlock::Conflict)) => {
-                // Partial rollback: abort this subtree, re-execute the body.
-                let (mut tx, _) = stage.pending.take().expect("pending");
-                tx.abort_frames_down_to(0);
-                stage.env.telemetry.count(Counter::SubValidationAborts, 1);
-                stage.requeues = 0;
-                continue;
-            }
-            Ok(Err(CommitBlock::WouldBlock)) => {
-                // Not our turn yet: re-queue and free this thread. The
-                // escalating pause keeps a long wait from thrashing the
-                // queue (each retry is a full queue round-trip).
-                stage.requeues = stage.requeues.saturating_add(1);
-                let pause_us = match stage.requeues {
-                    0..=2 => 0,
-                    3..=10 => 20,
-                    11..=50 => 100,
-                    _ => 500,
-                };
-                let pool = stage.env.pool.clone();
-                let tag = order_tag(&stage.tree, &stage.parent.path.child_future(stage.fork_idx));
-                pool.spawn_ordered(
-                    tag,
-                    Box::new(move || {
-                        if pause_us == 0 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(pause_us));
-                        }
-                        run_future_task(stage);
-                    }),
-                );
-                return; // NOT task_finished: the stage is still in flight.
-            }
-            Err(payload) => {
-                if payload.is::<PoisonSignal>() {
-                    stage.handle.cancel();
-                } else {
-                    stage.env.telemetry.count(Counter::FuturePanics, 1);
-                    stage.tree.poison(PoisonKind::UserPanic(payload));
-                    stage.handle.cancel_panicked();
-                }
-                break;
-            }
+            // Partial rollback: abort this subtree, re-execute the body.
+            Ok(Err(SubConflict)) => stage.abort_attempt(),
+            Err(payload) => return stage.fail(payload),
         }
     }
-    // `task_finished` runs in the stage's drop guard — here, on every path.
+    // `task_finished` runs in the stage's drop guard — on every path.
 }

@@ -17,17 +17,27 @@
 //! those frames can never be satisfied — the thread cannot unwind to them
 //! while the helped task sits on top. Tasks therefore carry an optional
 //! [`OrderTag`] (their position in a realm-local serialization order), every
-//! blocking wait passes the position it is blocked *at*, and [`Pool::help_one`]
-//! only runs tasks positioned strictly before every enclosing wait of the
-//! same realm. Positions earlier in the order never wait on later ones, so
-//! bounded helping can only nest earlier work under later work — the
-//! inversion is impossible by construction. Fences compose across nested
-//! helps through a thread-local stack.
+//! blocking wait passes the position it is blocked *at*, and
+//! [`Pool::help_one`] only runs tagged tasks of the innermost wait's own
+//! realm, positioned strictly before it. Fences compose across nested helps
+//! through a thread-local stack.
 //!
-//! Design notes (following the Rayon/crossbeam idiom from the HPC guides):
-//! a global [`Injector`] feeds per-worker [`Worker`] deques with batch
-//! stealing; parked workers sleep on the stack-wide `WaitQueue` primitive
-//! (`rtf_txbase::wait`), kept off the fast path by an atomic waiter count.
+//! Why that suffices, given that helped tasks block too: a wait at position
+//! `p` waits only for earlier positions that are not its ancestors, or for
+//! positions inside its own subtree, and a helped task sits strictly before
+//! the wait it was helped from. The frames suspended beneath a task are the
+//! waiting position and its ancestors, each of which comes after the task
+//! or is an ancestor of it — so no task ever waits on a frame beneath it.
+//! Another realm's task is refused because nothing orders it against the
+//! suspended frames: two threads blocked in different trees, each helping a
+//! task of the other's tree, could each end up waiting for the frames the
+//! other holds suspended.
+//!
+//! Design: one FIFO queue under a mutex. Workers take the head; a helper
+//! takes the first job its fences allow, in place, so a job a fence skips
+//! keeps its position. Parked workers sleep on the stack-wide `WaitQueue`
+//! primitive (`rtf_txbase::wait`), kept off the fast path by an atomic
+//! waiter count.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -36,11 +46,12 @@
 // (tests are exempt).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::panic))]
 
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use parking_lot::Mutex;
 use rtf_txbase::WaitQueue;
 use rtf_txengine::{obs_now_ns, Counter, SpanKind, SpanRec, Telemetry};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -85,18 +96,20 @@ struct Job {
 
 thread_local! {
     /// Serialization positions of every wait the current thread is blocked
-    /// at, innermost last. A helped task must precede all of them within
-    /// its realm (the innermost fence of a realm is always the strictest,
-    /// so only that one is consulted).
+    /// at, innermost last. Only the innermost is consulted: every task
+    /// helped beneath it was positioned before the fence it was helped
+    /// from, so the innermost fence is always the strictest.
     static FENCES: RefCell<Vec<OrderTag>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether the current thread's fence stack permits running a task tagged
-/// `tag`. Untagged tasks and tasks from unfenced realms are always allowed.
+/// Whether the current thread's innermost fence permits running a task
+/// tagged `tag`: only a task of the fence's realm positioned strictly
+/// before it. Untagged tasks, and any task on an unfenced thread, are
+/// always allowed.
 fn fences_allow(tag: &Option<OrderTag>) -> bool {
     let Some(tag) = tag else { return true };
-    FENCES.with(|f| match f.borrow().iter().rev().find(|fence| fence.realm == tag.realm) {
-        Some(fence) => tag.pos < fence.pos,
+    FENCES.with(|f| match f.borrow().last() {
+        Some(fence) => fence.realm == tag.realm && tag.pos < fence.pos,
         None => true,
     })
 }
@@ -130,13 +143,13 @@ impl Drop for FenceGuard {
 }
 
 struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
+    /// Queued jobs, oldest first.
+    queue: Mutex<VecDeque<Job>>,
     /// Idle workers park here (epoch-token protocol, see
-    /// `rtf_txbase::wait`); `has_waiters` keeps the spawn path lock-free
-    /// when every worker is busy.
+    /// `rtf_txbase::wait`); `has_waiters` spares the spawn path a wakeup
+    /// call when every worker is busy.
     idle: WaitQueue,
-    pending: AtomicUsize,
+    workers: usize,
     shutdown: AtomicBool,
     telemetry: Arc<Telemetry>,
 }
@@ -152,7 +165,7 @@ pub struct Pool {
 ///
 /// # Queued-task fate on drop
 ///
-/// Workers only observe the shutdown flag when the queues are empty, so with
+/// Workers only observe the shutdown flag when the queue is empty, so with
 /// `workers > 0` every task enqueued *before* the drop is still executed
 /// before the workers exit (tasks enqueued concurrently with the drop may
 /// race the last worker's exit). With `workers = 0` nothing drains the
@@ -176,25 +189,20 @@ impl Pool {
     /// Like [`Pool::start`], but reporting helping, fence deferrals, task
     /// panics and helping spans through `telemetry`.
     pub fn start_with_telemetry(workers: usize, telemetry: Arc<Telemetry>) -> PoolRunner {
-        let worker_deques: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers = worker_deques.iter().map(|w| w.stealer()).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
+            queue: Mutex::new(VecDeque::new()),
             idle: WaitQueue::new(),
-            pending: AtomicUsize::new(0),
+            workers,
             shutdown: AtomicBool::new(false),
             telemetry,
         });
         let pool = Pool { shared: Arc::clone(&shared) };
-        let handles = worker_deques
-            .into_iter()
-            .enumerate()
-            .map(|(idx, local)| {
+        let handles = (0..workers)
+            .map(|idx| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rtf-worker-{idx}"))
-                    .spawn(move || worker_loop(shared, local))
+                    .spawn(move || worker_loop(shared))
                     .expect("failed to spawn rtf worker thread")
             })
             .collect();
@@ -214,10 +222,9 @@ impl Pool {
     }
 
     fn push_job(&self, job: Job) {
-        self.shared.pending.fetch_add(1, Ordering::Release);
-        self.shared.injector.push(job);
-        // Wake one parked worker, if any. The waiter check keeps the
-        // common (all-workers-busy) path lock-free; the residual
+        self.shared.queue.lock().push_back(job);
+        // Wake one parked worker, if any. The waiter check skips the wakeup
+        // on the common (all-workers-busy) path; the residual
         // probe-then-park race is bounded by the workers' park timeout.
         if self.shared.idle.has_waiters() {
             self.shared.idle.notify_one();
@@ -229,85 +236,48 @@ impl Pool {
     /// queued task may be needed to satisfy.
     ///
     /// `bound` is the serialization position the caller is blocked at (if
-    /// its realm orders tasks): only tasks positioned strictly before it —
-    /// and before every enclosing wait on this thread — are run. Tasks the
-    /// fence forbids are put back; `false` means nothing runnable was found,
+    /// its realm orders tasks): it becomes the innermost fence, and only a
+    /// task of its realm positioned strictly before it is run (see the
+    /// module docs). The first queued job the fences allow is taken; the
+    /// jobs skipped ahead of it keep their places and are counted as
+    /// `pool_fence_deferrals`. `false` means nothing runnable was found,
     /// and the caller should park briefly rather than spin.
     pub fn help_one(&self, bound: Option<&OrderTag>) -> bool {
         let _fence = FenceGuard::push(bound);
         let shared = &self.shared;
-        // Scan at most the currently queued jobs once, deferring the ones
-        // the fence stack forbids and running the first permitted one. The
-        // deferred jobs are re-injected (reordering is fine: queue position
-        // carries no semantics — tasks re-queue themselves all the time).
-        let mut deferred: Vec<Job> = Vec::new();
-        let mut chosen: Option<Job> = None;
-        let limit = shared.pending.load(Ordering::Acquire);
-        for _ in 0..=limit {
-            match find_task(shared, None) {
-                Some(job) if fences_allow(&job.tag) => {
-                    chosen = Some(job);
-                    break;
-                }
-                Some(job) => deferred.push(job),
-                None => break,
-            }
+        let (job, skipped) = {
+            let mut queue = shared.queue.lock();
+            let skipped = queue.iter().take_while(|job| !fences_allow(&job.tag)).count();
+            (queue.remove(skipped), skipped)
+        };
+        if skipped > 0 {
+            shared.telemetry.count(Counter::PoolFenceDeferrals, skipped as u64);
         }
-        if !deferred.is_empty() {
-            shared.telemetry.count(Counter::PoolFenceDeferrals, deferred.len() as u64);
+        let Some(job) = job else { return false };
+        let realm = job.tag.as_ref().map(|t| t.realm).unwrap_or(0);
+        let t0 = if shared.telemetry.spans() { obs_now_ns() } else { 0 };
+        // Containment matters doubly here: the helper's stack holds
+        // suspended transaction frames, and a helped task's panic
+        // unwinding into them would tear down an innocent bystander.
+        let ok = run_contained(shared, job.run);
+        if t0 != 0 {
+            shared.telemetry.span(SpanRec {
+                kind: SpanKind::PoolHelp,
+                tree: realm,
+                node: 0,
+                parent: 0,
+                start_ns: t0,
+                end_ns: obs_now_ns(),
+                ok,
+            });
         }
-        for job in deferred {
-            shared.injector.push(job);
-        }
-        match chosen {
-            Some(job) => {
-                shared.pending.fetch_sub(1, Ordering::Release);
-                let realm = job.tag.as_ref().map(|t| t.realm).unwrap_or(0);
-                let t0 = if shared.telemetry.spans() { obs_now_ns() } else { 0 };
-                // Containment matters doubly here: the helper's stack holds
-                // suspended transaction frames, and a helped task's panic
-                // unwinding into them would tear down an innocent bystander.
-                let ok = run_contained(shared, job.run);
-                if t0 != 0 {
-                    shared.telemetry.span(SpanRec {
-                        kind: SpanKind::PoolHelp,
-                        tree: realm,
-                        node: 0,
-                        parent: 0,
-                        start_ns: t0,
-                        end_ns: obs_now_ns(),
-                        ok,
-                    });
-                }
-                shared.telemetry.count(Counter::PoolHelpedTasks, 1);
-                true
-            }
-            None => false,
-        }
+        shared.telemetry.count(Counter::PoolHelpedTasks, 1);
+        true
     }
 
-    /// Runs `f` with `tag` pushed as a helping fence for its whole duration:
-    /// every [`Pool::help_one`] reached from inside `f` — transitively, on
-    /// this thread — refuses tasks of `tag`'s realm positioned at or after
-    /// `tag`.
-    ///
-    /// This is the coarse-grained companion to the per-wait `bound`
-    /// parameter of [`Pool::help_one`]: a caller that *is* an ordered unit
-    /// of work (the `rtf` runtime wraps each ticketed top-level transaction
-    /// this way, positioned at its commit ticket) fences once for its whole
-    /// execution, so even waits that don't know about the ordering (future
-    /// evaluation, quiescence) cannot help a later-positioned sibling into
-    /// the stack. Helping a *later* sibling would invert the order: the
-    /// sibling blocks waiting for positions suspended beneath it on this
-    /// very stack, a deadlock only a watchdog could break.
-    pub fn fenced<R>(&self, tag: OrderTag, f: impl FnOnce() -> R) -> R {
-        let _fence = FenceGuard::push(Some(&tag));
-        f()
-    }
-
-    /// Number of tasks submitted but not yet started (approximate).
+    /// Number of tasks submitted but not yet started.
     pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::Acquire)
+        self.shared.queue.lock().len()
     }
 
     /// Strong references to the pool's shared state: every handle, the
@@ -321,7 +291,7 @@ impl Pool {
     /// scale their in-flight caps off this: queueing beyond a small multiple
     /// of the worker count buys latency, not throughput.
     pub fn workers(&self) -> usize {
-        self.shared.stealers.len()
+        self.shared.workers
     }
 }
 
@@ -338,37 +308,6 @@ impl Drop for PoolRunner {
         self.pool.shared.idle.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
-        }
-    }
-}
-
-fn find_task(shared: &Shared, local: Option<&Worker<Job>>) -> Option<Job> {
-    if let Some(local) = local {
-        if let Some(t) = local.pop() {
-            return Some(t);
-        }
-    }
-    // Repeat while the injector/stealers report transient contention.
-    loop {
-        let mut retry = false;
-        let steal = match local {
-            Some(local) => shared.injector.steal_batch_and_pop(local),
-            None => shared.injector.steal(),
-        };
-        match steal {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
-        }
-        for s in &shared.stealers {
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
         }
     }
 }
@@ -395,8 +334,7 @@ fn run_contained(shared: &Shared, task: Task) -> bool {
 /// Backstop for the (should-be-unreachable) case of a panic escaping
 /// [`run_contained`] — e.g. a panicking observer: if the worker thread unwinds,
 /// spawn a detached replacement so the pool keeps its capacity. The
-/// replacement exits promptly on shutdown like any worker; its local deque
-/// is not registered for stealing, which only costs steal opportunities.
+/// replacement exits promptly on shutdown like any worker.
 struct WorkerRespawn {
     shared: Arc<Shared>,
 }
@@ -407,12 +345,12 @@ impl Drop for WorkerRespawn {
             let shared = Arc::clone(&self.shared);
             let _ = std::thread::Builder::new()
                 .name("rtf-worker-respawn".into())
-                .spawn(move || worker_loop(shared, Worker::new_fifo()));
+                .spawn(move || worker_loop(shared));
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, local: Worker<Job>) {
+fn worker_loop(shared: Arc<Shared>) {
     let _respawn = WorkerRespawn { shared: Arc::clone(&shared) };
     loop {
         // Token before the queue probe: a push (notify) landing between the
@@ -421,16 +359,13 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>) {
         let token = shared.idle.epoch();
         // Workers run any task unconditionally: an idle worker's stack holds
         // no suspended frames, so no fence applies.
-        if let Some(job) = find_task(&shared, Some(&local)) {
-            shared.pending.fetch_sub(1, Ordering::Release);
+        let job = shared.queue.lock().pop_front();
+        if let Some(job) = job {
             run_contained(&shared, job.run);
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
             return;
-        }
-        if shared.pending.load(Ordering::Acquire) > 0 {
-            continue;
         }
         // A timeout bounds the cost of the one unguarded race (a pusher
         // probing `has_waiters` before this entry appears) to a few ms.
@@ -576,6 +511,48 @@ mod tests {
         drop(pool);
         assert!(!ran.load(Ordering::Acquire), "no worker should have run the task");
         assert!(dropped.load(Ordering::Acquire), "queued closure must be destroyed");
+    }
+
+    /// A task that records its name when run.
+    fn named(log: &Arc<parking_lot::Mutex<Vec<&'static str>>>, name: &'static str) -> Task {
+        let log = Arc::clone(log);
+        Box::new(move || log.lock().push(name))
+    }
+
+    #[test]
+    fn a_fenced_out_job_keeps_its_fifo_position() {
+        let tel = Arc::new(Telemetry::default());
+        let runner = Pool::start_with_telemetry(0, Arc::clone(&tel));
+        let pool = runner.pool();
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        pool.spawn_ordered(OrderTag::new(1, &[5]), named(&log, "A"));
+        pool.spawn_ordered(OrderTag::new(1, &[1]), named(&log, "B"));
+        pool.spawn(named(&log, "C"));
+        // Blocked at [3] of tree 1: A ([5]) is fenced out, B ([1]) runs.
+        assert!(pool.help_one(Some(&OrderTag::new(1, &[3]))));
+        assert_eq!(*log.lock(), ["B"]);
+        assert_eq!(tel.stats().snapshot().pool_fence_deferrals, 1);
+        // A was skipped in place: it is still ahead of C.
+        assert!(pool.help_one(None));
+        assert!(pool.help_one(None));
+        assert_eq!(*log.lock(), ["B", "A", "C"]);
+        assert!(!pool.help_one(None));
+    }
+
+    #[test]
+    fn a_fence_refuses_other_realms_and_later_positions() {
+        let runner = Pool::start(0);
+        let pool = runner.pool();
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        pool.spawn_ordered(OrderTag::new(2, &[0]), named(&log, "other tree"));
+        pool.spawn_ordered(OrderTag::new(1, &[3]), named(&log, "same position"));
+        pool.spawn_ordered(OrderTag::new(1, &[3, 1]), named(&log, "descendant"));
+        assert!(!pool.help_one(Some(&OrderTag::new(1, &[3]))));
+        assert!(log.lock().is_empty());
+        assert_eq!(pool.pending(), 3);
+        // An unfenced thread runs anything, oldest first.
+        assert!(pool.help_one(None));
+        assert_eq!(*log.lock(), ["other tree"]);
     }
 
     #[test]

@@ -10,11 +10,7 @@
 //!   live in individual boxes (the role STAMP's red-black tree plays for
 //!   Vacation; supports the price-range scans the paper parallelizes);
 //! * [`THashMap`] — an unordered map with per-bucket boxes (TPC-C point
-//!   lookups);
-//! * [`TCounter`] — a numeric box with read-modify-write helpers;
-//! * [`TQueue`] — a FIFO queue (two-list representation: producers and
-//!   consumers touch different boxes in steady state);
-//! * [`TSet`] — an ordered set over the B-tree.
+//!   lookups).
 //!
 //! All operations take the transaction handle (`&mut Tx`) and are safe to
 //! run inside transactional futures: conflicts are detected and resolved by
@@ -25,14 +21,8 @@
 
 pub mod array;
 pub mod btree;
-pub mod counter;
 pub mod hashmap;
-pub mod queue;
-pub mod set;
 
 pub use array::TArray;
 pub use btree::TBTreeMap;
-pub use counter::TCounter;
 pub use hashmap::THashMap;
-pub use queue::TQueue;
-pub use set::TSet;

@@ -100,9 +100,7 @@ impl IdBlock {
         let mut id = self.next.get();
         if id == self.end.get() {
             id = shared.fetch_add(ID_BLOCK, Ordering::Relaxed);
-            // Tree ids share helping-fence realms with ticket lanes, which
-            // set bit 63; no id may ever reach it.
-            debug_assert!(id + ID_BLOCK < 1 << 63, "id space exhausted");
+            debug_assert!(id.checked_add(ID_BLOCK).is_some(), "id space exhausted");
             self.end.set(id + ID_BLOCK);
         }
         self.next.set(id + 1);

@@ -123,11 +123,6 @@ pub struct RetryBudget {
     pub deadline: Option<Instant>,
 }
 
-impl RetryBudget {
-    /// The unlimited budget (retry forever).
-    pub const UNLIMITED: RetryBudget = RetryBudget { max_attempts: None, deadline: None };
-}
-
 /// Why a bounded retry loop gave up (see [`RetryDriver::try_backoff`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetryExhausted {
@@ -206,7 +201,7 @@ mod tests {
         // The seeded windows of attempts 1 and 2 are disjoint, so each
         // slept duration names the attempt number the driver passed.
         let p = SeededBackoff::new(Duration::from_micros(10), Duration::from_millis(1), 3);
-        let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::UNLIMITED);
+        let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::default());
         assert_eq!(d.try_backoff(), Ok(p.pause_for(1).as_nanos() as u64));
         assert_eq!(d.try_backoff(), Ok(p.pause_for(2).as_nanos() as u64));
     }
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_never_exhausts() {
-        let b = RetryBudget::UNLIMITED;
+        let b = RetryBudget::default();
         assert!(b.max_attempts.is_none() && b.deadline.is_none());
         let mut d = RetryDriver::new(Backoff::Ladder, b);
         for _ in 0..8 {
@@ -285,7 +280,7 @@ mod tests {
     #[test]
     fn seeded_backoff_reports_slept_ns() {
         let p = SeededBackoff::new(Duration::from_micros(10), Duration::from_micros(20), 1);
-        let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::UNLIMITED);
+        let mut d = RetryDriver::new(Backoff::Seeded(p), RetryBudget::default());
         let slept = d.try_backoff().unwrap();
         assert_eq!(slept, p.pause_for(1).as_nanos() as u64);
         assert!(slept > 0);

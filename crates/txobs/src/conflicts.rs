@@ -1,8 +1,9 @@
 //! Abort attribution: which cells conflicts concentrate on.
 //!
-//! Every attributed abort ([`Event::Conflict`]) names the cell whose read
-//! was displaced (or whose tentative entry was foreign) and, when known, the
-//! tree owning the displacing write. This table aggregates them per cell so
+//! Every attributed abort
+//! ([`Event::Conflict`](rtf_txengine::Event::Conflict)) names the cell whose
+//! read was displaced (or whose tentative entry was foreign) and, when known,
+//! the tree owning the displacing write. This table aggregates them per cell so
 //! a run can be summarized as a *conflict-hotspot report* — the site-level
 //! profile that contention-aware scheduling and data-mapping work needs.
 //! Aborts are orders of magnitude rarer than reads, so a plain mutex-guarded

@@ -7,7 +7,7 @@
 //! [`STREAM_SCHEMA`], one snapshot per line — the `txtop` dashboard and the
 //! soak tooling consume this), the Prometheus text-file sink (the latest
 //! exposition document, rewritten per tick), and — with the `live-tcp`
-//! feature — the [`PromServer`](crate::prom::PromServer) scrape endpoint.
+//! feature — the `PromServer` scrape endpoint.
 //!
 //! Lifecycle contract: the sampler emits one line at start, one per
 //! interval, and one final line inside [`LiveExporter::stop`] *after* the

@@ -10,7 +10,7 @@
 //! snapshot retained — a deliberate truncation, flagged by the
 //! `rtf_abort_hotspots_truncated` gauge.
 //!
-//! With the `live-tcp` feature, [`PromServer`] adds a deliberately tiny
+//! With the `live-tcp` feature, `PromServer` adds a deliberately tiny
 //! blocking HTTP/1.0 endpoint (one thread, one connection at a time) that
 //! renders a fresh snapshot per scrape — enough for a Prometheus scraper or
 //! `curl`, with no dependency on an HTTP stack.

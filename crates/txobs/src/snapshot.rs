@@ -1,7 +1,7 @@
 //! Snapshot deltas and live wait edges — the data model of the live
 //! telemetry pipeline.
 //!
-//! A [`MetricsSnapshot`](crate::MetricsSnapshot) is already a consistent
+//! A [`MetricsSnapshot`] is already a consistent
 //! point-in-time copy: every source it reads (counters, histogram buckets,
 //! ring totals) is monotone non-decreasing and written with relaxed atomics,
 //! so a snapshot taken while writers run is some valid cut of the event

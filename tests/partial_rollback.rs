@@ -4,7 +4,8 @@
 //! misses an earlier-serialized write re-executes alone.
 
 use parking_lot::{Condvar, Mutex};
-use rtf::{Rtf, VBox};
+use rtf::{Event, EventSink, Rtf, VBox};
+use rtf_txobs::StallKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -123,6 +124,81 @@ fn future_reexecutes_on_missed_predecessor_write() {
     assert_eq!(out, 10, "f2 serialized after f1 must see its write");
     assert!(f2_runs.load(Ordering::Relaxed) >= 2, "f2 re-executed after missing the write");
     assert_eq!(tm.stats().top_commits, 1, "no top-level restart");
+}
+
+/// Records whether any thread has entered a `waitTurn` wait.
+#[derive(Default)]
+struct WaitTurnSeen(AtomicBool);
+
+impl EventSink for WaitTurnSeen {
+    fn event(&self, e: Event) {
+        if let Event::WaitBegin { kind: StallKind::WaitTurn, .. } = e {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// F0 reads and bumps `x`; F1, submitted next, reads it. Outside fallback
+/// mode, F0's first execution holds its body until F1's body has finished
+/// and a thread has entered `waitTurn` — F1's task, the only node with a
+/// turn to wait for until the client commits its continuations.
+fn held_predecessor_pair(
+    tm: &Rtf,
+    x: &VBox<u64>,
+    seen: &Arc<WaitTurnSeen>,
+    f1_runs: &Arc<AtomicU64>,
+) -> (u64, u64) {
+    let f1_done = Arc::new(ReadFirst::default());
+    tm.atomic(|tx| {
+        let hold = !tx.is_fallback();
+        let (x0, gate, seen) = (x.clone(), Arc::clone(&f1_done), Arc::clone(seen));
+        let f0 = tx.submit(move |tx| {
+            if hold {
+                gate.wait_for_read();
+                let deadline = Instant::now() + Duration::from_secs(20);
+                while !seen.0.load(Ordering::SeqCst) {
+                    assert!(Instant::now() < deadline, "F1's task never blocked in waitTurn");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            let v = *tx.read(&x0);
+            tx.write(&x0, v + 1);
+            v
+        });
+        let (x1, gate, runs) = (x.clone(), Arc::clone(&f1_done), Arc::clone(f1_runs));
+        let f1 = tx.submit(move |tx| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            let v = *tx.read(&x1);
+            gate.mark_read();
+            v
+        });
+        (*tx.eval(&f0), *tx.eval(&f1))
+    })
+}
+
+/// A future whose body finishes while its predecessor's body still runs
+/// blocks in `waitTurn` on the thread that ran it, then commits after the
+/// predecessor: it misses F0's write once, re-executes alone, and the
+/// results equal the sequential run's, in which F1 reads F0's write.
+#[test]
+fn a_finished_future_waits_in_wait_turn_for_a_running_predecessor() {
+    let sequential = Rtf::builder().fallback_threshold(0).build();
+    let x = VBox::new(0u64);
+    let expected = held_predecessor_pair(&sequential, &x, &Arc::default(), &Arc::default());
+    assert_eq!(expected, (0, 1));
+    for workers in [1, 2] {
+        let seen = Arc::new(WaitTurnSeen::default());
+        let tm = Rtf::builder().workers(workers).event_sink(seen.clone()).build();
+        let x = VBox::new(0u64);
+        let f1_runs = Arc::new(AtomicU64::new(0));
+        let out = held_predecessor_pair(&tm, &x, &seen, &f1_runs);
+        assert_eq!(out, expected, "workers({workers})");
+        assert_eq!(*x.read_committed(), 1, "workers({workers})");
+        assert_eq!(f1_runs.load(Ordering::Relaxed), 2, "workers({workers}): F1 re-executed once");
+        let s = tm.stats();
+        assert_eq!((s.top_commits, s.continuation_restarts), (1, 0), "{s:?}");
+        assert_eq!(s.sub_validation_aborts, 1, "{s:?}");
+    }
 }
 
 /// Re-executed continuations must leave no trace of their aborted writes.
