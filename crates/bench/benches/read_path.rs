@@ -104,7 +104,8 @@ fn bench_read_under_commits(c: &mut Criterion) {
     // valid no matter how far the writer's watermark advances. The reader
     // pins per 64-read chunk, not across the whole batch: a batch-long pin
     // would block reclamation of everything the writer retires meanwhile
-    // (unbounded limbo growth); chunk pins model short transactions.
+    // (the writer's retire bag grows without bound); chunk pins model short
+    // transactions.
     c.bench_function("read_path/read_vs_committing_writer", |bench| {
         bench.iter_custom(|iters| {
             let b = deep_cell(4);

@@ -929,4 +929,82 @@ mod tests {
         });
         assert_eq!(*b.read_committed(), 399);
     }
+
+    /// A value that counts its constructions and its drops.
+    struct Tracked {
+        n: u64,
+        live: Arc<std::sync::atomic::AtomicIsize>,
+    }
+
+    impl Tracked {
+        fn new(n: u64, live: &Arc<std::sync::atomic::AtomicIsize>) -> Tracked {
+            live.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Tracked { n, live: Arc::clone(live) }
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    /// Every version a write commit supersedes is freed once no thread is
+    /// pinned: the trim retires it into the committing thread's bag, the
+    /// thread exits with part of its bag unfreed, and another thread's
+    /// collection adopts and frees it.
+    #[test]
+    fn superseded_versions_are_freed_after_quiescence() {
+        const COMMITS: u64 = 20_000;
+        let tm = tm();
+        let live = Arc::new(std::sync::atomic::AtomicIsize::new(0));
+        let hot = VBox::new(Tracked::new(0, &live));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..COMMITS {
+                        tm.atomic(|tx| {
+                            let n = tx.read(&hot).n;
+                            tx.write(&hot, Tracked::new(n + 1, &live));
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(hot.read_committed().n, 2 * COMMITS);
+        // A commit to another box lets the chain release the records (and
+        // the values in their write sets) of the last hot commits.
+        let other = VBox::new(0u64);
+        tm.atomic(|tx| tx.write(&other, 1));
+        let leaked =
+            || live.load(std::sync::atomic::Ordering::SeqCst) - hot.cell().permanent_len() as isize;
+        for i in 0..100_000 {
+            drop(rtf_txengine::read_pin());
+            if leaked() == 0 {
+                break;
+            }
+            if i % 64 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        assert_eq!(
+            leaked(),
+            0,
+            "values alive beyond the {} the cell retains",
+            hot.cell().permanent_len()
+        );
+    }
+
+    /// The runtime's gauges must not keep its observer alive: the pool
+    /// reaches the observer through its telemetry, so a gauge holding the
+    /// pool would be a reference cycle.
+    #[test]
+    fn dropping_the_runtime_releases_its_observer() {
+        let obs = TxObs::new(ObsConfig::default());
+        let tm = Rtf::builder().workers(2).observer(Arc::clone(&obs)).build();
+        let b = VBox::new(0u64);
+        tm.atomic(|tx| tx.write(&b, 1));
+        drop(tm);
+        assert_eq!(Arc::strong_count(&obs), 1, "the runtime still owns its observer");
+    }
 }

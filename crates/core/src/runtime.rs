@@ -334,12 +334,12 @@ pub struct Rtf {
 
 struct RtfInner {
     /// The version clock: the snapshot of every top-level attempt. Shared
-    /// with the `commit_lane_depth` gauge.
+    /// with the `commit_backlog` gauge.
     clock: Arc<GlobalClock>,
     /// Start versions of live top-level attempts (the GC watermark).
     registry: ActiveTxnRegistry,
     /// The helping commit chain every read-write root commits through.
-    /// Shared with the `commit_lane_depth` gauge.
+    /// Shared with the `commit_backlog` gauge.
     chain: Arc<CommitChain>,
     /// One replica of the transaction environment per thread stripe
     /// ([`rtf_txbase::thread_stripe`]): a root `Tx` clones its thread's
@@ -442,10 +442,13 @@ impl Rtf {
         // registry replaces by name, so a sweep of runtimes over one shared
         // observer always reports the newest instance.
         for obs in &observers {
-            let pool = envs[0].pool.clone();
-            obs.register_gauge("pool_queue_depth", move || pool.pending() as u64);
+            // Weak: the pool reaches this observer through its telemetry.
+            let pool = envs[0].pool.downgrade();
+            obs.register_gauge("pool_queue_depth", move || {
+                pool.upgrade().map_or(0, |pool| pool.pending() as u64)
+            });
             let (chain, clock) = (Arc::clone(&chain), Arc::clone(&clock));
-            obs.register_gauge("commit_lane_depth", move || chain.backlog(&clock));
+            obs.register_gauge("commit_backlog", move || chain.backlog(&clock));
             if let Some(d) = &dispenser {
                 let d = Arc::clone(d);
                 obs.register_gauge("ordered_lane_depth", move || {
@@ -539,10 +542,10 @@ impl Rtf {
     }
 
     /// Enqueued-but-unwritten commit records right now — the same signal
-    /// exported as the `commit_lane_depth` gauge. Admission controllers
+    /// exported as the `commit_backlog` gauge. Admission controllers
     /// use it as a saturation indicator: a persistently deep chain means
     /// committers are producing records faster than helping drains them.
-    pub fn commit_lane_depth(&self) -> u64 {
+    pub fn commit_backlog(&self) -> u64 {
         self.inner.chain.backlog(&self.inner.clock)
     }
 

@@ -87,7 +87,7 @@ impl CommitChain {
     }
 
     /// Enqueued-but-unpublished commit records right now (the
-    /// `commit_lane_depth` gauge). Versions are dense and `clock` publishes
+    /// `commit_backlog` gauge). Versions are dense and `clock` publishes
     /// them in chain order, so the backlog is the tail's version minus the
     /// clock: O(1), and exact however deep the chain is.
     pub fn backlog(&self, clock: &GlobalClock) -> u64 {

@@ -52,7 +52,7 @@ use rtf_txengine::{obs_now_ns, Counter, SpanKind, SpanRec, Telemetry};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -159,6 +159,20 @@ struct Shared {
 #[derive(Clone)]
 pub struct Pool {
     shared: Arc<Shared>,
+}
+
+/// A pool handle that does not keep the pool alive ([`Pool::downgrade`]).
+/// What the pool's own telemetry reaches — an observer's gauge — must hold
+/// this one: an owning handle there is a reference cycle.
+pub struct WeakPool {
+    shared: Weak<Shared>,
+}
+
+impl WeakPool {
+    /// The pool, if any owning handle is still alive.
+    pub fn upgrade(&self) -> Option<Pool> {
+        self.shared.upgrade().map(|shared| Pool { shared })
+    }
 }
 
 /// Owns the worker threads; dropping it initiates shutdown and joins them.
@@ -278,6 +292,11 @@ impl Pool {
     /// Number of tasks submitted but not yet started.
     pub fn pending(&self) -> usize {
         self.shared.queue.lock().len()
+    }
+
+    /// A handle that does not keep the pool alive.
+    pub fn downgrade(&self) -> WeakPool {
+        WeakPool { shared: Arc::downgrade(&self.shared) }
     }
 
     /// Strong references to the pool's shared state: every handle, the

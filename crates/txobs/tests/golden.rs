@@ -47,7 +47,7 @@ fn fixed_snapshot() -> MetricsSnapshot {
         spans_dropped: 3,
         span_ring_high_water: 17,
         gauges: vec![
-            ("commit_lane_depth".into(), 1),
+            ("commit_backlog".into(), 1),
             ("ordered_lane_depth".into(), 2),
             ("pool_queue_depth".into(), 5),
         ],

@@ -6,7 +6,7 @@
 //! 1. a token bucket bounding the sustained arrival rate (burst-tolerant);
 //! 2. a global in-flight cap (admitted-but-unfinished requests);
 //! 3. the runtime's own saturation gauges, read through
-//!    [`rtf::Rtf::commit_lane_depth`] and [`rtf::Rtf::pool_queue_depth`] —
+//!    [`rtf::Rtf::commit_backlog`] and [`rtf::Rtf::pool_queue_depth`] —
 //!    the same signals the telemetry layer exports.
 //!
 //! Decisions escalate down a ladder rather than flipping one breaker:
@@ -44,10 +44,10 @@ pub struct AdmissionConfig {
     pub burst: f64,
     /// Hard cap on admitted-but-unfinished requests.
     pub max_inflight: usize,
-    /// Commit-lane depth at which read-only shedding starts (rung 1).
-    pub soft_lane_depth: u64,
-    /// Commit-lane depth at which everything new is shed (rung 2).
-    pub hard_lane_depth: u64,
+    /// Commit backlog at which read-only shedding starts (rung 1).
+    pub soft_backlog: u64,
+    /// Commit backlog at which everything new is shed (rung 2).
+    pub hard_backlog: u64,
     /// Pool queue depth at which read-only shedding starts (rung 1).
     pub soft_queue_depth: usize,
     /// Pool queue depth at which everything new is shed (rung 2).
@@ -60,8 +60,8 @@ impl Default for AdmissionConfig {
             rate: f64::INFINITY,
             burst: 1024.0,
             max_inflight: 256,
-            soft_lane_depth: 48,
-            hard_lane_depth: 192,
+            soft_backlog: 48,
+            hard_backlog: 192,
             soft_queue_depth: 256,
             hard_queue_depth: 1024,
         }
@@ -138,24 +138,22 @@ impl Admission {
         }
     }
 
-    /// Decides one arriving request. `lane_depth` / `queue_depth` are the
+    /// Decides one arriving request. `backlog` / `queue_depth` are the
     /// runtime gauges, sampled by the caller (cheap atomic loads). On
     /// [`Decision::Admit`] the in-flight slot is claimed and must be given
     /// back through [`Admission::release`].
-    pub fn decide(&self, op: OpCode, lane_depth: u64, queue_depth: usize) -> Decision {
+    pub fn decide(&self, op: OpCode, backlog: u64, queue_depth: usize) -> Decision {
         if self.draining() {
             return Decision::Shed(Status::ShedDraining);
         }
         // Rung 2: hard saturation — shed everything before spending tokens,
         // so the bucket keeps its burst for when capacity returns.
-        if lane_depth >= self.config.hard_lane_depth || queue_depth >= self.config.hard_queue_depth
-        {
+        if backlog >= self.config.hard_backlog || queue_depth >= self.config.hard_queue_depth {
             return Decision::Shed(Status::ShedSaturated);
         }
         // Rung 1: pressure — push read-only work back to the client.
         if op.is_read_only()
-            && (lane_depth >= self.config.soft_lane_depth
-                || queue_depth >= self.config.soft_queue_depth)
+            && (backlog >= self.config.soft_backlog || queue_depth >= self.config.soft_queue_depth)
         {
             return Decision::Shed(Status::ShedReadonly);
         }
@@ -221,8 +219,8 @@ mod tests {
     #[test]
     fn ladder_rung1_sheds_read_only_first() {
         let a = Admission::new(AdmissionConfig {
-            soft_lane_depth: 10,
-            hard_lane_depth: 100,
+            soft_backlog: 10,
+            hard_backlog: 100,
             ..Default::default()
         });
         // Below soft: both admitted.

@@ -9,7 +9,7 @@
 //!   for every overload and failure mode (each [`rtf::TxError`] variant
 //!   maps 1:1 to a wire status);
 //! * [`admission`] — token-bucket + in-flight-cap admission control fed by
-//!   the runtime's own saturation gauges ([`rtf::Rtf::commit_lane_depth`],
+//!   the runtime's own saturation gauges ([`rtf::Rtf::commit_backlog`],
 //!   [`rtf::Rtf::pool_queue_depth`]), escalating down a shedding ladder
 //!   (reject-new → shed read-only → the runtime's stall-abort watchdog);
 //! * [`server`] — the serving core: per-connection backpressure (readers

@@ -453,7 +453,7 @@ fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
         };
         let decision = shared.admission.decide(
             req.op,
-            shared.tm.commit_lane_depth(),
+            shared.tm.commit_backlog(),
             shared.tm.pool_queue_depth(),
         );
         match decision {

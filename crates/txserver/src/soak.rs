@@ -19,7 +19,7 @@
 //!      leftover in-flight slots (no leaked admissions);
 //!    * `tickets_issued == ordered_commits + tickets_abandoned` (no wedged
 //!      ordered lane);
-//!    * commit chain fully helped (`commit_lane_depth == 0` — no leaked
+//!    * commit chain fully helped (`commit_backlog == 0` — no leaked
 //!      commit records);
 //!    * the run finished inside its wall-clock bound (zero hangs).
 
@@ -238,7 +238,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let drain = server.shutdown();
     let stats = tm.stats();
     let tickets = (stats.tickets_issued, stats.ordered_commits, stats.tickets_abandoned);
-    let lane_depth = tm.commit_lane_depth();
+    let backlog = tm.commit_backlog();
     let elapsed = started.elapsed();
 
     let mut violations = Vec::new();
@@ -255,8 +255,8 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             tickets.0, tickets.1, tickets.2
         ));
     }
-    if lane_depth != 0 {
-        violations.push(format!("commit chain not quiesced: depth {lane_depth} after drain"));
+    if backlog != 0 {
+        violations.push(format!("commit chain not quiesced: backlog {backlog} after drain"));
     }
     if drain.admitted == 0 {
         violations.push("no requests admitted — load never reached the server".into());

@@ -139,7 +139,7 @@ fn disconnect_mid_ticketed_pipeline_abandons_tickets_without_leaks() {
     assert!(stats.tickets_issued > 0, "ordered path never exercised");
 
     // No commit records leaked: the chain is fully helped.
-    assert_eq!(tm.commit_lane_depth(), 0, "commit chain not quiesced after drain");
+    assert_eq!(tm.commit_backlog(), 0, "commit chain not quiesced after drain");
 
     // The GC watermark advanced under churn — abandoned work didn't pin
     // old versions forever.
