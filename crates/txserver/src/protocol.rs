@@ -11,8 +11,8 @@
 //! `deadline_ms` is a *relative* deadline (0 = none): the server converts
 //! it into a [`rtf::RunBudget`] so the retry machinery stops re-executing a
 //! transaction the client has already given up on. `flags` bit 0 requests
-//! ordered commit (the server draws an [`rtf::OrderedTicket`] when the
-//! request leaves the FIFO execution queue, pinning commit order to
+//! ordered commit (the server draws an [`rtf::OrderedTicket`] under its
+//! queue lock when the request starts running, pinning commit order to
 //! arrival order — see the threading-model notes in `server.rs` for why
 //! drawing any earlier can deadlock).
 //!
@@ -83,6 +83,13 @@ impl OpCode {
     /// client (no ticket, no write-set, trivially retryable).
     pub fn is_read_only(self) -> bool {
         matches!(self, OpCode::KvGet | OpCode::VacBill | OpCode::TpccStockLevel | OpCode::Ping)
+    }
+
+    /// Short operations may run on the connection's reader thread; a long
+    /// one (a StockLevel scan) would stall that connection's pipeline
+    /// behind it, so it always goes to an executor.
+    pub fn is_short(self) -> bool {
+        !matches!(self, OpCode::TpccStockLevel)
     }
 }
 
@@ -222,10 +229,21 @@ impl Response {
     /// Encodes into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(9 + self.body.len());
+        self.encode_payload(&mut out);
+        out
+    }
+
+    /// Appends this response to `out` as a whole length-prefixed frame, so
+    /// several replies can leave in one write.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(9 + self.body.len() as u32).to_le_bytes());
+        self.encode_payload(out);
+    }
+
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.req_id.to_le_bytes());
         out.push(self.status as u8);
         out.extend_from_slice(&self.body);
-        out
     }
 
     /// Decodes a frame payload. `None` on short frames or unknown status.
@@ -271,6 +289,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut buf = vec![0u8; len as usize];
     r.read_exact(&mut buf)?;
     Ok(Some(buf))
+}
+
+/// Whether `buf` starts with a whole frame, so that [`read_frame`] over a
+/// buffered reader holding `buf` returns without a read syscall.
+pub fn frame_buffered(buf: &[u8]) -> bool {
+    buf.len() >= 4 && buf.len() - 4 >= u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize
 }
 
 /// Little-endian field reader for operation bodies.
@@ -364,6 +388,23 @@ mod tests {
     }
 
     #[test]
+    fn encoded_reply_frames_read_back_and_report_when_whole() {
+        let ok = Response { req_id: 3, status: Status::Ok, body: vec![7; 9] };
+        let shed = Response { req_id: 4, status: Status::ShedSaturated, body: vec![] };
+        let mut buf = Vec::new();
+        ok.encode_frame(&mut buf);
+        shed.encode_frame(&mut buf);
+        assert!(frame_buffered(&buf));
+        assert!(!frame_buffered(&buf[..3]), "partial prefix");
+        assert!(!frame_buffered(&buf[..4 + 17]), "partial payload");
+        assert!(frame_buffered(&buf[..4 + 18]));
+        let mut r = &buf[..];
+        assert_eq!(Response::decode(&read_frame(&mut r).unwrap().unwrap()), Some(ok));
+        assert_eq!(Response::decode(&read_frame(&mut r).unwrap().unwrap()), Some(shed));
+        assert!(!frame_buffered(r));
+    }
+
+    #[test]
     fn truncated_and_unknown_frames_decode_to_none() {
         assert!(Request::decode(&[0; 11]).is_none());
         assert!(Response::decode(&[0; 8]).is_none());
@@ -380,5 +421,14 @@ mod tests {
         assert!(OpCode::TpccStockLevel.is_read_only());
         assert!(!OpCode::KvPut.is_read_only());
         assert!(!OpCode::TpccPayment.is_read_only());
+    }
+
+    #[test]
+    fn only_stock_level_is_long() {
+        for b in 0..=u8::MAX {
+            if let Some(op) = OpCode::from_u8(b) {
+                assert_eq!(op.is_short(), op != OpCode::TpccStockLevel, "{op:?}");
+            }
+        }
     }
 }

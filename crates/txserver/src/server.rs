@@ -1,10 +1,12 @@
-//! The serving core: listener, per-connection readers with backpressure,
-//! a worker pool executing admitted requests as transactions, and the
-//! graceful drain.
+//! The serving core: listener, per-connection readers that run short
+//! requests themselves, a worker pool for long requests and backlog, and
+//! the graceful drain.
 //!
 //! # Threading model
 //!
-//! * One **accept** thread (non-blocking poll so drain can stop it).
+//! * One **accept** thread, blocked in `accept`. [`Server::shutdown`]
+//!   turns drain mode on and then connects once to the listener, so the
+//!   thread wakes, sees the drain and exits.
 //! * One **reader** thread per connection. The reader parses frames, runs
 //!   admission, and — for admitted requests — claims one of the
 //!   connection's in-flight slots *before* reading the next frame. When
@@ -13,20 +15,35 @@
 //!   TCP flow control pushes back to the client.
 //!   That is the whole backpressure mechanism — no application-level
 //!   window, no unbounded queue per connection.
-//! * `workers` **executor** threads popping admitted jobs from one FIFO
-//!   queue and running each as a top-level transaction on the executor
-//!   thread itself ([`rtf::Rtf::run_with`]); a thread blocked inside one
-//!   helps the runtime's pool rather than sleeping, so a zero-worker
-//!   runtime still serves. A panic escaping a request is contained at the
-//!   executor and answered [`Status::ErrPanicked`]. Ordered tickets are
-//!   drawn at *dequeue* time, under the
-//!   queue lock: ticket order equals dequeue order (= arrival order, the
-//!   FIFO contract), and — crucially — every outstanding ticket belongs to
-//!   a job an executor is actively running. Drawing at admission instead
-//!   would mint tickets for work nobody may be free to start, and on an
-//!   ordered runtime (which draws implicit tickets for unordered requests
-//!   at execution time) all executors could wait on buried tickets — a
-//!   queue/lane deadlock only the stall watchdog would break.
+//! * **Run to completion.** An admitted request that is short
+//!   ([`OpCode::is_short`](crate::protocol::OpCode::is_short): all but
+//!   `TpccStockLevel`) runs on the reader itself when the executor queue
+//!   is empty. Its reply is encoded into the reader's reply buffer, and
+//!   the buffer leaves in one write when the read buffer holds no
+//!   further whole frame, before the reader blocks for a connection slot,
+//!   and when the reader exits. The
+//!   request's admission and connection slots are released only after
+//!   that write, the order an executor keeps too: a drain then never
+//!   closes a socket under an unwritten reply, and the reader never
+//!   waits for a slot its own buffer holds. Sheds and bad-request
+//!   replies go into the same buffer.
+//! * `workers` **executor** threads popping the other admitted jobs — long
+//!   ones, and any that arrive while jobs wait — from one FIFO queue.
+//!   Readers and executors run a request through one function,
+//!   `complete`, as a top-level transaction on their own thread
+//!   ([`rtf::Rtf::run_with`]); a thread blocked inside one helps the
+//!   runtime's pool rather than sleeping, so a zero-worker runtime still
+//!   serves. A panic escaping a request is contained there and answered
+//!   [`Status::ErrPanicked`].
+//! * Ordered tickets are drawn when a request starts running, under the
+//!   queue lock: by an executor as it dequeues, or by a reader that found
+//!   the queue empty. Ticket order is then arrival order (the FIFO
+//!   contract), and — crucially — every outstanding ticket belongs to a
+//!   request some thread is actively running. Drawing at admission
+//!   instead would mint tickets for work nobody may be free to start, and
+//!   on an ordered runtime (which draws implicit tickets for unordered
+//!   requests at execution time) all executors could wait on buried
+//!   tickets — a queue/lane deadlock only the stall watchdog would break.
 //!
 //! # Accounting invariant
 //!
@@ -37,11 +54,13 @@
 //! at final export, which the soak harness and `metrics_check
 //! --require-server` verify. Sheds never claim a slot; connection resets
 //! never leak one (queued work of a dead connection still executes, the
-//! response write just fails).
+//! response write just fails). A clean EOF counts as a reset when an
+//! executor still holds work of the connection, or when the socket
+//! reports the peer's RST for replies it never read.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,10 +68,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use rtf::{Counter, Rtf, TxError};
+use rtf::{Counter, OrderedTicket, Rtf, TxError};
 
 use crate::admission::{Admission, AdmissionConfig, Decision};
-use crate::protocol::{read_frame, write_frame, Request, Response, Status};
+use crate::protocol::{frame_buffered, read_frame, Request, Response, Status};
 use crate::workloads::{budget_for, execute, Op, ServerState, StateConfig};
 
 /// Server tuning knobs.
@@ -99,9 +118,10 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    /// Sends one response frame. Returns `false` when the connection is
-    /// gone (first failure latches the reset and counts it once).
-    fn send(&self, resp: &Response, tm: &Rtf) -> bool {
+    /// Sends whole reply frames in one write. Returns `false` when the
+    /// connection is gone (first failure latches the reset and counts it
+    /// once).
+    fn send(&self, frames: &[u8], tm: &Rtf) -> bool {
         if rtf_txfault::fail_point!("txserver.conn.write").is_abort() {
             self.mark_reset(tm);
             return false;
@@ -110,7 +130,7 @@ impl ConnShared {
             return false;
         }
         let mut w = self.write.lock();
-        match write_frame(&mut *w, &resp.encode()) {
+        match w.write_all(frames) {
             Ok(()) => true,
             Err(_) => {
                 drop(w);
@@ -130,6 +150,14 @@ impl ConnShared {
         }
     }
 
+    /// Claims one in-flight slot if the budget has room.
+    fn try_acquire_slot(&self, cap: usize) -> bool {
+        let mut n = self.inflight.lock();
+        let free = *n < cap;
+        *n += free as usize;
+        free
+    }
+
     /// Claims one in-flight slot, blocking while the budget is exhausted —
     /// the read loop pausing here IS the backpressure. Reset unblocks (the
     /// reader then exits; its queued work still runs).
@@ -141,10 +169,10 @@ impl ConnShared {
         *n += 1;
     }
 
-    fn release_slot(&self) {
+    fn release_slots(&self, count: usize) {
         let mut n = self.inflight.lock();
-        debug_assert!(*n > 0);
-        *n -= 1;
+        debug_assert!(*n >= count);
+        *n -= count;
         drop(n);
         self.cv.notify_all();
     }
@@ -154,18 +182,32 @@ impl ConnShared {
     }
 }
 
-/// One admitted request, queued for an executor.
-struct Job {
-    conn: Arc<ConnShared>,
+/// One admitted request: everything [`complete`] needs to run it.
+#[derive(Clone, Copy)]
+struct Work {
     req_id: u64,
     op: Op,
     deadline_ms: u16,
     admitted_at: Instant,
-    /// Commit at a FIFO-ordered ticket. The ticket itself is drawn at
-    /// *dequeue* time (see [`executor_loop`]), never at admission: a ticket
-    /// minted for a queued-but-not-executing job could be waited on by
-    /// every executor while nobody is free to run it.
+    /// Commit at a FIFO-ordered ticket. The ticket itself is drawn when
+    /// the request starts running (see [`Shared::dispatch`]), never at
+    /// admission: a ticket minted for a queued-but-not-executing job could
+    /// be waited on by every executor while nobody is free to run it.
     ordered: bool,
+}
+
+/// An admitted request queued for an executor.
+struct Job {
+    conn: Arc<ConnShared>,
+    work: Work,
+}
+
+/// Where [`Shared::dispatch`] sent an admitted request.
+enum Route {
+    /// The reader runs it now, at this ticket.
+    Inline(Option<OrderedTicket>),
+    /// An executor runs it from the queue.
+    Queued,
 }
 
 struct Shared {
@@ -185,21 +227,45 @@ struct Shared {
 }
 
 impl Shared {
-    /// Enqueues an admitted job. Ordering is recorded as a flag; the actual
-    /// commit ticket is drawn when an executor dequeues the job (under the
-    /// same queue lock, so ticket order still equals arrival order).
-    fn enqueue(&self, conn: Arc<ConnShared>, req: &Request, op: Op, admitted_at: Instant) {
+    /// Routes an admitted request. A short one finding the queue empty runs
+    /// on the reader: its ticket (if ordered) is drawn here, under the
+    /// queue lock an executor draws its tickets under, so ticket order is
+    /// still arrival order and the ticket belongs to running work. Anything
+    /// else is queued for an executor.
+    fn dispatch(&self, conn: &Arc<ConnShared>, work: Work, short: bool) -> Route {
         let mut q = self.queue.lock();
-        q.push_back(Job {
-            conn,
-            req_id: req.req_id,
-            op,
-            deadline_ms: req.deadline_ms,
-            admitted_at,
-            ordered: req.ordered() && self.tm.is_ordered(),
-        });
+        if short && q.is_empty() {
+            return Route::Inline(work.ordered.then(|| self.tm.ticket()));
+        }
+        q.push_back(Job { conn: Arc::clone(conn), work });
         drop(q);
         self.qcv.notify_one();
+        Route::Queued
+    }
+}
+
+/// Runs one admitted request to its reply — the one execution path of
+/// readers and executors. A panic escaping the request (its body, or a bug
+/// below it) is contained here: the request is answered `ErrPanicked`, its
+/// ticket (dropped while unwinding) is abandoned, and the caller releases
+/// both of its slots exactly as for any other verdict.
+fn complete(shared: &Shared, work: &Work, ticket: Option<OrderedTicket>) -> Response {
+    let budget = budget_for(work.deadline_ms, work.admitted_at);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let _ = rtf_txfault::fail_point!("txserver.exec");
+        execute(&shared.tm, &shared.state, work.op, budget, ticket)
+    }))
+    .unwrap_or_else(|_| {
+        Err(TxError::FuturePanicked { message: "request execution panicked".into() })
+    });
+    let telemetry = shared.tm.telemetry();
+    telemetry.count(Counter::ServerCompleted, 1);
+    match result {
+        Ok(body) => Response { req_id: work.req_id, status: Status::Ok, body },
+        Err(e) => {
+            telemetry.count(Counter::ServerFailed, 1);
+            Response { req_id: work.req_id, status: Status::from_tx_error(&e), body: vec![] }
+        }
     }
 }
 
@@ -230,11 +296,10 @@ pub struct DrainReport {
 /// (threads are detached); call `shutdown` for the drain path.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     accept: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
     readers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    listener: TcpListener,
 }
 
 impl Server {
@@ -245,7 +310,6 @@ impl Server {
     pub fn start(tm: Rtf, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let state = ServerState::load(&tm, &config.state);
         let shared = Arc::new(Shared {
             admission: Admission::new(config.admission.clone()),
@@ -271,18 +335,17 @@ impl Server {
             .collect();
         let accept = {
             let shared = Arc::clone(&shared);
-            let listener = listener.try_clone()?;
             let readers = Arc::clone(&readers);
             thread::Builder::new()
                 .name("txserver-accept".into())
                 .spawn(move || accept_loop(listener, &shared, &readers))
                 .expect("spawn acceptor")
         };
-        Ok(Server { shared, local_addr, accept: Some(accept), workers, readers, listener })
+        Ok(Server { shared, local_addr, accept: Some(accept), workers, readers })
     }
 
     /// The bound address (useful with an ephemeral port).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
@@ -303,6 +366,14 @@ impl Server {
     pub fn shutdown(mut self) -> DrainReport {
         let shared = &self.shared;
         shared.admission.start_drain();
+        // Wake the acceptor out of its blocking accept: it checks the drain
+        // flag after every accept. If the connect fails, the acceptor is
+        // left detached rather than joined forever.
+        if let Some(a) = self.accept.take() {
+            if TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1)).is_ok() {
+                let _ = a.join();
+            }
+        }
         // Phase 1: wait for admitted work under the deadline.
         let deadline = Instant::now() + shared.config.drain_deadline;
         while shared.admission.inflight() > 0 && Instant::now() < deadline {
@@ -333,20 +404,15 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Tear down sockets so readers unblock, then join them and the
-        // acceptor (it polls the drain flag).
+        // Tear down sockets so readers unblock, then join them.
         for conn in shared.conns.lock().iter() {
             let _ = conn.write.lock().shutdown(Shutdown::Both);
             conn.cv.notify_all();
-        }
-        if let Some(a) = self.accept.take() {
-            let _ = a.join();
         }
         let joins: Vec<_> = std::mem::take(&mut *self.readers.lock());
         for r in joins {
             let _ = r.join();
         }
-        drop(self.listener);
         let s = shared.tm.stats();
         DrainReport {
             admitted: s.server_admitted,
@@ -368,10 +434,11 @@ fn accept_loop(
     readers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
         if shared.admission.draining() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 if rtf_txfault::fail_point!("txserver.accept").is_abort() {
                     // Injected accept failure: the young connection dies
@@ -398,20 +465,52 @@ fn accept_loop(
                     .expect("spawn reader");
                 readers.lock().push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // Out of descriptors and the like: back off instead of spinning.
             Err(_) => thread::sleep(Duration::from_millis(2)),
+        }
+    }
+}
+
+/// A reader's unsent replies: whole frames back to back, and the inline
+/// requests among them whose admission and connection slots wait for the
+/// write.
+#[derive(Default)]
+struct Replies {
+    frames: Vec<u8>,
+    held: usize,
+}
+
+impl Replies {
+    /// Sends every buffered reply in one write, then releases the slots of
+    /// the inline requests it answered (reply first, then release — the
+    /// order an executor keeps).
+    fn flush(&mut self, conn: &ConnShared, shared: &Shared) {
+        if !self.frames.is_empty() {
+            conn.send(&self.frames, &shared.tm);
+            self.frames.clear();
+        }
+        if self.held > 0 {
+            for _ in 0..self.held {
+                shared.admission.release();
+            }
+            conn.release_slots(self.held);
+            self.held = 0;
         }
     }
 }
 
 fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
     let telemetry = shared.tm.telemetry();
+    let cap = shared.config.per_conn_inflight;
     // One read syscall takes in every frame a pipelining client has sent,
     // rather than two per frame (prefix, then payload).
     let mut stream = BufReader::new(stream);
+    let mut replies = Replies::default();
     loop {
+        // The next frame needs a read that may block: send what is ready.
+        if !frame_buffered(stream.buffer()) {
+            replies.flush(&conn, shared);
+        }
         if rtf_txfault::fail_point!("txserver.conn.read").is_abort() {
             conn.mark_reset(&shared.tm);
             break;
@@ -419,9 +518,11 @@ fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
         let frame = match read_frame(&mut stream) {
             Ok(Some(f)) => f,
             Ok(None) => {
-                // Clean EOF — a reset only if the client walked away from
-                // in-flight work.
-                if conn.inflight() > 0 {
+                // Clean EOF, with every inline reply already written. A
+                // reset only if the client walked away from work an
+                // executor still holds, or its RST says it never read
+                // replies written here.
+                if conn.inflight() > 0 || matches!(stream.get_ref().take_error(), Ok(Some(_))) {
                     conn.mark_reset(&shared.tm);
                 }
                 break;
@@ -438,17 +539,13 @@ fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
             } else {
                 0
             };
-            conn.send(
-                &Response { req_id: id, status: Status::ErrBadRequest, body: vec![] },
-                &shared.tm,
-            );
+            Response { req_id: id, status: Status::ErrBadRequest, body: vec![] }
+                .encode_frame(&mut replies.frames);
             continue;
         };
         let Some(op) = Op::parse(&req) else {
-            conn.send(
-                &Response { req_id: req.req_id, status: Status::ErrBadRequest, body: vec![] },
-                &shared.tm,
-            );
+            Response { req_id: req.req_id, status: Status::ErrBadRequest, body: vec![] }
+                .encode_frame(&mut replies.frames);
             continue;
         };
         let decision = shared.admission.decide(
@@ -459,23 +556,40 @@ fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, shared: &Arc<Shared>) {
         match decision {
             Decision::Shed(status) => {
                 telemetry.count(Counter::ServerShed, 1);
-                conn.send(&Response { req_id: req.req_id, status, body: vec![] }, &shared.tm);
+                Response { req_id: req.req_id, status, body: vec![] }
+                    .encode_frame(&mut replies.frames);
             }
             Decision::Admit => {
                 telemetry.count(Counter::ServerAdmitted, 1);
                 // Backpressure: block here (not in the kernel) until the
                 // connection has a free slot; while blocked, no further
-                // frames are read from this socket.
-                conn.acquire_slot(shared.config.per_conn_inflight);
-                shared.enqueue(Arc::clone(&conn), &req, op, Instant::now());
+                // frames are read from this socket. Slots this buffer
+                // holds are freed by sending it first.
+                if !conn.try_acquire_slot(cap) {
+                    replies.flush(&conn, shared);
+                    conn.acquire_slot(cap);
+                }
+                let work = Work {
+                    req_id: req.req_id,
+                    op,
+                    deadline_ms: req.deadline_ms,
+                    admitted_at: Instant::now(),
+                    ordered: req.ordered() && shared.tm.is_ordered(),
+                };
+                if let Route::Inline(ticket) = shared.dispatch(&conn, work, req.op.is_short()) {
+                    complete(shared, &work, ticket).encode_frame(&mut replies.frames);
+                    replies.held += 1;
+                }
             }
         }
     }
+    replies.flush(&conn, shared);
     shared.conns.lock().retain(|c| c.id != conn.id);
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
     let telemetry = shared.tm.telemetry();
+    let mut frame = Vec::new();
     loop {
         let (job, ticket) = {
             let mut q = shared.queue.lock();
@@ -494,7 +608,7 @@ fn executor_loop(shared: &Arc<Shared>) {
                     // the inversion that wedged: all executors holding late
                     // implicit tickets, early explicit tickets buried in
                     // this queue.)
-                    let ticket = (j.ordered).then(|| shared.tm.ticket());
+                    let ticket = j.work.ordered.then(|| shared.tm.ticket());
                     break (j, ticket);
                 }
                 if shared.stop_workers.load(Ordering::Acquire) {
@@ -507,44 +621,20 @@ fn executor_loop(shared: &Arc<Shared>) {
                 shared.qcv.wait(&mut q);
             }
         };
-        if shared.drain_flush.load(Ordering::Acquire) {
+        let resp = if shared.drain_flush.load(Ordering::Acquire) {
             // Past the drain deadline: don't start the transaction. The
             // just-drawn ticket (if any) drops here — abandoned, so the
             // ordered lane skips its turn instead of wedging successors.
             drop(ticket);
             telemetry.count(Counter::ServerDrained, 1);
-            job.conn.send(
-                &Response { req_id: job.req_id, status: Status::ShedDraining, body: vec![] },
-                &shared.tm,
-            );
-            shared.admission.release();
-            job.conn.release_slot();
-            continue;
-        }
-        let budget = budget_for(job.deadline_ms, job.admitted_at);
-        // A panic escaping the request (its body, or a bug below it) is
-        // contained here: the request is answered `ErrPanicked`, its ticket
-        // (dropped while unwinding) is abandoned, and both of its slots are
-        // released below exactly as for any other verdict.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _ = rtf_txfault::fail_point!("txserver.exec");
-            execute(&shared.tm, &shared.state, job.op, budget, ticket)
-        }))
-        .unwrap_or_else(|_| {
-            Err(TxError::FuturePanicked { message: "request execution panicked".into() })
-        });
-        let resp = match &result {
-            Ok(body) => Response { req_id: job.req_id, status: Status::Ok, body: body.clone() },
-            Err(e) => {
-                Response { req_id: job.req_id, status: Status::from_tx_error(e), body: vec![] }
-            }
+            Response { req_id: job.work.req_id, status: Status::ShedDraining, body: vec![] }
+        } else {
+            complete(shared, &job.work, ticket)
         };
-        telemetry.count(Counter::ServerCompleted, 1);
-        if result.is_err() {
-            telemetry.count(Counter::ServerFailed, 1);
-        }
-        job.conn.send(&resp, &shared.tm);
+        frame.clear();
+        resp.encode_frame(&mut frame);
+        job.conn.send(&frame, &shared.tm);
         shared.admission.release();
-        job.conn.release_slot();
+        job.conn.release_slots(1);
     }
 }

@@ -269,6 +269,35 @@ fn per_connection_backpressure_stops_reading_not_responding() {
 }
 
 #[test]
+fn half_closed_client_gets_every_reply() {
+    // A client may send its whole pipeline, shut down its write side, and
+    // only then read: the EOF says "no more requests", not "gone". Every
+    // reply must arrive, and nothing counts as a reset. N exceeds the
+    // per-connection budget, so the reader also pauses for slots.
+    let (server, c) = start();
+    let mut wr = c.try_clone().unwrap();
+    const N: u64 = 64;
+    for i in 0..N {
+        let mut body = (i % 8).to_le_bytes().to_vec();
+        body.extend_from_slice(&1u64.to_le_bytes());
+        write_frame(&mut wr, &req(i, OpCode::KvIncr, body).encode()).unwrap();
+    }
+    wr.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut rd = std::io::BufReader::new(c);
+    let mut seen = vec![false; N as usize];
+    for _ in 0..N {
+        let f = read_frame(&mut rd).unwrap().expect("a reply for every request");
+        let r = Response::decode(&f).unwrap();
+        assert_eq!(r.status, Status::Ok, "request {}", r.req_id);
+        assert!(!std::mem::replace(&mut seen[r.req_id as usize], true), "duplicate reply");
+    }
+    let report = server.shutdown();
+    assert_eq!((report.admitted, report.completed), (N, N));
+    assert_eq!(report.conn_resets, 0, "a half-close is not a reset");
+    assert!(report.reconciled);
+}
+
+#[test]
 fn saturation_sheds_are_typed_not_dropped() {
     // max_inflight 1 with a pipelined client: some requests must come back
     // as SHED_SATURATED (typed), and the sum of outcomes equals sends.

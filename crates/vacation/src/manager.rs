@@ -163,9 +163,15 @@ impl Manager {
     }
 
     /// Reserves one unit of resource `id` for `customer` (STAMP
-    /// `manager_reserve*`). Returns whether the reservation succeeded.
+    /// `manager_reserve*`). Returns whether the reservation succeeded. A
+    /// customer holds at most one unit of each resource: STAMP's bill list
+    /// rejects a duplicate (`LIST_NO_DUPLICATES`) and `reserve` undoes the
+    /// booking; here the check comes first, so there is nothing to undo.
     pub fn reserve(&self, tx: &mut Tx, customer: u64, kind: ReservationKind, id: u64) -> bool {
         let Some(cust) = self.customers.get(tx, &customer) else { return false };
+        if cust.reservations.iter().any(|&(k, rid, _)| k == kind && rid == id) {
+            return false;
+        }
         let t = self.table(kind);
         let Some(mut row) = t.get(tx, &id) else { return false };
         if row.free() == 0 {
@@ -260,11 +266,27 @@ mod tests {
         tm.atomic(|tx| {
             assert!(!mgr.reserve(tx, 99, ReservationKind::Car, 3), "unknown customer");
             assert!(!mgr.reserve(tx, 1, ReservationKind::Car, 999), "unknown resource");
-            for _ in 0..5 {
-                assert!(mgr.reserve(tx, 1, ReservationKind::Flight, 0));
+            for customer in 0..5 {
+                assert!(mgr.reserve(tx, customer, ReservationKind::Flight, 0));
             }
-            assert!(!mgr.reserve(tx, 1, ReservationKind::Flight, 0), "sold out");
+            assert!(!mgr.reserve(tx, 5, ReservationKind::Flight, 0), "sold out");
             assert!(mgr.check_consistency(tx));
+        });
+    }
+
+    #[test]
+    fn reserve_rejects_a_duplicate_reservation() {
+        let (tm, mgr) = setup();
+        tm.atomic(|tx| {
+            assert!(mgr.reserve(tx, 1, ReservationKind::Flight, 2));
+            let bill = mgr.query_bill(tx, 1);
+            let free = mgr.query_free(tx, ReservationKind::Flight, 2);
+            assert!(!mgr.reserve(tx, 1, ReservationKind::Flight, 2), "duplicate");
+            assert_eq!(mgr.query_bill(tx, 1), bill);
+            assert_eq!(mgr.query_free(tx, ReservationKind::Flight, 2), free, "used unchanged");
+            assert!(mgr.check_consistency(tx));
+            // The same id of another kind is a different resource.
+            assert!(mgr.reserve(tx, 1, ReservationKind::Car, 2));
         });
     }
 
