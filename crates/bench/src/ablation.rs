@@ -31,12 +31,13 @@ pub fn ablation_roflag(args: &Args) -> Table {
                     handles.push(tx.submit(move |tx| {
                         let mut acc = 0u64;
                         for k in (f * per)..((f + 1) * per) {
-                            acc = acc.wrapping_add(*data.get(tx, k));
+                            acc = acc.wrapping_add(data.get_owned(tx, k));
                         }
                         acc
                     }));
                 }
-                let mut acc: u64 = (0..per).map(|k| *data.get(tx, k)).fold(0, u64::wrapping_add);
+                let mut acc: u64 =
+                    (0..per).map(|k| data.get_owned(tx, k)).fold(0, u64::wrapping_add);
                 for h in &handles {
                     acc = acc.wrapping_add(*tx.eval(h));
                 }

@@ -186,7 +186,7 @@ fn scan_chunk(tx: &mut Tx, arr: &TArray<u64>, cfg: SyntheticConfig, seed: u64, l
     let mut acc = 0u64;
     for _ in 0..len {
         let idx = rng.gen_range(0..cfg.array_size);
-        acc = acc.wrapping_add(*arr.get(tx, idx));
+        acc = acc.wrapping_add(arr.get_owned(tx, idx));
         acc = acc.wrapping_add(cpu_work(cfg.iters_between));
     }
     acc

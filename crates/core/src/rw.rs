@@ -269,7 +269,7 @@ where
 mod tests {
     use super::*;
     use crate::node::NodeKind;
-    use rtf_txengine::{downcast, erase, resolve_read, VBox};
+    use rtf_txengine::{downcast, erase, read_pin, resolve_read, VBox};
 
     fn validate_reads<'a>(
         tree: &TreeCtx,
@@ -287,8 +287,10 @@ mod tests {
     /// read-write transaction: the value and the read-set record.
     fn sub_read(tree: &TreeCtx, node: &Node, cell: &Arc<VBoxCell>) -> (Val, ReadRecord) {
         let epoch = node.fork_count.load(std::sync::atomic::Ordering::Relaxed);
-        let r = resolve_read(&SubRead::new(tree, node), cell);
-        (r.value, ReadRecord { cell: Arc::clone(cell), token: r.token, source: r.source, epoch })
+        let pin = read_pin();
+        let r = resolve_read(&SubRead::new(tree, node), cell, &pin);
+        let record = ReadRecord { cell: Arc::clone(cell), token: r.token, source: r.source, epoch };
+        (r.value.into_owned(), record)
     }
 
     #[test]

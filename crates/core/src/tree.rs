@@ -136,6 +136,7 @@ impl TreeCtx {
     /// Value previously written by the top-level context, if any. Takes
     /// no lock while the root has written nothing (see the invariant on
     /// [`TreeCtx`]).
+    #[inline]
     pub fn root_ws_get(&self, id: CellId) -> Option<(Val, WriteToken)> {
         if !self.root_ws_written.load(Ordering::Acquire) {
             return None;

@@ -35,14 +35,16 @@
 // every one is caught or surfaced at the `Rtf` boundary, never a bug trap.
 #![allow(clippy::panic)]
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rtf_taskpool::{OrderTag, Pool};
+use rtf_txbase::WriteToken;
 use rtf_txengine::{
-    downcast, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind, Counter, Event,
-    ReadLog, ReadPath, ReadRecord, Source, SpanKind, SpanRec, StallKind, Telemetry, TxData, VBox,
-    VBoxCell, Val, WaitSiteGuard,
+    downcast, downcast_ref, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind,
+    Counter, Event, ReadLog, ReadPath, ReadPin, ReadRecord, Source, SpanKind, SpanRec, StallKind,
+    Telemetry, TxData, VBox, VBoxCell, Val, WaitSiteGuard,
 };
 
 use crate::error::TxError;
@@ -241,15 +243,71 @@ impl Tx {
     // ---------------------------------------------------------------- reads
 
     /// Reads a box, returning a shared handle to the value snapshot.
+    ///
+    /// The handle is a clone of the value's `Arc`: two atomic writes to a
+    /// count every reader of the version shares. Use [`Tx::read_with`]
+    /// unless the value must outlive the call.
     pub fn read<T: TxData>(&mut self, vbox: &VBox<T>) -> Arc<T> {
         downcast(self.read_cell(vbox.cell()))
     }
 
     /// Untyped read (data-structure crates build on this).
     pub fn read_cell(&mut self, cell: &Arc<VBoxCell>) -> Val {
+        let pin = read_pin();
+        self.resolve(cell, &pin).into_owned()
+    }
+
+    /// Reads a box and passes `f` a borrow of the value, returning what `f`
+    /// returns — a read that writes no shared reference count.
+    ///
+    /// A committed value is borrowed in place, kept alive by an epoch pin
+    /// held for the call; a value written earlier in this transaction is a
+    /// clone private to the transaction. The read is recorded exactly as
+    /// [`Tx::read`] records it, and `f` may use the handle for further reads
+    /// and writes — including of `vbox`, which leaves the borrowed value as
+    /// it was read.
+    ///
+    /// ```
+    /// use rtf::{Rtf, VBox};
+    ///
+    /// let tm = Rtf::new();
+    /// let b = VBox::new(vec![1u64, 2, 3]);
+    /// let sum = tm.atomic(|tx| tx.read_with(&b, |_, v| v.iter().sum::<u64>()));
+    /// assert_eq!(sum, 6);
+    /// ```
+    #[inline]
+    pub fn read_with<T: TxData, R>(
+        &mut self,
+        vbox: &VBox<T>,
+        f: impl FnOnce(&mut Tx, &T) -> R,
+    ) -> R {
+        let pin = read_pin();
+        // Unpacked before `f` runs: keeping the `Cow` alive across the
+        // call measured ~40% slower per one-thread B-tree get (EXPERIMENTS
+        // P6).
+        let owned;
+        let value = match self.resolve(vbox.cell(), &pin) {
+            Cow::Borrowed(v) => v,
+            Cow::Owned(v) => {
+                owned = v;
+                &owned
+            }
+        };
+        f(self, downcast_ref(value))
+    }
+
+    /// One transactional read of `cell`: resolves it (Alg 2), counts its
+    /// path and records it for validation. A permanent value comes back
+    /// borrowed for as long as `pin` lasts.
+    ///
+    /// Always inlined, so that in each `read_with` instance the `Cow`
+    /// dissolves into the branch that built it; called out of line, the
+    /// one-thread B-tree get measured ~40% slower (EXPERIMENTS P6).
+    #[inline(always)]
+    fn resolve<'g>(&mut self, cell: &'g Arc<VBoxCell>, pin: &'g ReadPin) -> Cow<'g, Val> {
         self.check_poison();
         let frame = self.frames.last_mut().expect("entry frame");
-        let r = resolve_read(&SubRead::new(&self.tree, &frame.node), cell);
+        let r = resolve_read(&SubRead::new(&self.tree, &frame.node), cell, pin);
         match r.path {
             ReadPath::Fast => self.reads_fast += 1,
             ReadPath::Slow => self.reads_slow += 1,
@@ -586,7 +644,7 @@ impl Tx {
     /// implicit chain, `fork`'s continuation and a future's pool task.
     pub(crate) fn commit_frames_down_to(&mut self, depth: usize) -> Result<(), SubConflict> {
         while self.frames.len() > depth {
-            let frame = self.frames.last().expect("frames non-empty");
+            let frame = self.frames.last_mut().expect("frames non-empty");
             commit_frame(&self.env, &self.tree, frame)?;
             self.frames.pop();
         }
@@ -606,21 +664,22 @@ impl Tx {
         }
     }
 
-    /// Merges the entry frame's permanent reads into its node's inbox, so
+    /// Moves the entry frame's permanent reads into its node's inbox, so
     /// the root commit validates them against other top-level transactions.
     /// Called once after the implicit chain has committed down to the entry
     /// frame (the root's own reads have no committing parent to merge them).
     pub(crate) fn merge_entry_frame_reads(&mut self) {
         let frame = self.frames.first_mut().expect("entry frame");
         let mut inbox = frame.node.inbox.lock();
-        inbox.perm_reads.extend(
-            frame
-                .reads
-                .iter()
-                .filter(|r| r.source == Source::Permanent)
-                .map(|r| (Arc::clone(&r.cell), r.token)),
-        );
+        inbox.perm_reads.extend(permanent_reads(&mut frame.reads));
     }
+}
+
+/// Moves the permanent reads out of `reads`, as `(cell, token)` pairs: the
+/// frame is dropped right after, so moving its cell handles saves a count
+/// increment and decrement per read on the line holding the cell's head.
+fn permanent_reads(reads: &mut ReadLog) -> impl Iterator<Item = (Arc<VBoxCell>, WriteToken)> + '_ {
+    reads.drain().filter(|r| r.source == Source::Permanent).map(|r| (r.cell, r.token))
 }
 
 /// The pool-level serialization tag of position `key` within `tree` (the
@@ -638,7 +697,7 @@ fn order_tag(tree: &TreeCtx, key: &rtf_txbase::OrderKey) -> OrderTag {
 /// `waitTurn` blocks, helping the pool fenced at the node's position: the
 /// helped tasks are serialized before the node, so none of them waits on
 /// the frames this thread holds suspended (see the taskpool module docs).
-fn commit_frame(env: &TxEnv, tree: &TreeCtx, frame: &Frame) -> Result<(), SubConflict> {
+fn commit_frame(env: &TxEnv, tree: &TreeCtx, frame: &mut Frame) -> Result<(), SubConflict> {
     let node = &frame.node;
     let parent = Arc::clone(node.parent.as_ref().expect("sub-transactions have a parent"));
     let spans = env.telemetry.spans();
@@ -794,15 +853,9 @@ fn commit_frame(env: &TxEnv, tree: &TreeCtx, frame: &Frame) -> Result<(), SubCon
         let mut pin = parent.inbox.lock();
         pin.adopted_orecs.extend(orecs);
         pin.perm_reads.extend(inbox.perm_reads);
-        pin.perm_reads.extend(
-            frame
-                .reads
-                .iter()
-                .filter(|r| r.source == Source::Permanent)
-                .map(|r| (Arc::clone(&r.cell), r.token)),
-        );
+        pin.perm_reads.extend(permanent_reads(&mut frame.reads));
         pin.written_cells.extend(inbox.written_cells);
-        pin.written_cells.extend(frame.written.iter().cloned());
+        pin.written_cells.append(&mut frame.written);
     }
     if wrote_any {
         // Count every write-carrying sub-commit — own writes *or* adopted
@@ -1008,4 +1061,101 @@ where
         }
     }
     // `task_finished` runs in the stage's drop guard — on every path.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Rtf;
+
+    /// Reads `b` through [`Tx::read_with`] and then [`Tx::read`]: both
+    /// values, and where the first read was served from.
+    fn both_reads(tx: &mut Tx, b: &VBox<u64>) -> (u64, u64, Option<Source>) {
+        let with = tx.read_with(b, |_, v| *v);
+        let source = tx.current().reads.iter().last().map(|r| r.source);
+        (with, *tx.read(b), source)
+    }
+
+    #[test]
+    fn read_with_returns_what_read_returns_from_every_source() {
+        use Source::*;
+        let tm = Rtf::builder().workers(1).build();
+        let (perm, local, tent, own) =
+            (VBox::new(1u64), VBox::new(2u64), VBox::new(3), VBox::new(4));
+        let seen = tm.atomic(|tx| {
+            let mut seen = vec![both_reads(tx, &perm)];
+            tx.write(&local, 20); // pre-fork root write: the root write-set
+            seen.push(both_reads(tx, &local));
+            let first = tx.submit({
+                let (perm, local) = (perm.clone(), local.clone());
+                move |tx| [both_reads(tx, &perm), both_reads(tx, &local)]
+            });
+            // The cursor is now the continuation: its writes are tentative.
+            tx.write(&tent, 30);
+            seen.push(both_reads(tx, &tent));
+            let second = tx.submit({
+                let (tent, own) = (tent.clone(), own.clone());
+                move |tx| {
+                    let ancestor = both_reads(tx, &tent);
+                    tx.write(&own, 40);
+                    [ancestor, both_reads(tx, &own)]
+                }
+            });
+            seen.extend(tx.eval(&first).iter().chain(tx.eval(&second).iter()));
+            seen
+        });
+        assert_eq!(
+            seen,
+            [
+                (1, 1, Some(Permanent)),
+                (20, 20, Some(Local)),
+                (30, 30, Some(OwnWrite)),
+                (1, 1, Some(Permanent)),
+                (20, 20, Some(Local)),
+                (30, 30, Some(Tentative)),
+                (40, 40, Some(OwnWrite)),
+            ]
+        );
+
+        // Sequential fallback: futures run inline and every write goes to
+        // the root write-set.
+        let tm = Rtf::builder().workers(1).fallback_threshold(0).build();
+        let seen = tm.atomic(|tx| {
+            let f = tx.submit({
+                let (perm, local) = (perm.clone(), local.clone());
+                move |tx| {
+                    tx.write(&local, 21);
+                    [both_reads(tx, &perm), both_reads(tx, &local)]
+                }
+            });
+            tx.eval(&f).to_vec()
+        });
+        assert_eq!(seen, [(1, 1, Some(Permanent)), (21, 21, Some(Local))]);
+    }
+
+    /// The count of the value a read observes, sampled inside the read
+    /// against a handle held outside it: a borrowed read leaves it alone.
+    fn count_during_read(tx: &mut Tx, b: &VBox<u64>, held: &Arc<u64>) -> (usize, usize) {
+        let before = Arc::strong_count(held);
+        (before, tx.read_with(b, |_, _| Arc::strong_count(held)))
+    }
+
+    #[test]
+    fn borrowed_reads_leave_the_value_count_unchanged() {
+        let tm = Rtf::builder().workers(1).build();
+        let b = VBox::new(7u64);
+        let held = b.read_committed();
+        let base = Arc::strong_count(&held);
+        let (before, during) = tm.atomic_ro(|tx| count_during_read(tx, &b, &held));
+        assert_eq!(during, before, "read-only attempt");
+        let (before, during) = tm.atomic(|tx| {
+            let f = tx.submit({
+                let (b, held) = (b.clone(), Arc::clone(&held));
+                move |tx| count_during_read(tx, &b, &held)
+            });
+            *tx.eval(&f)
+        });
+        assert_eq!(during, before, "future of a read-write attempt");
+        assert_eq!(Arc::strong_count(&held), base);
+    }
 }

@@ -35,7 +35,8 @@ impl<T: TxData> TArray<T> {
         self.slots.is_empty()
     }
 
-    /// Transactional read of element `i`.
+    /// Transactional read of element `i`, as a shared handle that outlives
+    /// the call ([`TArray::get_owned`] reads without cloning the handle).
     pub fn get(&self, tx: &mut Tx, i: usize) -> Arc<T> {
         tx.read(&self.slots[i])
     }
@@ -55,7 +56,7 @@ impl<T: TxData> TArray<T> {
 impl<T: TxData + Clone> TArray<T> {
     /// Transactional read returning an owned value.
     pub fn get_owned(&self, tx: &mut Tx, i: usize) -> T {
-        (*self.get(tx, i)).clone()
+        tx.read_with(&self.slots[i], |_, v| v.clone())
     }
 }
 

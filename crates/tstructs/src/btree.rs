@@ -14,7 +14,6 @@
 //! * every non-root node has between `MIN_KEYS` and `MAX_KEYS` entries.
 
 use rtf::{Tx, VBox};
-use std::sync::Arc;
 
 const MAX_KEYS: usize = 15;
 const MIN_KEYS: usize = 6;
@@ -89,21 +88,19 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
 
     /// Transactional lookup.
     pub fn get(&self, tx: &mut Tx, key: &K) -> Option<V> {
-        let mut node: Arc<BNode<K, V>> = tx.read(&self.root);
-        loop {
-            match &*node {
-                BNode::Leaf(entries) => {
-                    return entries
-                        .binary_search_by(|(k, _)| k.cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone());
-                }
-                BNode::Internal { seps, children } => {
-                    let idx = seps.partition_point(|s| s <= key);
-                    node = tx.read(&children[idx]);
-                }
+        Self::get_rec(tx, &self.root, key)
+    }
+
+    fn get_rec(tx: &mut Tx, nbox: &VBox<BNode<K, V>>, key: &K) -> Option<V> {
+        tx.read_with(nbox, |tx, node| match node {
+            BNode::Leaf(entries) => {
+                entries.binary_search_by(|(k, _)| k.cmp(key)).ok().map(|i| entries[i].1.clone())
             }
-        }
+            BNode::Internal { seps, children } => {
+                let idx = seps.partition_point(|s| s <= key);
+                Self::get_rec(tx, &children[idx], key)
+            }
+        })
     }
 
     /// Whether `key` is present.
@@ -118,7 +115,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             Ins::Split { sep, right, old } => {
                 // Root split: move the (already updated) left half into a
                 // fresh box and grow the tree by one level in place.
-                let left_val = (*tx.read(&self.root)).clone();
+                let left_val = Self::node_copy(tx, &self.root);
                 let left = VBox::new(left_val);
                 tx.write(
                     &self.root,
@@ -130,8 +127,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
     }
 
     fn insert_rec(tx: &mut Tx, nbox: &VBox<BNode<K, V>>, key: K, value: V) -> Ins<K, V> {
-        let node = tx.read(nbox);
-        match &*node {
+        tx.read_with(nbox, |tx, node| match node {
             BNode::Leaf(entries) => {
                 let i = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
                     Ok(i) => {
@@ -187,7 +183,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                     }
                 }
             }
-        }
+        })
     }
 
     /// Transactional removal; returns the removed value, if any.
@@ -196,21 +192,22 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
         // Root shrink: an internal root left with a single child is
         // replaced by that child's content.
         if removed.is_some() {
-            let root = tx.read(&self.root);
-            if let BNode::Internal { seps, children } = &*root {
-                if seps.is_empty() {
+            let content = tx.read_with(&self.root, |tx, root| match root {
+                BNode::Internal { seps, children } if seps.is_empty() => {
                     debug_assert_eq!(children.len(), 1);
-                    let content = (*tx.read(&children[0])).clone();
-                    tx.write(&self.root, content);
+                    Some(Self::node_copy(tx, &children[0]))
                 }
+                _ => None,
+            });
+            if let Some(content) = content {
+                tx.write(&self.root, content);
             }
         }
         removed
     }
 
     fn remove_rec(tx: &mut Tx, nbox: &VBox<BNode<K, V>>, key: &K) -> (Option<V>, bool) {
-        let node = tx.read(nbox);
-        match &*node {
+        tx.read_with(nbox, |tx, node| match node {
             BNode::Leaf(entries) => match entries.binary_search_by(|(k, _)| k.cmp(key)) {
                 Ok(i) => {
                     let mut entries = entries.clone();
@@ -234,7 +231,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                 tx.write(nbox, BNode::Internal { seps, children });
                 (removed, parent_underflow)
             }
-        }
+        })
     }
 
     /// Restores the minimum-occupancy invariant of `children[idx]` by
@@ -262,16 +259,21 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
     }
 
     fn node_len(tx: &mut Tx, nbox: &VBox<BNode<K, V>>) -> usize {
-        match &*tx.read(nbox) {
+        tx.read_with(nbox, |_, node| match node {
             BNode::Leaf(e) => e.len(),
             BNode::Internal { seps, .. } => seps.len(),
-        }
+        })
+    }
+
+    /// A private copy of the node in `nbox`, for a copy-on-write update.
+    fn node_copy(tx: &mut Tx, nbox: &VBox<BNode<K, V>>) -> BNode<K, V> {
+        tx.read_with(nbox, |_, node| node.clone())
     }
 
     fn borrow_from_left(tx: &mut Tx, seps: &mut [K], children: &[VBox<BNode<K, V>>], idx: usize) {
         let (left, cur) = (&children[idx - 1], &children[idx]);
-        let mut lnode = (*tx.read(left)).clone();
-        let mut cnode = (*tx.read(cur)).clone();
+        let mut lnode = Self::node_copy(tx, left);
+        let mut cnode = Self::node_copy(tx, cur);
         match (&mut lnode, &mut cnode) {
             (BNode::Leaf(le), BNode::Leaf(ce)) => {
                 let moved = le.pop().expect("left sibling above minimum");
@@ -297,8 +299,8 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
 
     fn borrow_from_right(tx: &mut Tx, seps: &mut [K], children: &[VBox<BNode<K, V>>], idx: usize) {
         let (cur, right) = (&children[idx], &children[idx + 1]);
-        let mut cnode = (*tx.read(cur)).clone();
-        let mut rnode = (*tx.read(right)).clone();
+        let mut cnode = Self::node_copy(tx, cur);
+        let mut rnode = Self::node_copy(tx, right);
         match (&mut cnode, &mut rnode) {
             (BNode::Leaf(ce), BNode::Leaf(re)) => {
                 let moved = re.remove(0);
@@ -323,9 +325,9 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
 
     /// Merges `children[i + 1]` into `children[i]`.
     fn merge(tx: &mut Tx, seps: &mut Vec<K>, children: &mut Vec<VBox<BNode<K, V>>>, i: usize) {
-        let mut lnode = (*tx.read(&children[i])).clone();
+        let mut lnode = Self::node_copy(tx, &children[i]);
         let right = children.remove(i + 1);
-        let rnode = (*tx.read(&right)).clone();
+        let rnode = Self::node_copy(tx, &right);
         let sep = seps.remove(i);
         match (&mut lnode, rnode) {
             (BNode::Leaf(le), BNode::Leaf(re)) => {
@@ -361,8 +363,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
         hi: &K,
         out: &mut Vec<(K, V)>,
     ) {
-        let node = tx.read(nbox);
-        match &*node {
+        tx.read_with(nbox, |tx, node| match node {
             BNode::Leaf(entries) => {
                 let start = entries.partition_point(|(k, _)| k < lo);
                 for (k, v) in &entries[start..] {
@@ -379,7 +380,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                     self.range_into(tx, child, lo, hi, out);
                 }
             }
-        }
+        })
     }
 
     /// In-order visit of every entry.
@@ -388,8 +389,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
     }
 
     fn for_each_rec(tx: &mut Tx, nbox: &VBox<BNode<K, V>>, f: &mut impl FnMut(&K, &V)) {
-        let node = tx.read(nbox);
-        match &*node {
+        tx.read_with(nbox, |tx, node| match node {
             BNode::Leaf(entries) => {
                 for (k, v) in entries {
                     f(k, v);
@@ -400,7 +400,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                     Self::for_each_rec(tx, child, f);
                 }
             }
-        }
+        })
     }
 
     /// Number of entries (full scan).
@@ -422,8 +422,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
             depth: usize,
             leaf_depth: &mut Option<usize>,
         ) -> usize {
-            let node = tx.read(nbox);
-            match &*node {
+            tx.read_with(nbox, |tx, node| match node {
                 BNode::Leaf(entries) => {
                     assert!(is_root || entries.len() >= MIN_KEYS, "leaf underflow");
                     assert!(entries.len() <= MAX_KEYS + 1, "leaf overflow");
@@ -452,7 +451,7 @@ impl<K: TKey, V: TVal> TBTreeMap<K, V> {
                     }
                     total
                 }
-            }
+            })
         }
         let mut leaf_depth = None;
         walk(tx, &self.root, None, None, true, 0, &mut leaf_depth)

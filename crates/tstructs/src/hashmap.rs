@@ -49,8 +49,9 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
 
     /// Transactional lookup.
     pub fn get(&self, tx: &mut Tx, key: &K) -> Option<V> {
-        let b = tx.read(self.bucket(key));
-        b.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        tx.read_with(self.bucket(key), |_, b| {
+            b.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        })
     }
 
     /// Whether `key` is present.
@@ -61,19 +62,22 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
     /// Transactional insert; returns the previous value, if any.
     pub fn insert(&self, tx: &mut Tx, key: K, value: V) -> Option<V> {
         let bbox = self.bucket(&key);
-        let cur = tx.read(bbox);
-        let pos = cur.iter().position(|(k, _)| *k == key);
-        // Built once at its exact length: a clone-then-push would grow a
-        // one-entry bucket to a four-entry buffer in every retained version.
-        let mut b = Vec::with_capacity(cur.len() + pos.is_none() as usize);
-        b.extend(cur.iter().cloned());
-        let old = match pos {
-            Some(i) => Some(std::mem::replace(&mut b[i].1, value)),
-            None => {
-                b.push((key, value));
-                None
-            }
-        };
+        let (b, old) = tx.read_with(bbox, |_, cur| {
+            let pos = cur.iter().position(|(k, _)| *k == key);
+            // Built once at its exact length: a clone-then-push would grow a
+            // one-entry bucket to a four-entry buffer in every retained
+            // version.
+            let mut b = Vec::with_capacity(cur.len() + pos.is_none() as usize);
+            b.extend(cur.iter().cloned());
+            let old = match pos {
+                Some(i) => Some(std::mem::replace(&mut b[i].1, value)),
+                None => {
+                    b.push((key, value));
+                    None
+                }
+            };
+            (b, old)
+        });
         tx.write(bbox, b);
         old
     }
@@ -81,10 +85,12 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
     /// Transactional removal; returns the removed value, if any.
     pub fn remove(&self, tx: &mut Tx, key: &K) -> Option<V> {
         let bbox = self.bucket(key);
-        let b = tx.read(bbox);
-        let pos = b.iter().position(|(k, _)| k == key)?;
-        let mut b = (*b).clone();
-        let (_, v) = b.swap_remove(pos);
+        let (b, v) = tx.read_with(bbox, |_, b| {
+            let pos = b.iter().position(|(k, _)| k == key)?;
+            let mut b = b.clone();
+            let (_, v) = b.swap_remove(pos);
+            Some((b, v))
+        })?;
         tx.write(bbox, b);
         Some(v)
     }
@@ -93,10 +99,14 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
     /// Returns whether the key was present.
     pub fn update(&self, tx: &mut Tx, key: &K, f: impl FnOnce(&mut V)) -> bool {
         let bbox = self.bucket(key);
-        let b = tx.read(bbox);
-        let Some(pos) = b.iter().position(|(k, _)| k == key) else { return false };
-        let mut b = (*b).clone();
-        f(&mut b[pos].1);
+        let Some(b) = tx.read_with(bbox, |_, b| {
+            let pos = b.iter().position(|(k, _)| k == key)?;
+            let mut b = b.clone();
+            f(&mut b[pos].1);
+            Some(b)
+        }) else {
+            return false;
+        };
         tx.write(bbox, b);
         true
     }
@@ -104,10 +114,11 @@ impl<K: HKey, V: TVal> THashMap<K, V> {
     /// Visits every entry (bucket order, unspecified within/across buckets).
     pub fn for_each(&self, tx: &mut Tx, f: &mut impl FnMut(&K, &V)) {
         for bucket in self.buckets.iter() {
-            let b = tx.read(bucket);
-            for (k, v) in b.iter() {
-                f(k, v);
-            }
+            tx.read_with(bucket, |_, b| {
+                for (k, v) in b {
+                    f(k, v);
+                }
+            });
         }
     }
 

@@ -24,11 +24,12 @@
 //! top-level read that is "no version newer than my start committed", the
 //! JVSTM validation rule.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rtf_txbase::{TreeId, Version, WriteToken};
 
-use crate::cell::{CellId, ReadPath, TentativeEntry, VBoxCell};
+use crate::cell::{read_pin, CellId, ReadPath, ReadPin, TentativeEntry, VBoxCell};
 use crate::readset::{ReadRecord, Source};
 use crate::value::Val;
 
@@ -67,9 +68,11 @@ pub trait Visibility {
 
 /// A resolved read: the observed value, the identity of the write that
 /// produced it, and which layer served it.
-pub struct Resolution {
-    /// The observed value.
-    pub value: Val,
+pub struct Resolution<'g> {
+    /// The observed value: borrowed from the permanent version (kept alive
+    /// by the read's pin), or an owned clone of a tentative entry's or local
+    /// buffer's value — those are private to the reader's tree.
+    pub value: Cow<'g, Val>,
     /// Identity of the observed write.
     pub token: WriteToken,
     /// Which layer served the read.
@@ -86,8 +89,14 @@ pub struct Resolution {
 
 /// Resolves one read of `cell` under `policy` — the only read-resolution
 /// walk in the workspace (tentative list, then local buffer, then permanent
-/// versions).
-pub fn resolve_read<V: Visibility + ?Sized>(policy: &V, cell: &Arc<VBoxCell>) -> Resolution {
+/// versions). A permanent hit borrows the version's value for as long as
+/// `pin` and the cell borrow last, so it writes no shared reference count.
+#[inline]
+pub fn resolve_read<'g, V: Visibility + ?Sized>(
+    policy: &V,
+    cell: &'g Arc<VBoxCell>,
+    pin: &'g ReadPin,
+) -> Resolution<'g> {
     // The owner tag lets readers skip the tentative mutex when the list is
     // empty or holds only entries their tree-filtering rule would reject —
     // the common case for every read class except the writer's own tree.
@@ -96,7 +105,7 @@ pub fn resolve_read<V: Visibility + ?Sized>(policy: &V, cell: &Arc<VBoxCell>) ->
         for entry in list.iter() {
             if let Some(source) = policy.tentative(entry) {
                 return Resolution {
-                    value: entry.value.clone(),
+                    value: Cow::Owned(entry.value.clone()),
                     token: entry.token,
                     source,
                     writer_tree: entry.tree,
@@ -107,15 +116,21 @@ pub fn resolve_read<V: Visibility + ?Sized>(policy: &V, cell: &Arc<VBoxCell>) ->
     }
     if let Some((value, token)) = policy.local(cell.id()) {
         return Resolution {
-            value,
+            value: Cow::Owned(value),
             token,
             source: Source::Local,
             writer_tree: TreeId::NONE,
             path: ReadPath::Fast,
         };
     }
-    let (value, token, path) = cell.read_at_traced(policy.snapshot());
-    Resolution { value, token, source: Source::Permanent, writer_tree: TreeId::NONE, path }
+    let (value, token, path) = cell.read_ref_at(policy.snapshot(), pin);
+    Resolution {
+        value: Cow::Borrowed(value),
+        token,
+        source: Source::Permanent,
+        writer_tree: TreeId::NONE,
+        path,
+    }
 }
 
 /// The cell a validation failed on, and (when the displacing write is still
@@ -135,7 +150,9 @@ pub struct ConflictSite {
 /// for it, and stays valid iff it would observe the same write again.
 ///
 /// Reads served from the reader's own write ([`Source::OwnWrite`]) are
-/// exempt: nobody else can displace them before the reader commits.
+/// exempt: nobody else can displace them before the reader commits. Only
+/// tokens are compared, so a read re-resolved to a permanent version clones
+/// no value.
 pub fn validate_reads<'a, V, I, F>(reads: I, policy_for: F) -> bool
 where
     V: Visibility,
@@ -154,11 +171,12 @@ where
     I: IntoIterator<Item = &'a ReadRecord>,
     F: FnMut(&ReadRecord) -> V,
 {
+    let pin = read_pin();
     for r in reads {
         if r.source == Source::OwnWrite {
             continue;
         }
-        let res = resolve_read(&policy_for(r), &r.cell);
+        let res = resolve_read(&policy_for(r), &r.cell, &pin);
         if res.token != r.token {
             return Err(ConflictSite { cell: r.cell.id(), writer_tree: res.writer_tree });
         }
@@ -218,29 +236,32 @@ mod tests {
 
     #[test]
     fn falls_through_to_permanent_snapshot() {
+        let pin = read_pin();
         let cell = VBoxCell::new(erase(10u32));
         cell.apply_commit(5, erase(50u32), new_write_token(), 0);
-        let r = resolve_read(&fake(4), &cell);
-        assert_eq!(*downcast::<u32>(r.value), 10);
+        let r = resolve_read(&fake(4), &cell, &pin);
+        assert_eq!(*downcast::<u32>(r.value.into_owned()), 10);
         assert_eq!(r.source, Source::Permanent);
-        let r = resolve_read(&fake(5), &cell);
-        assert_eq!(*downcast::<u32>(r.value), 50);
+        let r = resolve_read(&fake(5), &cell, &pin);
+        assert_eq!(*downcast::<u32>(r.value.into_owned()), 50);
     }
 
     #[test]
     fn local_buffer_beats_permanent() {
+        let pin = read_pin();
         let cell = VBoxCell::new(erase(10u32));
         let tok = new_write_token();
         let mut p = fake(100);
         p.local = Some((erase(77u32), tok));
-        let r = resolve_read(&p, &cell);
-        assert_eq!(*downcast::<u32>(r.value), 77);
+        let r = resolve_read(&p, &cell, &pin);
+        assert_eq!(*downcast::<u32>(r.value.into_owned()), 77);
         assert_eq!(r.token, tok);
         assert_eq!(r.source, Source::Local);
     }
 
     #[test]
     fn first_visible_tentative_entry_wins() {
+        let pin = read_pin();
         let cell = VBoxCell::new(erase(0u32));
         let root = OrderKey::root();
         // Later in serialization order sits earlier in the (descending) list.
@@ -248,24 +269,39 @@ mod tests {
         let t_late = add_tentative(&cell, root.child_cont(0).write_key(0), 2);
         let mut p = fake(100);
         p.visible_tokens = vec![t_early, t_late];
-        let r = resolve_read(&p, &cell);
+        let r = resolve_read(&p, &cell, &pin);
         assert_eq!(r.token, t_late, "descending walk must stop at the newest visible write");
         assert_eq!(r.source, Source::Tentative);
         // Hide the late one: the walk continues to the earlier entry.
         p.visible_tokens = vec![t_early];
-        assert_eq!(resolve_read(&p, &cell).token, t_early);
+        assert_eq!(resolve_read(&p, &cell, &pin).token, t_early);
     }
 
     #[test]
     fn policies_that_do_not_scan_skip_tentative_entries() {
+        let pin = read_pin();
         let cell = VBoxCell::new(erase(0u32));
         let tok = add_tentative(&cell, OrderKey::root().write_key(0), 9);
         let mut p = fake(100);
         p.visible_tokens = vec![tok];
         p.scans = false;
-        let r = resolve_read(&p, &cell);
+        let r = resolve_read(&p, &cell, &pin);
         assert_eq!(r.source, Source::Permanent);
-        assert_eq!(*downcast::<u32>(r.value), 0);
+        assert_eq!(*downcast::<u32>(r.value.into_owned()), 0);
+    }
+
+    #[test]
+    fn permanent_hits_borrow_and_private_hits_own() {
+        let pin = read_pin();
+        let cell = VBoxCell::new(erase(10u32));
+        let r = resolve_read(&fake(0), &cell, &pin);
+        let Cow::Borrowed(v) = r.value else { panic!("a permanent hit must borrow") };
+        // Only the version node holds the value: the read took no count.
+        assert_eq!(Arc::strong_count(v), 1);
+        let tok = add_tentative(&cell, OrderKey::root().write_key(0), 9);
+        let mut p = fake(0);
+        p.visible_tokens = vec![tok];
+        assert!(matches!(resolve_read(&p, &cell, &pin).value, Cow::Owned(_)));
     }
 
     #[test]

@@ -88,13 +88,18 @@ pub struct PermVersion {
 /// held (they are freed at the next collection after the outermost unpin),
 /// which mirrors — and is bounded by — the retention the GC watermark
 /// already grants the oldest registered transaction.
+///
+/// A pin also bounds the lifetime of the borrowed reads of
+/// [`VBoxCell::read_ref_at`]: a version it reaches stays allocated until the
+/// pin drops, even if a trim retires it meanwhile.
 pub struct ReadPin {
-    _guard: Guard,
+    guard: Guard,
 }
 
 /// Pins the current thread for a batch of reads (see [`ReadPin`]).
+#[inline]
 pub fn read_pin() -> ReadPin {
-    ReadPin { _guard: epoch::pin() }
+    ReadPin { guard: epoch::pin() }
 }
 
 /// Which permanent-list path served a read (exported through the
@@ -277,30 +282,43 @@ impl VBoxCell {
     /// watermark makes unreachable for registered transactions.
     #[inline]
     pub fn read_at(&self, snapshot: Version) -> (Val, WriteToken) {
-        let (value, token, _) = self.read_at_traced(snapshot);
-        (value, token)
+        let pin = read_pin();
+        let (value, token, _) = self.read_ref_at(snapshot, &pin);
+        (value.clone(), token)
     }
 
-    /// [`VBoxCell::read_at`], also reporting which path served the read —
-    /// the wait-free head check or the lock-free list walk.
-    pub fn read_at_traced(&self, snapshot: Version) -> (Val, WriteToken, ReadPath) {
-        let guard = epoch::pin();
-        let head = self.head.load(Ordering::Acquire, &guard);
+    /// [`VBoxCell::read_at`] without cloning the value, also reporting
+    /// which path served the read — the wait-free head check or the
+    /// lock-free list walk. The returned reference points into the version
+    /// node itself and lives as long as both the cell borrow and `pin`.
+    /// Reading through it writes no shared word — not even the value's
+    /// reference count.
+    #[inline]
+    pub fn read_ref_at<'g>(
+        &'g self,
+        snapshot: Version,
+        pin: &'g ReadPin,
+    ) -> (&'g Val, WriteToken, ReadPath) {
+        let guard = &pin.guard;
+        let head = self.head.load(Ordering::Acquire, guard);
         // SAFETY: `head` is never null (cells are born with their initial
         // version and trims always retain the keep node) and is protected by
-        // the pin above.
+        // the pin. The node outlives `'g`: a trim only retires it, and
+        // retired nodes are freed after every pin of their era ends; the
+        // cell's own `Drop`, which frees directly, cannot run while `self`
+        // is borrowed.
         let node = unsafe { head.deref() };
         if node.version <= snapshot {
-            return (node.value.clone(), node.token, ReadPath::Fast);
+            return (&node.value, node.token, ReadPath::Fast);
         }
-        let mut cur = node.next.load(Ordering::Acquire, &guard);
+        let mut cur = node.next.load(Ordering::Acquire, guard);
         // SAFETY: loaded under the pin from a reachable node; trimmed
         // suffixes are retired, not freed, until every pin of their era ends.
         while let Some(n) = unsafe { cur.as_ref() } {
             if n.version <= snapshot {
-                return (n.value.clone(), n.token, ReadPath::Slow);
+                return (&n.value, n.token, ReadPath::Slow);
             }
-            cur = n.next.load(Ordering::Acquire, &guard);
+            cur = n.next.load(Ordering::Acquire, guard);
         }
         panic!(
             "rtf internal error: no committed version <= {snapshot} retained \
@@ -483,6 +501,7 @@ impl VBoxCell {
     /// write (program order) or a propagated write it witnessed (the
     /// `propagate_to`/`nClock` Release/Acquire chain) — is downstream of
     /// that unlock, so it observes a tag that routes it into the scan.
+    #[inline]
     pub fn tentative_scan_needed(&self, reader: Option<TreeId>) -> bool {
         let tag = self.tentative_owner.load(Ordering::Acquire);
         if tag == TENTATIVE_NONE {
@@ -595,6 +614,7 @@ impl<T: TxData> fmt::Debug for VBox<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::downcast_ref;
     use rtf_txbase::new_node_id;
 
     /// A million-box table pays this per box, so the cell must stay within
@@ -635,11 +655,12 @@ mod tests {
         let c = b.cell();
         c.apply_commit(5, erase(50u32), new_write_token(), 0);
         // Snapshot at or above the head: wait-free fast path.
-        assert_eq!(c.read_at_traced(5).2, ReadPath::Fast);
-        assert_eq!(c.read_at_traced(100).2, ReadPath::Fast);
+        let pin = read_pin();
+        assert_eq!(c.read_ref_at(5, &pin).2, ReadPath::Fast);
+        assert_eq!(c.read_ref_at(100, &pin).2, ReadPath::Fast);
         // Older snapshot: list walk.
-        assert_eq!(c.read_at_traced(4).2, ReadPath::Slow);
-        assert_eq!(*downcast::<u32>(c.read_at_traced(4).0), 0);
+        assert_eq!(c.read_ref_at(4, &pin).2, ReadPath::Slow);
+        assert_eq!(*downcast_ref::<u32>(c.read_ref_at(4, &pin).0), 0);
     }
 
     #[test]

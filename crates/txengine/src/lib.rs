@@ -43,4 +43,4 @@ pub use events::{
 pub use readset::{ReadLog, ReadRecord, ReadSet, Source, WriteEntry, WriteSet};
 pub use retry::{Backoff, RetryBudget, RetryDriver, RetryExhausted, SeededBackoff};
 pub use rtf_txbase::Counter;
-pub use value::{downcast, erase, TxData, Val};
+pub use value::{downcast, downcast_ref, erase, TxData, Val};

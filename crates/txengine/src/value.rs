@@ -37,6 +37,18 @@ pub fn downcast<T: TxData>(val: Val) -> Arc<T> {
     })
 }
 
+/// Borrows the typed value behind `val`, with the panic of [`downcast`]
+/// on a type mismatch.
+#[inline]
+pub fn downcast_ref<T: TxData>(val: &Val) -> &T {
+    val.downcast_ref::<T>().unwrap_or_else(|| {
+        panic!(
+            "rtf internal error: versioned box holds a value of unexpected type (expected {})",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rtf_txbase::new_write_token;
-use rtf_txengine::{downcast, erase, ReadPath, VBox, VBoxCell};
+use rtf_txengine::{downcast, erase, read_pin, ReadPath, VBox, VBoxCell};
 
 /// The invariant every scenario checks: a read at snapshot `s` returns the
 /// value committed by the newest version at or below `s` (values mirror
@@ -69,8 +69,9 @@ fn prepend_vs_reader() {
         writer.join().unwrap();
         reader.join().unwrap();
         assert_eq!(cell.permanent_len(), 7);
-        assert_eq!(cell.read_at_traced(6).2, ReadPath::Fast);
-        assert_eq!(cell.read_at_traced(3).2, ReadPath::Slow);
+        let pin = read_pin();
+        assert_eq!(cell.read_ref_at(6, &pin).2, ReadPath::Fast);
+        assert_eq!(cell.read_ref_at(3, &pin).2, ReadPath::Slow);
     });
 }
 

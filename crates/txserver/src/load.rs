@@ -526,11 +526,11 @@ pub fn render_report(r: &LoadReport) -> String {
     );
     let _ = writeln!(
         out,
-        "latency  p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms  max {:.2}ms",
-        r.latency.p50_ns as f64 / 1e6,
-        r.latency.p95_ns as f64 / 1e6,
-        r.latency.p99_ns as f64 / 1e6,
-        r.latency.max_ns as f64 / 1e6,
+        "latency  p50 {:.0}µs  p95 {:.0}µs  p99 {:.0}µs  max {:.0}µs",
+        r.latency.p50_ns as f64 / 1e3,
+        r.latency.p95_ns as f64 / 1e3,
+        r.latency.p99_ns as f64 / 1e3,
+        r.latency.max_ns as f64 / 1e3,
     );
     let names = [
         "ok",
@@ -623,5 +623,14 @@ mod tests {
         assert!(r.check_slo(1.0, 0.1).is_err());
         r.shed = 50;
         assert!(r.check_slo(10.0, 0.1).is_err());
+    }
+
+    #[test]
+    fn report_prints_latency_to_the_microsecond() {
+        let mut r = LoadReport { sent: 1, ok: 1, ..Default::default() };
+        (r.latency.p50_ns, r.latency.p95_ns) = (47_400, 52_600);
+        (r.latency.p99_ns, r.latency.max_ns) = (95_000, 1_250_000);
+        let text = render_report(&r);
+        assert!(text.contains("p50 47µs  p95 53µs  p99 95µs  max 1250µs"), "{text}");
     }
 }
