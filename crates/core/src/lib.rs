@@ -62,9 +62,10 @@
 //! ordering rules, read-set re-resolution at sub-commit, the inter-tree
 //! `ownedByAnotherTree` fallback, and the read-only validation-skip
 //! optimization. Since the engine extraction this crate contributes only
-//! the *policies* — `rw::SubRead` (Fig 4 visibility) and
-//! `rw::SubValidation` (commit-time variant) — plus the tree/commit
-//! protocol; the single generic read walk and validation loop live in
+//! the *policies* — `rw::TopRead` (a root attempt before its first
+//! submit, which builds no tree until then), `rw::SubRead` (Fig 4
+//! visibility) and `rw::SubValidation` (commit-time variant) — plus the
+//! tree/commit protocol; the single generic read walk and validation loop live in
 //! `rtf-txengine` and are shared with the top-level path. See `DESIGN.md`
 //! §3.10 for the engine layer, and for the documented substitutions
 //! (closure-based partial rollback instead of JVM first-class

@@ -91,9 +91,8 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates the root node of a new tree attempt.
-    pub fn new_root() -> Arc<Node> {
-        let id = new_node_id();
+    /// Creates the root node `id` of a new tree attempt.
+    pub fn new_root(id: NodeId) -> Arc<Node> {
         Arc::new(Node {
             id,
             kind: NodeKind::Root,
@@ -254,7 +253,7 @@ mod tests {
 
     #[test]
     fn child_paths_follow_order_scheme() {
-        let root = Node::new_root();
+        let root = Node::new_root(new_node_id());
         let f = Node::new_child(&root, NodeKind::Future { fork_idx: 0 });
         let c = Node::new_child(&root, NodeKind::Continuation { fork_idx: 0 });
         assert!(f.path < c.path);
@@ -264,7 +263,7 @@ mod tests {
 
     #[test]
     fn anc_ver_snapshots_parent_nclock() {
-        let root = Node::new_root();
+        let root = Node::new_root(new_node_id());
         root.bump_nclock();
         let c = Node::new_child(&root, NodeKind::Continuation { fork_idx: 0 });
         assert_eq!(c.anc_ver.get(&root.id), Some(&1));
@@ -276,7 +275,7 @@ mod tests {
 
     #[test]
     fn wait_turn_targets_match_alg3() {
-        let root = Node::new_root();
+        let root = Node::new_root(new_node_id());
         // Fig 3a: TF1 = future(0) of root — first in order, no wait.
         let tf1 = Node::new_child(&root, NodeKind::Future { fork_idx: 0 });
         assert!(tf1.wait_turn_target().is_none());
@@ -312,7 +311,7 @@ mod tests {
 
     #[test]
     fn wait_nclock_blocks_until_bumped() {
-        let root = Node::new_root();
+        let root = Node::new_root(new_node_id());
         let r2 = Arc::clone(&root);
         let h = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(15));
@@ -325,7 +324,7 @@ mod tests {
 
     #[test]
     fn wait_nclock_interrupted_by_poison() {
-        let root = Node::new_root();
+        let root = Node::new_root(new_node_id());
         let flag = Arc::new(AtomicBool::new(false));
         let f2 = Arc::clone(&flag);
         let h = std::thread::spawn(move || {
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn a_forced_round_helps_once_even_when_the_turn_has_come() {
-        let root = Node::new_root();
+        let root = Node::new_root(new_node_id());
         root.bump_nclock();
         let helps = std::cell::Cell::new(0);
         let help = || {

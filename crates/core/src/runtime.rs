@@ -4,16 +4,16 @@
 //! [`Rtf::atomic`] drives one top-level transaction attempt per loop
 //! iteration:
 //!
-//! 1. snapshot the clock, register for GC, create a fresh [`TreeCtx`];
-//! 2. run the body (the cursor starts at the root; `submit`/`fork` grow the
-//!    tree);
+//! 1. snapshot the clock, register for GC, draw the attempt's ids;
+//! 2. run the body as a plain top-level transaction; its first
+//!    `submit`/`fork` builds the [`TreeCtx`] and later ones grow the tree;
 //! 3. commit the implicit continuation chain (paper: every sub-transaction
 //!    of the tree commits before control returns to the top level);
-//! 4. commit the top level: merge the root write-set with the heads of the
-//!    tentative lists (the paper keeps lists sorted exactly so the head is
-//!    the write-back value), validate the consolidated read-set against
-//!    other top-level transactions, and install through the mvstm commit
-//!    chain.
+//! 4. commit the top level: the attempt's own write-set or, in a tree, the
+//!    root write-set merged with the heads of the tentative lists (the
+//!    paper keeps lists sorted exactly so the head is the write-back
+//!    value); validate the consolidated read-set against other top-level
+//!    transactions, and install through the mvstm commit chain.
 //!
 //! Teardown paths re-enter the loop: top-level validation conflicts,
 //! implicit-continuation restarts (D1), and inter-tree conflicts — the
@@ -32,13 +32,11 @@ use std::time::{Duration, Instant};
 use rtf_mvstm::{CommitChain, TurnGate, TxData};
 use rtf_taskpool::{Pool, PoolRunner};
 use rtf_txbase::{
-    thread_stripe, ActiveTxnRegistry, GlobalClock, OrecStatus, StatSnapshot, TicketDispenser,
-    STRIPES,
+    thread_stripe, ActiveTxnRegistry, GlobalClock, StatSnapshot, TicketDispenser, STRIPES,
 };
 use rtf_txengine::{
-    obs_now_ns, Backoff, Counter, Event, EventSink, ReadRecord, ReadSet, RetryBudget, RetryDriver,
-    SeededBackoff, Source, SpanKind, SpanRec, StallKind, Telemetry, WaitSiteGuard, WriteEntry,
-    WriteSet,
+    obs_now_ns, Backoff, Counter, Event, EventSink, RetryBudget, RetryDriver, SeededBackoff,
+    SpanKind, SpanRec, StallKind, Telemetry, WaitSiteGuard,
 };
 use rtf_txobs::{LiveConfig, LiveExporter, ObsConfig, TxObs};
 
@@ -46,7 +44,7 @@ use crate::error::{panic_message, TxError};
 use crate::future::TxFuture;
 use crate::ordered::OrderedTicket;
 use crate::stall::{StallAction, StallThresholds, StallWatch};
-use crate::tree::{PoisonKind, TreeCtx};
+use crate::tree::{scrub_tentative, AttemptId, PoisonKind, TreeCtx};
 use crate::tx::{install_quiet_poison_hook, CancelSignal, PoisonSignal, Tx, TxEnv};
 
 /// Internal outcome of [`Rtf::root_commit`].
@@ -678,7 +676,7 @@ impl Rtf {
                 telemetry.count(Counter::FallbackRuns, 1);
             }
             let (_reg, start) = inner.registry.begin(&inner.clock);
-            let tree = TreeCtx::new(start, fallback);
+            let id = AttemptId::new();
             // One TopLevel span per attempt: aborted attempts close with
             // ok=false, so the trace shows the retry structure.
             let span_start = if telemetry.spans() { Some(obs_now_ns()) } else { None };
@@ -686,8 +684,8 @@ impl Rtf {
                 if let Some(start_ns) = span_start {
                     telemetry.span(SpanRec {
                         kind: SpanKind::TopLevel,
-                        tree: tree.tree_id.0,
-                        node: tree.root.id.raw(),
+                        tree: id.tree.0,
+                        node: id.root.raw(),
                         parent: 0,
                         start_ns,
                         end_ns: obs_now_ns(),
@@ -695,7 +693,7 @@ impl Rtf {
                     });
                 }
             };
-            let mut tx = Tx::new_for_root(Arc::clone(env), Arc::clone(&tree), ro_mode);
+            let mut tx = Tx::new_for_root(Arc::clone(env), id, start, ro_mode, fallback);
 
             // One epoch pin per attempt: every version-list read and
             // write-back on this thread (body, helping, validation, root
@@ -704,20 +702,16 @@ impl Rtf {
             let _pin = rtf_txengine::read_pin();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let r = body(&mut tx);
-                // Commit the implicit continuation chain down to the root,
-                // then stage the root's own reads for top-level validation.
-                tx.commit_frames_down_to(1).map(|()| {
-                    tx.merge_entry_frame_reads();
-                    r
-                })
+                // Commit the implicit continuation chain down to the root.
+                tx.commit_frames_down_to(1).map(|()| r)
             }));
 
             match outcome {
                 Ok(Ok(r)) => {
-                    match self.root_commit(&tree, ticket.as_ref()) {
+                    match self.root_commit(id, &mut tx, ticket.as_ref()) {
                         RootCommit::Committed => {
                             if let Some(t) = ticket.take() {
-                                t.complete(tree.tree_id.0);
+                                t.complete(id.tree.0);
                             }
                             top_span(true);
                             return Ok(r);
@@ -741,59 +735,66 @@ impl Rtf {
                 Ok(Err(_sub_conflict)) => {
                     // An implicit continuation missed a write: without FCC
                     // the whole top-level transaction restarts (D1).
-                    self.teardown(&tree);
+                    if let Some(tree) = tx.tree() {
+                        self.teardown(tree);
+                    }
                     telemetry.count(Counter::ContinuationRestarts, 1);
                     consecutive_restarts += 1;
                     top_span(false);
                 }
                 Err(payload) => {
                     top_span(false);
+                    // Whatever ended the attempt, its futures converge and
+                    // its tentative entries go before anything else.
+                    if let Some(tree) = tx.tree() {
+                        self.teardown(tree);
+                    }
                     if payload.is::<CancelSignal>() {
-                        // Deliberate rollback: tear the tree down, discard
-                        // everything, and report the cancellation.
-                        self.teardown(&tree);
+                        // Deliberate rollback: everything is discarded.
                         return Err(TxError::Cancelled);
                     }
-                    if payload.is::<PoisonSignal>() {
-                        self.teardown(&tree);
-                        match tree.take_poison() {
-                            Some(PoisonKind::InterTree) => {
-                                telemetry.count(Counter::InterTreeAborts, 1);
-                                consecutive_restarts += 1;
-                            }
-                            Some(PoisonKind::ContinuationRestart) => {
-                                telemetry.count(Counter::ContinuationRestarts, 1);
-                                consecutive_restarts += 1;
-                            }
-                            Some(PoisonKind::UserPanic(p)) => {
-                                if p.is::<CancelSignal>() {
-                                    // Tx::cancel called inside a future.
-                                    return Err(TxError::Cancelled);
-                                }
-                                if structured {
-                                    return Err(TxError::FuturePanicked {
-                                        message: panic_message(&*p),
-                                    });
-                                }
-                                std::panic::resume_unwind(p);
-                            }
-                            Some(PoisonKind::FuturePanicked { message }) => {
-                                // The payload died with the task (contained
-                                // at the pool layer): only the structured
-                                // error is left to surface.
-                                return Err(TxError::FuturePanicked { message });
-                            }
-                            Some(PoisonKind::Stalled { kind, waited_ms }) => {
-                                return Err(TxError::StallAborted { kind, waited_ms });
-                            }
-                            None => unreachable!("PoisonSignal without a latched reason"),
-                        }
+                    // A tree latched its reason; an attempt without one
+                    // unwound with it.
+                    let reason = if payload.is::<PoisonSignal>() {
+                        tx.tree().and_then(TreeCtx::take_poison)
                     } else {
-                        // User panic on the root thread: tear down the tree
-                        // (futures may be in flight), then propagate.
-                        tree.poison(PoisonKind::ContinuationRestart);
-                        self.teardown(&tree);
-                        std::panic::resume_unwind(payload);
+                        match payload.downcast::<PoisonKind>() {
+                            Ok(kind) => Some(*kind),
+                            // User panic on the root thread: propagate.
+                            Err(payload) => std::panic::resume_unwind(payload),
+                        }
+                    };
+                    match reason {
+                        Some(PoisonKind::InterTree) => {
+                            telemetry.count(Counter::InterTreeAborts, 1);
+                            consecutive_restarts += 1;
+                        }
+                        Some(PoisonKind::ContinuationRestart) => {
+                            telemetry.count(Counter::ContinuationRestarts, 1);
+                            consecutive_restarts += 1;
+                        }
+                        Some(PoisonKind::UserPanic(p)) => {
+                            if p.is::<CancelSignal>() {
+                                // Tx::cancel called inside a future.
+                                return Err(TxError::Cancelled);
+                            }
+                            if structured {
+                                return Err(TxError::FuturePanicked {
+                                    message: panic_message(&*p),
+                                });
+                            }
+                            std::panic::resume_unwind(p);
+                        }
+                        Some(PoisonKind::FuturePanicked { message }) => {
+                            // The payload died with the task (contained
+                            // at the pool layer): only the structured
+                            // error is left to surface.
+                            return Err(TxError::FuturePanicked { message });
+                        }
+                        Some(PoisonKind::Stalled { kind, waited_ms }) => {
+                            return Err(TxError::StallAborted { kind, waited_ms });
+                        }
+                        None => unreachable!("PoisonSignal without a latched reason"),
                     }
                 }
             }
@@ -846,10 +847,11 @@ impl Rtf {
         // The scrub equally must complete even with a fault injected
         // mid-teardown: a leaked tentative entry would wedge every later
         // writer of that box behind a dead tree.
+        let touched = tree.take_touched();
         loop {
             let scrubbed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 rtf_txfault::fail_point!("core.teardown.scrub");
-                tree.scrub_tentative();
+                scrub_tentative(tree.tree_id, &touched);
             }));
             if scrubbed.is_ok() {
                 break;
@@ -862,7 +864,7 @@ impl Rtf {
     /// the predecessor may be blocked on futures this thread can run — and
     /// the stall watchdog bounds the wait when an abort threshold is armed.
     /// Returns `Err(waited_ms)` when the watchdog gave up.
-    fn wait_ticket_turn(&self, tree: &TreeCtx, ticket: &OrderedTicket) -> Result<(), u64> {
+    fn wait_ticket_turn(&self, id: AttemptId, ticket: &OrderedTicket) -> Result<(), u64> {
         let seq = ticket.ticket().seq;
         let lane = ticket.lane();
         if lane.turn() >= seq {
@@ -876,14 +878,14 @@ impl Rtf {
         let _wait = WaitSiteGuard::enter(
             telemetry.as_ref(),
             StallKind::TicketWait,
-            tree.tree_id.0,
+            id.tree.0,
             u64::from(ticket.ticket().lane),
             seq,
         );
         let mut watch = StallWatch::new(
             StallKind::TicketWait,
-            tree.tree_id.0,
-            tree.root.id.raw(),
+            id.tree.0,
+            id.root.raw(),
             telemetry.as_ref(),
             env.stall,
         );
@@ -915,11 +917,17 @@ impl Rtf {
         }
     }
 
-    /// Top-level commit (§III-A + §IV): consolidate, validate, write back.
-    /// In ordered mode (`ticket` present) the commit additionally waits for
-    /// its ticket's turn first, so per-lane ticket order extends into chain
+    /// Top-level commit (§III-A + §IV) of attempt `id`, whose implicit
+    /// chain `tx` has committed: consolidate, validate, write back. In
+    /// ordered mode (`ticket` present) the commit additionally waits for its
+    /// ticket's turn first, so per-lane ticket order extends into chain
     /// version order.
-    fn root_commit(&self, tree: &TreeCtx, ticket: Option<&OrderedTicket>) -> RootCommit {
+    fn root_commit(
+        &self,
+        id: AttemptId,
+        tx: &mut Tx,
+        ticket: Option<&OrderedTicket>,
+    ) -> RootCommit {
         let inner = &self.inner;
         let telemetry = &inner.env().telemetry;
         // The commit's start time feeds only the TopCommit span and the
@@ -930,42 +938,17 @@ impl Rtf {
             if telemetry.spans() {
                 telemetry.span(SpanRec {
                     kind: SpanKind::TopCommit,
-                    tree: tree.tree_id.0,
-                    node: tree.root.id.raw(),
-                    parent: tree.root.id.raw(),
+                    tree: id.tree.0,
+                    node: id.root.raw(),
+                    parent: id.root.raw(),
                     start_ns: t0,
                     end_ns: obs_now_ns(),
                     ok,
                 });
             }
         };
-
-        // Consolidated write-set: the root's private writes, overridden by
-        // the head (latest in serialization order) of each touched
-        // tentative list. `WriteSet::insert` keeps the tentative entry's
-        // own token, so the write retains one identity through write-back.
-        let mut writes = WriteSet::new();
-        for entry in tree.root_ws_drain() {
-            writes.insert(entry);
-        }
-        for cell in tree.touched_cells() {
-            let list = cell.tentative_lock();
-            if let Some(e) = list
-                .iter()
-                .find(|e| e.tree == tree.tree_id && e.orec.status() != OrecStatus::Aborted)
-            {
-                debug_assert_eq!(
-                    e.orec.owner(),
-                    tree.root.id,
-                    "all committed sub-transaction writes must be root-owned at top commit"
-                );
-                writes.insert(WriteEntry {
-                    cell: Arc::clone(&cell),
-                    value: e.value.clone(),
-                    token: e.token,
-                });
-            }
-        }
+        let (writes, touched) = tx.take_top_writes();
+        let scrub = || scrub_tentative(id.tree, &touched);
 
         if writes.is_empty() {
             // Read-only fast path (§IV-E). Ordered mode still waits for the
@@ -976,43 +959,29 @@ impl Rtf {
             // (the sequential spec), not its snapshot. A displaced read
             // aborts and re-executes at the same position.
             if let Some(t) = ticket {
-                if let Err(waited_ms) = self.wait_ticket_turn(tree, t) {
-                    tree.scrub_tentative();
+                if let Err(waited_ms) = self.wait_ticket_turn(id, t) {
+                    scrub();
                     commit_span(false);
                     return RootCommit::Stalled { waited_ms };
                 }
-                let inbox = std::mem::take(&mut *tree.root.inbox.lock());
-                let mut reads = ReadSet::new();
-                for (cell, token) in inbox.perm_reads {
-                    reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
-                }
-                if inner.chain.validate_ro(&reads, telemetry.as_ref()).is_err() {
+                if inner.chain.validate_ro(&tx.take_top_reads(), telemetry.as_ref()).is_err() {
                     telemetry.count(Counter::TopValidationAborts, 1);
-                    tree.scrub_tentative();
+                    scrub();
                     commit_span(false);
                     return RootCommit::Conflict;
                 }
             }
             telemetry.count(Counter::TopRoCommits, 1);
-            tree.scrub_tentative();
+            scrub();
             commit_span(true);
             return RootCommit::Committed;
         }
 
-        // Consolidated read-set: the root's own permanent reads were merged
-        // into its inbox by the implicit-chain commit; sub-transactions
-        // merged theirs on their commits. First read of a cell wins, which
-        // `ReadSet::record` guarantees.
-        let inbox = std::mem::take(&mut *tree.root.inbox.lock());
-        let mut reads = ReadSet::new();
-        for (cell, token) in inbox.perm_reads {
-            reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
-        }
-
+        let reads = tx.take_top_reads();
         let mut stalled: Option<u64> = None;
         let result = {
             let mut wait = || match ticket {
-                Some(t) => match self.wait_ticket_turn(tree, t) {
+                Some(t) => match self.wait_ticket_turn(id, t) {
                     Ok(()) => true,
                     Err(waited_ms) => {
                         stalled = Some(waited_ms);
@@ -1030,7 +999,7 @@ impl Rtf {
                 telemetry.as_ref(),
             )
         };
-        tree.scrub_tentative();
+        scrub();
         let committed = result.is_ok();
         if committed {
             if timed {

@@ -3,9 +3,17 @@
 //!
 //! The actual read-resolution walk and validation loop live in
 //! `rtf-txengine` ([`rtf_txengine::resolve_read`] /
-//! [`rtf_txengine::validate_reads`]); this module contributes only the two
-//! sub-transaction [`Visibility`] policies plus the tentative-list *write*
-//! path (Alg 1), which is specific to transaction trees.
+//! [`rtf_txengine::validate_reads`]); this module contributes only the
+//! [`Visibility`] policies of a root attempt's reads ([`TopRead`]) and of
+//! sub-transactions, plus the tentative-list *write* path (Alg 1), which
+//! is specific to transaction trees.
+//!
+//! # Top-level read — [`TopRead`]
+//! A root attempt reads as a plain top-level transaction until its first
+//! submit, and a fallback attempt always does: no tentative entry is
+//! visible (it has no sub-transaction yet, and other trees' entries never
+//! are), then its own write-set, then the permanent versions at its
+//! snapshot.
 //!
 //! # Write (Alg 1)
 //! A sub-transaction writing a box appends a tentative version to the box's
@@ -43,7 +51,7 @@ use rtf_txbase::{
 };
 use rtf_txengine::{
     tentative_insert, CellId, ConflictSite, ReadRecord, Source, TentativeEntry, VBoxCell, Val,
-    Visibility,
+    Visibility, WriteSet,
 };
 
 use crate::node::Node;
@@ -105,6 +113,39 @@ fn orec_snapshot(orec: &Orec) -> (NodeId, u64, OrecStatus) {
     }
 }
 
+/// Read-time visibility of a root attempt that has built no tree (module
+/// docs): the attempt's write-set, then its snapshot.
+pub struct TopRead<'a> {
+    writes: &'a WriteSet,
+    snapshot: Version,
+}
+
+impl<'a> TopRead<'a> {
+    /// The read policy of a root attempt at `snapshot` that buffered
+    /// `writes`.
+    pub fn new(writes: &'a WriteSet, snapshot: Version) -> Self {
+        TopRead { writes, snapshot }
+    }
+}
+
+impl Visibility for TopRead<'_> {
+    fn tentative(&self, _entry: &TentativeEntry) -> Option<Source> {
+        None
+    }
+
+    fn local(&self, id: CellId) -> Option<(Val, WriteToken)> {
+        self.writes.get(id)
+    }
+
+    fn snapshot(&self) -> Version {
+        self.snapshot
+    }
+
+    fn scans_tentative(&self) -> bool {
+        false
+    }
+}
+
 /// Read-time visibility of a sub-transaction (module docs; Alg 2). The
 /// tentative rule is the paper's Fig 4; the local buffer is the top-level
 /// private write-set (Alg 2 lines 21–22) and the permanent fallback is
@@ -143,7 +184,7 @@ impl Visibility for SubRead<'_> {
     }
 
     fn local(&self, id: CellId) -> Option<(Val, WriteToken)> {
-        self.tree.root_ws_get(id)
+        self.tree.root_ws.get(id)
     }
 
     fn snapshot(&self) -> Version {
@@ -202,7 +243,7 @@ impl Visibility for SubValidation<'_> {
     }
 
     fn local(&self, id: CellId) -> Option<(Val, WriteToken)> {
-        self.tree.root_ws_get(id)
+        self.tree.root_ws.get(id)
     }
 
     fn snapshot(&self) -> Version {
@@ -269,7 +310,8 @@ where
 mod tests {
     use super::*;
     use crate::node::NodeKind;
-    use rtf_txengine::{downcast, erase, read_pin, resolve_read, VBox};
+    use crate::tree::AttemptId;
+    use rtf_txengine::{downcast, erase, read_pin, resolve_read, VBox, WriteSet};
 
     fn validate_reads<'a>(
         tree: &TreeCtx,
@@ -279,9 +321,7 @@ mod tests {
         validate_reads_detailed(tree, node, reads).is_ok()
     }
 
-    fn tree() -> Arc<TreeCtx> {
-        TreeCtx::new(0, false)
-    }
+    use crate::tree::tests::tree;
 
     /// A sub-transaction read (Alg 2) as `Tx::read_cell` performs it in a
     /// read-write transaction: the value and the read-set record.
@@ -305,9 +345,10 @@ mod tests {
 
     #[test]
     fn read_sees_root_ws() {
-        let t = tree();
         let b = VBox::new(5u32);
-        t.root_ws_put(b.cell(), erase(6u32));
+        let mut ws = WriteSet::new();
+        ws.put(b.cell(), erase(6u32));
+        let t = TreeCtx::new(AttemptId::new(), 0, ws);
         let f = Node::new_child(&t.root, NodeKind::Future { fork_idx: 0 });
         let (v, entry) = sub_read(&t, &f, b.cell());
         assert_eq!(*downcast::<u32>(v), 6);

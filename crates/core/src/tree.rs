@@ -1,23 +1,49 @@
 //! Per-tree (top-level transaction attempt) shared context.
 //!
-//! Everything the concurrently running sub-transactions of one transaction
-//! tree share: the snapshot version, the root's private write-set (the
-//! paper's top-level write-set, consulted by sub-transaction reads — Alg 2
-//! lines 21–22), the set of boxes with tentative entries (for commit-time
-//! write-back and abort-time cleanup), the read-write sub-commit counter
-//! backing the read-only future optimization (§IV-E), the in-flight task
-//! counter (quiescence on whole-tree teardown) and the poison latch that
-//! broadcasts teardown to running sub-transactions.
+//! A root attempt runs as a plain top-level transaction until its first
+//! `submit` or `fork` (paper §III-A: the tree of sub-transactions exists only
+//! once a future is submitted); that first submit builds the [`TreeCtx`].
+//! It holds everything the concurrently running sub-transactions of one
+//! transaction tree share: the snapshot version, the root's private
+//! write-set as it stood at the first submit (the paper's top-level
+//! write-set, consulted by sub-transaction reads — Alg 2 lines 21–22), the
+//! set of boxes with tentative entries (for commit-time write-back and
+//! abort-time cleanup), the read-write sub-commit counter backing the
+//! read-only future optimization (§IV-E), the in-flight task counter
+//! (quiescence on whole-tree teardown) and the poison latch that broadcasts
+//! teardown to running sub-transactions.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtf_txbase::{new_tree_id, FxHashSet, TreeId, Version, WaitQueue, WriteToken};
-use rtf_txengine::{CellId, VBoxCell, Val, WriteEntry, WriteSet};
+use rtf_txbase::{
+    new_node_id, new_tree_id, FxHashSet, NodeId, OrecStatus, TreeId, Version, WaitQueue,
+};
+use rtf_txengine::{CellId, VBoxCell, WriteEntry, WriteSet};
 
 use crate::node::Node;
+
+/// The identity of one top-level attempt, drawn when the attempt begins:
+/// its tree id (the ordering realm of its futures, and the tag of its
+/// tentative entries) and its root node's id. A root attempt carries it
+/// before any tree exists; the tree takes it over at the first submit.
+#[derive(Clone, Copy, Debug)]
+pub struct AttemptId {
+    /// Tree identity.
+    pub tree: TreeId,
+    /// Id of the root node.
+    pub root: NodeId,
+}
+
+impl AttemptId {
+    /// Fresh ids for a new attempt.
+    pub fn new() -> AttemptId {
+        let tree = new_tree_id();
+        AttemptId { tree, root: new_node_id() }
+    }
+}
 
 /// Why a tree attempt is being torn down.
 pub enum PoisonKind {
@@ -64,19 +90,17 @@ impl std::fmt::Debug for PoisonKind {
     }
 }
 
-/// Shared state of one execution attempt of a top-level transaction.
+/// Shared state of one execution attempt of a top-level transaction, built
+/// at its first submit.
 ///
 /// # Root write-set invariant
 ///
-/// Only two writers ever touch `root_ws`: the root before its first fork
-/// (`fork_count == 0`, still on the thread that called `atomic`) and a
-/// fallback attempt, which runs every future inline on that same thread.
-/// So once a future has been spawned the set is immutable, and the spawn
-/// (a synchronizing hand-off to the pool) publishes it to the workers.
-/// `root_ws_written` records whether any write happened at all: while it
-/// reads `false`, [`TreeCtx::root_ws_get`] answers `None` without touching
-/// the lock, so a sub-transaction read writes no word of the shared
-/// `RwLock`.
+/// `root_ws` is the write-set the root attempt buffered before its first
+/// submit, moved here when that submit builds the tree and never written
+/// again: after it the root writes tentatively, like every other node, and
+/// a fallback attempt never builds a tree. The spawn of the first future (a
+/// synchronizing hand-off to the pool) publishes the set to the workers, so
+/// a sub-transaction read consults it without a lock.
 pub struct TreeCtx {
     /// Tree identity (distinguishes tentative entries of different trees).
     pub tree_id: TreeId,
@@ -84,21 +108,18 @@ pub struct TreeCtx {
     pub start_version: Version,
     /// The root node of this attempt.
     pub root: Arc<Node>,
-    /// The top-level private write-set (`rootWriteSet` in the paper):
-    /// writes the root performed before its first submit (and all writes in
-    /// sequential-fallback mode). An engine [`WriteSet`] — overwrites keep
-    /// the write's token, so a slot has one identity for the whole attempt.
-    root_ws: RwLock<WriteSet>,
-    /// Set (Release) by the first `root_ws_put`; never cleared.
-    root_ws_written: AtomicBool,
+    /// The top-level private write-set (`rootWriteSet` in the paper): the
+    /// writes the root performed before its first submit. An engine
+    /// [`WriteSet`] — overwrites kept the write's token, so a slot has one
+    /// identity for the whole attempt. Shared through the tree's `Arc`, so
+    /// nothing writes it after construction.
+    pub root_ws: WriteSet,
     /// Boxes carrying tentative entries of this tree.
     touched: Mutex<TouchedSet>,
     /// Advances by two per committed read-write sub-transaction, once on
     /// each side of its parent's `nclock` bump (§IV-E: backs the read-only
     /// future validation skip).
     pub rw_commit_clock: AtomicU64,
-    /// Sequential fallback mode: futures run inline, writes go to `root_ws`.
-    pub fallback: bool,
     poison_flag: AtomicBool,
     poison: Mutex<Option<PoisonKind>>,
     tasks: Mutex<usize>,
@@ -113,46 +134,21 @@ struct TouchedSet {
 }
 
 impl TreeCtx {
-    /// Fresh attempt context.
-    pub fn new(start_version: Version, fallback: bool) -> Arc<TreeCtx> {
+    /// The tree of attempt `id`, whose root buffered `root_ws` before its
+    /// first submit.
+    pub fn new(id: AttemptId, start_version: Version, root_ws: WriteSet) -> Arc<TreeCtx> {
         Arc::new(TreeCtx {
-            tree_id: new_tree_id(),
+            tree_id: id.tree,
             start_version,
-            root: Node::new_root(),
-            root_ws: RwLock::new(WriteSet::new()),
-            root_ws_written: AtomicBool::new(false),
+            root: Node::new_root(id.root),
+            root_ws,
             touched: Mutex::new(TouchedSet::default()),
             rw_commit_clock: AtomicU64::new(0),
-            fallback,
             poison_flag: AtomicBool::new(false),
             poison: Mutex::new(None),
             tasks: Mutex::new(0),
             tasks_waiters: WaitQueue::new(),
         })
-    }
-
-    // ---- root write-set ----------------------------------------------
-
-    /// Value previously written by the top-level context, if any. Takes
-    /// no lock while the root has written nothing (see the invariant on
-    /// [`TreeCtx`]).
-    #[inline]
-    pub fn root_ws_get(&self, id: CellId) -> Option<(Val, WriteToken)> {
-        if !self.root_ws_written.load(Ordering::Acquire) {
-            return None;
-        }
-        self.root_ws.read().get(id)
-    }
-
-    /// Buffers a top-level private write.
-    pub fn root_ws_put(&self, cell: &Arc<VBoxCell>, value: Val) {
-        self.root_ws.write().put(cell, value);
-        self.root_ws_written.store(true, Ordering::Release);
-    }
-
-    /// Drains the top-level write-set for commit.
-    pub fn root_ws_drain(&self) -> Vec<WriteEntry> {
-        self.root_ws.write().drain().collect()
     }
 
     // ---- tentative bookkeeping ----------------------------------------
@@ -165,21 +161,47 @@ impl TreeCtx {
         }
     }
 
-    /// All boxes carrying (or having carried) tentative entries of this
-    /// tree.
-    pub fn touched_cells(&self) -> Vec<Arc<VBoxCell>> {
-        self.touched.lock().cells.clone()
+    /// Takes the boxes carrying (or having carried) tentative entries of
+    /// this tree. Called once, by the root commit or the teardown, when no
+    /// sub-transaction of the tree runs any more; the caller scrubs them
+    /// with [`scrub_tentative`].
+    pub fn take_touched(&self) -> Vec<Arc<VBoxCell>> {
+        std::mem::take(&mut self.touched.lock().cells)
     }
 
-    /// Removes every tentative entry of this tree from the boxes it
-    /// touched; called after root commit (entries were written back) and on
-    /// whole-tree abort.
-    pub fn scrub_tentative(&self) {
-        let cells = self.touched_cells();
-        for cell in cells {
-            let mut list = cell.tentative_lock();
-            list.retain(|e| e.tree != self.tree_id);
+    /// The top level's consolidated write-set: the root write-set,
+    /// overridden by the head (latest in serialization order) of each
+    /// tentative list in `touched`. `WriteSet::insert` keeps the tentative
+    /// entry's own token, so the write retains one identity through
+    /// write-back.
+    pub fn consolidate(&self, touched: &[Arc<VBoxCell>]) -> WriteSet {
+        let mut writes = WriteSet::new();
+        for e in self.root_ws.iter() {
+            writes.insert(WriteEntry {
+                cell: Arc::clone(&e.cell),
+                value: e.value.clone(),
+                token: e.token,
+            });
         }
+        for cell in touched {
+            let list = cell.tentative_lock();
+            if let Some(e) = list
+                .iter()
+                .find(|e| e.tree == self.tree_id && e.orec.status() != OrecStatus::Aborted)
+            {
+                debug_assert_eq!(
+                    e.orec.owner(),
+                    self.root.id,
+                    "all committed sub-transaction writes must be root-owned at top commit"
+                );
+                writes.insert(WriteEntry {
+                    cell: Arc::clone(cell),
+                    value: e.value.clone(),
+                    token: e.token,
+                });
+            }
+        }
+        writes
     }
 
     // ---- poison -------------------------------------------------------
@@ -254,52 +276,81 @@ impl std::fmt::Debug for TreeCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "TreeCtx({:?}, start=v{}, fallback={}, poisoned={})",
+            "TreeCtx({:?}, start=v{}, poisoned={})",
             self.tree_id,
             self.start_version,
-            self.fallback,
             self.is_poisoned()
         )
     }
 }
 
+/// Removes every tentative entry of tree `tree` from `cells` (the boxes
+/// [`TreeCtx::take_touched`] returned); called after the root commit (the
+/// entries were written back) and on whole-tree abort.
+pub fn scrub_tentative(tree: TreeId, cells: &[Arc<VBoxCell>]) {
+    for cell in cells {
+        cell.tentative_lock().retain(|e| e.tree != tree);
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rtf_txengine::{downcast, erase, VBox};
+    use rtf_txengine::{downcast, erase, tentative_insert, TentativeEntry, VBox};
+
+    /// A tree with an empty root write-set.
+    pub(crate) fn tree() -> Arc<TreeCtx> {
+        TreeCtx::new(AttemptId::new(), 0, WriteSet::new())
+    }
 
     #[test]
-    fn root_ws_roundtrip_and_drain() {
-        let tree = TreeCtx::new(0, false);
-        let b = VBox::new(1u32);
-        assert!(tree.root_ws_get(b.id()).is_none());
-        assert!(!tree.root_ws_written.load(Ordering::Relaxed), "no write yet: lock-free get");
-        tree.root_ws_put(b.cell(), erase(2u32));
-        assert!(tree.root_ws_written.load(Ordering::Relaxed));
-        let (v, t1) = tree.root_ws_get(b.id()).unwrap();
-        assert_eq!(*downcast::<u32>(v), 2);
-        // Overwrite keeps the token (same logical write slot).
-        tree.root_ws_put(b.cell(), erase(3u32));
-        let (v, t2) = tree.root_ws_get(b.id()).unwrap();
-        assert_eq!(*downcast::<u32>(v), 3);
-        assert_eq!(t1, t2);
-        let drained = tree.root_ws_drain();
-        assert_eq!(drained.len(), 1);
-        assert!(tree.root_ws_drain().is_empty());
+    fn consolidate_overrides_the_root_write_set_with_tentative_heads() {
+        use rtf_txbase::{new_write_token, OrderKey};
+
+        let (a, b) = (VBox::new(0u32), VBox::new(0u32));
+        let mut ws = WriteSet::new();
+        ws.put(a.cell(), erase(1u32));
+        ws.put(b.cell(), erase(2u32));
+        let (_, a_token) = ws.get(a.id()).unwrap();
+        let tree = TreeCtx::new(AttemptId::new(), 0, ws);
+        assert_eq!(*downcast::<u32>(tree.root_ws.get(b.id()).unwrap().0), 2);
+        // The root's post-submit write of `b`, adopted by the root.
+        let b_token = new_write_token();
+        tentative_insert(
+            &mut b.cell().tentative_lock(),
+            TentativeEntry {
+                key: OrderKey::root().write_key(1),
+                token: b_token,
+                value: erase(3u32),
+                orec: Arc::clone(&tree.root.orec),
+                tree: tree.tree_id,
+            },
+        );
+        tree.touch(b.cell());
+        let touched = tree.take_touched();
+        assert!(tree.take_touched().is_empty(), "taken once");
+        let writes = tree.consolidate(&touched);
+        assert_eq!(writes.len(), 2);
+        let (v, t) = writes.get(a.id()).unwrap();
+        assert_eq!((*downcast::<u32>(v), t), (1, a_token));
+        let (v, t) = writes.get(b.id()).unwrap();
+        assert_eq!((*downcast::<u32>(v), t), (3, b_token));
+        // Consolidation copies the frozen set, which stays readable.
+        assert_eq!(tree.consolidate(&[]).len(), 2);
     }
 
     #[test]
     fn touch_dedupes() {
-        let tree = TreeCtx::new(0, false);
+        let tree = tree();
         let b = VBox::new(1u32);
         tree.touch(b.cell());
         tree.touch(b.cell());
-        assert_eq!(tree.touched_cells().len(), 1);
+        assert_eq!(tree.take_touched().len(), 1);
     }
 
     #[test]
     fn poison_latches_first_reason() {
-        let tree = TreeCtx::new(0, false);
+        let tree = tree();
         assert!(!tree.is_poisoned());
         assert!(tree.poison(PoisonKind::InterTree));
         assert!(!tree.poison(PoisonKind::ContinuationRestart));
@@ -312,7 +363,7 @@ mod tests {
 
     #[test]
     fn quiescence_waits_for_tasks() {
-        let tree = TreeCtx::new(0, false);
+        let tree = tree();
         tree.task_started();
         tree.task_started();
         let t2 = Arc::clone(&tree);
@@ -329,9 +380,8 @@ mod tests {
     #[test]
     fn scrub_removes_only_own_entries() {
         use rtf_txbase::{new_node_id, new_write_token, OrderKey, Orec};
-        use rtf_txengine::{tentative_insert, TentativeEntry};
 
-        let tree = TreeCtx::new(0, false);
+        let tree = tree();
         let other_tree = new_tree_id();
         let b = VBox::new(0u32);
         {
@@ -358,7 +408,7 @@ mod tests {
             );
         }
         tree.touch(b.cell());
-        tree.scrub_tentative();
+        scrub_tentative(tree.tree_id, &tree.take_touched());
         let list = b.cell().tentative_lock();
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].tree, other_tree);

@@ -3,9 +3,16 @@
 //!
 //! # Execution model
 //!
-//! A [`Tx`] is a *cursor* over the transaction tree. It starts at the node
-//! its closure was entered with (the root for `atomic`, a future node for a
-//! pool task, a continuation node for `fork`'s second closure). Each
+//! A root attempt starts as a plain top-level transaction (§III-A): the
+//! [`Tx`] itself holds its snapshot, ids, read log and write-set, reads
+//! through [`TopRead`] and commits straight from those sets. Its first
+//! [`Tx::submit`] or [`Tx::fork`] builds the transaction tree, moving the
+//! write-set into it as the frozen root write-set; a fallback attempt runs
+//! its submits inline and never builds one.
+//!
+//! Once there is a tree, a [`Tx`] is a *cursor* over it. It starts at the
+//! node its closure was entered with (the root for `atomic`, a future node
+//! for a pool task, a continuation node for `fork`'s second closure). Each
 //! [`Tx::submit`] splits the current node: the future body is scheduled on
 //! the pool and the cursor descends into the freshly created continuation
 //! child — exactly the paper's model where the parent halts at the submit
@@ -28,6 +35,8 @@
 //! sub-transaction) propagates by unwinding with the private
 //! [`PoisonSignal`] payload; every transactional operation polls the tree's
 //! poison latch so all participants converge to the `atomic` retry loop.
+//! An attempt without a tree has no other participant: it unwinds with the
+//! [`PoisonKind`] itself.
 
 // Audited `clippy::panic` exemption: this module's panics are the
 // runtime's typed unwind channels (`PoisonSignal` / `CancelSignal` /
@@ -40,25 +49,26 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rtf_taskpool::{OrderTag, Pool};
-use rtf_txbase::WriteToken;
+use rtf_txbase::{OrderKey, TreeId, Version, WriteToken};
 use rtf_txengine::{
     downcast, downcast_ref, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind,
-    Counter, Event, ReadLog, ReadPath, ReadPin, ReadRecord, Source, SpanKind, SpanRec, StallKind,
-    Telemetry, TxData, VBox, VBoxCell, Val, WaitSiteGuard,
+    Counter, Event, ReadLog, ReadPath, ReadPin, ReadRecord, ReadSet, Source, SpanKind, SpanRec,
+    StallKind, Telemetry, TxData, VBox, VBoxCell, Val, WaitSiteGuard, WriteSet,
 };
 
 use crate::error::TxError;
 use crate::future::TxFuture;
 use crate::node::{Node, NodeKind};
-use crate::rw::{sub_write, validate_reads_detailed, SubRead};
+use crate::rw::{sub_write, validate_reads_detailed, SubRead, TopRead};
 use crate::stall::{StallAction, StallThresholds, StallWatch};
-use crate::tree::{PoisonKind, TreeCtx};
+use crate::tree::{AttemptId, PoisonKind, TreeCtx};
 
 /// Unwind payload used for tree teardown; never escapes the crate.
 pub(crate) struct PoisonSignal;
 
 /// Silences the default panic hook for unwinds the runtime itself raises
-/// and handles: [`PoisonSignal`]/[`CancelSignal`] (internal control flow),
+/// and handles: [`PoisonSignal`]/[`PoisonKind`]/[`CancelSignal`] (internal
+/// control flow),
 /// structured [`TxError`]/[`crate::FutureError`] payloads (surfaced at the
 /// API boundary), and injected [`rtf_txfault::InjectedPanic`] faults
 /// (contained by the pool). None of these are errors worth a stderr report;
@@ -70,6 +80,7 @@ pub(crate) fn install_quiet_poison_hook() {
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
             if p.is::<PoisonSignal>()
+                || p.is::<PoisonKind>()
                 || p.is::<CancelSignal>()
                 || p.is::<TxError>()
                 || p.is::<crate::error::FutureError>()
@@ -115,7 +126,7 @@ impl Frame {
         }
     }
 
-    /// A frame for the root attempt of `tree`.
+    /// The frame of `tree`'s root, built at the root's first submit.
     fn root(tree: &TreeCtx, env: &TxEnv) -> Frame {
         let ro_snapshot = tree.rw_commit_clock.load(Ordering::Acquire);
         Frame::new(Arc::clone(&tree.root), ro_snapshot, env)
@@ -151,13 +162,36 @@ pub(crate) struct TxEnv {
     pub stall: StallThresholds,
 }
 
+/// A root attempt that has built no tree: the plain top-level transaction
+/// of §III-A. Its first submit moves this state into a [`TreeCtx`]; a
+/// fallback attempt keeps it to the end.
+struct TopLevel {
+    id: AttemptId,
+    start: Version,
+    reads: ReadLog,
+    /// The top-level private write-set.
+    writes: WriteSet,
+    /// Sequential fallback mode: submits run inline (DESIGN.md D3).
+    fallback: bool,
+}
+
+/// What a [`Tx`] runs in.
+enum Mode {
+    /// A root attempt before its first submit, or a fallback attempt.
+    Top(TopLevel),
+    /// A transaction tree; the `Tx` is a cursor over it.
+    Tree(Arc<TreeCtx>),
+}
+
 /// Handle to the current transactional context.
 ///
 /// Obtained inside [`crate::Rtf::atomic`]; passed by `&mut` to future and
 /// continuation closures. All shared-state access goes through this handle.
 pub struct Tx {
     env: Arc<TxEnv>,
-    tree: Arc<TreeCtx>,
+    mode: Mode,
+    /// Tree mode: the frames from the entry node down to the cursor. Empty
+    /// in top mode.
     frames: Vec<Frame>,
     /// Read-only transaction: skip read-set recording, forbid writes.
     ro_mode: bool,
@@ -184,36 +218,84 @@ impl Drop for Tx {
 }
 
 impl Tx {
-    pub(crate) fn new_for_root(env: Arc<TxEnv>, tree: Arc<TreeCtx>, ro_mode: bool) -> Tx {
-        let frame = Frame::root(&tree, &env);
-        Tx { env, tree, frames: vec![frame], ro_mode, reads_fast: 0, reads_slow: 0 }
+    /// A root attempt `id` at snapshot `start`; it builds no tree until
+    /// its first submit, and never in `fallback` mode.
+    pub(crate) fn new_for_root(
+        env: Arc<TxEnv>,
+        id: AttemptId,
+        start: Version,
+        ro_mode: bool,
+        fallback: bool,
+    ) -> Tx {
+        let top = TopLevel { id, start, reads: ReadLog::new(), writes: WriteSet::new(), fallback };
+        Tx { env, mode: Mode::Top(top), frames: Vec::new(), ro_mode, reads_fast: 0, reads_slow: 0 }
     }
 
     fn new_for_frame(env: Arc<TxEnv>, tree: Arc<TreeCtx>, frame: Frame, ro_mode: bool) -> Tx {
-        Tx { env, tree, frames: vec![frame], ro_mode, reads_fast: 0, reads_slow: 0 }
+        Tx {
+            env,
+            mode: Mode::Tree(tree),
+            frames: vec![frame],
+            ro_mode,
+            reads_fast: 0,
+            reads_slow: 0,
+        }
+    }
+
+    /// The attempt's tree, once built.
+    pub(crate) fn tree(&self) -> Option<&TreeCtx> {
+        match &self.mode {
+            Mode::Tree(tree) => Some(tree.as_ref()),
+            Mode::Top(_) => None,
+        }
+    }
+
+    /// The tree of a `Tx` in tree mode.
+    fn built_tree(&self) -> &Arc<TreeCtx> {
+        match &self.mode {
+            Mode::Tree(tree) => tree,
+            Mode::Top(_) => unreachable!("a top-level attempt has no tree"),
+        }
+    }
+
+    /// Builds the attempt's tree at its first submit: the tree takes over
+    /// the attempt's ids and snapshot, its write-set (frozen as the root
+    /// write-set) and its read log (the root frame's). A no-op once the tree
+    /// exists.
+    fn promote(&mut self) {
+        if let Mode::Top(top) = &mut self.mode {
+            let tree = TreeCtx::new(top.id, top.start, std::mem::take(&mut top.writes));
+            let mut root = Frame::root(&tree, &self.env);
+            root.reads = std::mem::take(&mut top.reads);
+            self.frames.push(root);
+            self.mode = Mode::Tree(tree);
+        }
     }
 
     #[inline]
     fn current(&self) -> &Frame {
-        self.frames.last().expect("Tx always holds its entry frame")
+        self.frames.last().expect("a tree-mode Tx holds its entry frame")
     }
 
     #[inline]
     fn check_poison(&self) {
-        if self.tree.is_poisoned() {
+        if self.tree().is_some_and(TreeCtx::is_poisoned) {
             std::panic::panic_any(PoisonSignal);
         }
     }
 
     /// Snapshot version of the enclosing top-level transaction.
-    pub fn snapshot(&self) -> rtf_txbase::Version {
-        self.tree.start_version
+    pub fn snapshot(&self) -> Version {
+        match &self.mode {
+            Mode::Top(top) => top.start,
+            Mode::Tree(tree) => tree.start_version,
+        }
     }
 
     /// Whether this attempt runs in the sequential fallback mode
     /// (after inter-tree conflicts; futures execute inline).
     pub fn is_fallback(&self) -> bool {
-        self.tree.fallback
+        matches!(&self.mode, Mode::Top(top) if top.fallback)
     }
 
     /// Aborts the current top-level transaction attempt and re-executes it
@@ -224,8 +306,7 @@ impl Tx {
     /// wants a fresh one. A restart counts toward
     /// [`crate::RtfConfig::fallback_threshold`] like a continuation restart.
     pub fn restart(&mut self) -> ! {
-        self.tree.poison(PoisonKind::ContinuationRestart);
-        std::panic::panic_any(PoisonSignal)
+        abandon(self.tree(), PoisonKind::ContinuationRestart)
     }
 
     /// Cancels the transaction: every buffered effect is discarded and
@@ -305,20 +386,29 @@ impl Tx {
     /// one-thread B-tree get measured ~40% slower (EXPERIMENTS P6).
     #[inline(always)]
     fn resolve<'g>(&mut self, cell: &'g Arc<VBoxCell>, pin: &'g ReadPin) -> Cow<'g, Val> {
-        self.check_poison();
-        let frame = self.frames.last_mut().expect("entry frame");
-        let r = resolve_read(&SubRead::new(&self.tree, &frame.node), cell, pin);
+        let (r, reads, epoch) = match &mut self.mode {
+            Mode::Top(top) => {
+                (resolve_read(&TopRead::new(&top.writes, top.start), cell, pin), &mut top.reads, 0)
+            }
+            Mode::Tree(tree) => {
+                if tree.is_poisoned() {
+                    std::panic::panic_any(PoisonSignal);
+                }
+                let frame = self.frames.last_mut().expect("entry frame");
+                let r = resolve_read(&SubRead::new(tree, &frame.node), cell, pin);
+                // `fork_count` only moves on the thread running this node,
+                // so loading it after the walk is the same as before it.
+                (r, &mut frame.reads, frame.node.fork_count.load(Ordering::Relaxed))
+            }
+        };
         match r.path {
             ReadPath::Fast => self.reads_fast += 1,
             ReadPath::Slow => self.reads_slow += 1,
         }
         // A read-only transaction keeps no read-set, so it builds no record
-        // (and never clones the cell's `Arc`). `fork_count` only moves on
-        // the thread running this node, so loading it after the walk is
-        // the same as before it.
+        // (and never clones the cell's `Arc`).
         if !self.ro_mode {
-            let epoch = frame.node.fork_count.load(Ordering::Relaxed);
-            frame.reads.push(ReadRecord {
+            reads.push(ReadRecord {
                 cell: Arc::clone(cell),
                 token: r.token,
                 source: r.source,
@@ -339,18 +429,14 @@ impl Tx {
     pub fn write_cell(&mut self, cell: &Arc<VBoxCell>, value: Val) {
         self.check_poison();
         assert!(!self.ro_mode, "write inside a transaction declared read-only (atomic_ro)");
-        let is_prefork_root = {
-            let node = &self.current().node;
-            node.kind == NodeKind::Root && node.fork_count.load(Ordering::Relaxed) == 0
-        };
-        if self.tree.fallback || is_prefork_root {
+        let tree = match &mut self.mode {
             // Top-level private write-set (paper §III-A); also the
             // `rootWriteSet` of the inter-tree fallback (DESIGN.md D3).
-            self.tree.root_ws_put(cell, value);
-            return;
-        }
+            Mode::Top(top) => return top.writes.put(cell, value),
+            Mode::Tree(tree) => tree,
+        };
         let frame = self.frames.last_mut().expect("entry frame");
-        match sub_write(&self.tree, &frame.node, cell, value) {
+        match sub_write(tree, &frame.node, cell, value) {
             Ok(_) => {
                 frame.written.push(Arc::clone(cell));
                 frame.wrote = true;
@@ -363,7 +449,7 @@ impl Tx {
                     cell: cell.id(),
                     writer_tree: c.writer_tree,
                 });
-                self.tree.poison(PoisonKind::InterTree);
+                tree.poison(PoisonKind::InterTree);
                 std::panic::panic_any(PoisonSignal);
             }
         }
@@ -394,21 +480,26 @@ impl Tx {
     {
         self.check_poison();
         self.env.telemetry.count(Counter::FuturesSubmitted, 1);
-        if self.tree.fallback {
+        if self.is_fallback() {
             // Sequential fallback: run inline at the submission point —
             // literally the sequential execution the semantics are defined
             // against.
             let v = self.timed_inline(body);
             return TxFuture::ready(Arc::new(v));
         }
+        self.promote();
         let parent = Arc::clone(&self.current().node);
         let fork_idx = parent.fork_count.load(Ordering::Relaxed);
         let handle = TxFuture::new_pending();
         self.spawn_future_task(&parent, fork_idx, handle.clone(), body);
         parent.fork_count.store(fork_idx + 1, Ordering::Relaxed);
         // The cursor descends into the continuation.
-        let frame =
-            Frame::child(&parent, NodeKind::Continuation { fork_idx }, &self.tree, &self.env);
+        let frame = Frame::child(
+            &parent,
+            NodeKind::Continuation { fork_idx },
+            self.built_tree(),
+            &self.env,
+        );
         tx_trace!(
             self.env.telemetry,
             "submit: parent {:?} fork {} cont {:?}",
@@ -440,11 +531,12 @@ impl Tx {
     {
         self.check_poison();
         self.env.telemetry.count(Counter::FuturesSubmitted, 1);
-        if self.tree.fallback {
+        if self.is_fallback() {
             let v = self.timed_inline(body);
             let handle = TxFuture::ready(Arc::new(v));
             return cont(self, &handle);
         }
+        self.promote();
         let parent = Arc::clone(&self.current().node);
         let fork_idx = parent.fork_count.load(Ordering::Relaxed);
         let handle = TxFuture::new_pending();
@@ -455,8 +547,8 @@ impl Tx {
         let depth = self.frames.len();
         loop {
             self.check_poison();
-            let frame =
-                Frame::child(&parent, NodeKind::Continuation { fork_idx }, &self.tree, &self.env);
+            let kind = NodeKind::Continuation { fork_idx };
+            let frame = Frame::child(&parent, kind, self.built_tree(), &self.env);
             self.frames.push(frame);
             let out = cont(self, &handle);
             match self.commit_frames_down_to(depth) {
@@ -531,21 +623,29 @@ impl Tx {
     /// queued futures, so bounded pools cannot deadlock.
     pub fn eval<A: TxData>(&mut self, fut: &TxFuture<A>) -> Arc<A> {
         self.check_poison();
+        // Borrow the pool, tree and telemetry: cloning them would write
+        // reference counts every thread shares, once per evaluation.
+        let (pool, tree) = (&self.env.pool, self.tree());
         if rtf_txfault::fail_point!("core.eval.wait").is_abort() {
             // Injected fault: the evaluation "fails" as a restart of the
             // whole attempt (the strongest recoverable outcome at this
             // boundary).
-            self.tree.poison(PoisonKind::ContinuationRestart);
-            std::panic::panic_any(PoisonSignal);
+            abandon(tree, PoisonKind::ContinuationRestart);
         }
-        tx_trace!(self.env.telemetry, "eval begin (node {:?})", self.current().node.id);
-        // Borrow the pool, tree and telemetry: cloning them would write
-        // reference counts every thread shares, once per evaluation.
-        let (pool, tree) = (&self.env.pool, &*self.tree);
+        // The evaluating position: the cursor's node, or the root of an
+        // attempt that has built no tree.
+        let (realm, node, path) = match &self.mode {
+            Mode::Top(top) => (top.id.tree, top.id.root, None),
+            Mode::Tree(tree) => {
+                let node = &self.current().node;
+                (tree.tree_id, node.id, Some(&node.path))
+            }
+        };
+        tx_trace!(self.env.telemetry, "eval begin (node {:?})", node);
         let mut watch = StallWatch::new(
             StallKind::FutureWait,
-            tree.tree_id.0,
-            self.current().node.id.raw(),
+            realm.0,
+            node.raw(),
             &self.env.telemetry,
             self.env.stall,
         );
@@ -553,25 +653,21 @@ impl Tx {
         // running a *later*-positioned task inline could suspend our
         // uncommitted frames beneath work that transitively waits on them
         // (see the taskpool module docs on the helping inversion).
-        let bound = order_tag(&self.tree, &self.current().node.path);
+        let bound = order_tag(realm, path.unwrap_or(&OrderKey::root()));
         // Publish the blocked-on edge only when the handle is actually
         // unsettled — the common already-committed eval stays a probe.
         let _wait = (!fut.is_settled()).then(|| {
-            WaitSiteGuard::enter(
-                &self.env.telemetry,
-                StallKind::FutureWait,
-                self.tree.tree_id.0,
-                self.current().node.id.raw(),
-                0,
-            )
+            WaitSiteGuard::enter(&self.env.telemetry, StallKind::FutureWait, realm.0, node.raw(), 0)
         });
         match fut.wait_helping(move || {
-            if tree.is_poisoned() {
+            if tree.is_some_and(TreeCtx::is_poisoned) {
                 std::panic::panic_any(PoisonSignal);
             }
             if let StallAction::Abort { waited_ms } = watch.tick() {
-                tree.poison(PoisonKind::Stalled { kind: StallKind::FutureWait.name(), waited_ms });
-                std::panic::panic_any(PoisonSignal);
+                abandon(
+                    tree,
+                    PoisonKind::Stalled { kind: StallKind::FutureWait.name(), waited_ms },
+                );
             }
             pool.help_one(Some(&bound))
         }) {
@@ -582,7 +678,7 @@ impl Tx {
                 // latched poison reason); otherwise the caller holds a
                 // handle from a superseded or crashed execution of some
                 // other transaction — surface the reason directly.
-                if self.tree.is_poisoned() {
+                if tree.is_some_and(TreeCtx::is_poisoned) {
                     std::panic::panic_any(PoisonSignal);
                 }
                 match reason {
@@ -621,9 +717,10 @@ impl Tx {
         A: TxData,
         F: Fn(&mut Tx) -> A + Send + 'static,
     {
+        let tree = self.built_tree();
         let stage = FutureStage {
             env: Arc::clone(&self.env),
-            tree: Arc::clone(&self.tree),
+            tree: Arc::clone(tree),
             parent: Arc::clone(parent),
             fork_idx,
             handle,
@@ -633,7 +730,7 @@ impl Tx {
             submitted_ns: if self.env.telemetry.timings() { obs_now_ns() } else { 0 },
         };
         stage.tree.task_started();
-        let tag = order_tag(&self.tree, &parent.path.child_future(fork_idx));
+        let tag = order_tag(tree.tree_id, &parent.path.child_future(fork_idx));
         self.env.pool.spawn_ordered(tag, Box::new(move || run_future_task(stage)));
     }
 
@@ -643,9 +740,12 @@ impl Tx {
     /// `waitTurn` as needed. Every caller uses it: the `atomic` body's
     /// implicit chain, `fork`'s continuation and a future's pool task.
     pub(crate) fn commit_frames_down_to(&mut self, depth: usize) -> Result<(), SubConflict> {
+        let Mode::Tree(tree) = &self.mode else {
+            return Ok(()); // no tree, no frames
+        };
         while self.frames.len() > depth {
             let frame = self.frames.last_mut().expect("frames non-empty");
-            commit_frame(&self.env, &self.tree, frame)?;
+            commit_frame(&self.env, tree, frame)?;
             self.frames.pop();
         }
         Ok(())
@@ -664,14 +764,52 @@ impl Tx {
         }
     }
 
-    /// Moves the entry frame's permanent reads into its node's inbox, so
-    /// the root commit validates them against other top-level transactions.
-    /// Called once after the implicit chain has committed down to the entry
-    /// frame (the root's own reads have no committing parent to merge them).
-    pub(crate) fn merge_entry_frame_reads(&mut self) {
-        let frame = self.frames.first_mut().expect("entry frame");
-        let mut inbox = frame.node.inbox.lock();
-        inbox.perm_reads.extend(permanent_reads(&mut frame.reads));
+    /// The top level's writes for the root commit, and the boxes whose
+    /// tentative entries the commit scrubs afterwards (none without a
+    /// tree). Called once the implicit chain has committed down to the root.
+    pub(crate) fn take_top_writes(&mut self) -> (WriteSet, Vec<Arc<VBoxCell>>) {
+        match &mut self.mode {
+            Mode::Top(top) => (std::mem::take(&mut top.writes), Vec::new()),
+            Mode::Tree(tree) => {
+                let touched = tree.take_touched();
+                (tree.consolidate(&touched), touched)
+            }
+        }
+    }
+
+    /// The top level's permanent reads, which the root commit validates
+    /// against other top-level transactions: in a tree, those its committed
+    /// sub-transactions handed to the root, then the root's own. Moved, not
+    /// cloned; first read of a cell wins, which `ReadSet::record`
+    /// guarantees.
+    pub(crate) fn take_top_reads(&mut self) -> ReadSet {
+        let mut reads = ReadSet::new();
+        let mut record = |(cell, token)| {
+            reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
+        };
+        match &mut self.mode {
+            Mode::Top(top) => permanent_reads(&mut top.reads).for_each(record),
+            Mode::Tree(tree) => {
+                let inbox = std::mem::take(&mut *tree.root.inbox.lock());
+                inbox.perm_reads.into_iter().for_each(&mut record);
+                let root = self.frames.first_mut().expect("the root frame");
+                permanent_reads(&mut root.reads).for_each(record);
+            }
+        }
+        reads
+    }
+}
+
+/// Abandons the attempt for `kind`. A tree latches the reason and unwinds
+/// with [`PoisonSignal`], so every participant converges; an attempt that
+/// has built no tree has no other participant and unwinds with the reason.
+fn abandon(tree: Option<&TreeCtx>, kind: PoisonKind) -> ! {
+    match tree {
+        Some(tree) => {
+            tree.poison(kind);
+            std::panic::panic_any(PoisonSignal)
+        }
+        None => std::panic::panic_any(kind),
     }
 }
 
@@ -682,11 +820,10 @@ fn permanent_reads(reads: &mut ReadLog) -> impl Iterator<Item = (Arc<VBoxCell>, 
     reads.drain().filter(|r| r.source == Source::Permanent).map(|r| (r.cell, r.token))
 }
 
-/// The pool-level serialization tag of position `key` within `tree` (the
-/// tree is the ordering realm: positions of different trees never constrain
-/// each other).
-fn order_tag(tree: &TreeCtx, key: &rtf_txbase::OrderKey) -> OrderTag {
-    OrderTag::new(tree.tree_id.0, key.components())
+/// The pool-level serialization tag of position `key` within tree `realm`
+/// (positions of different trees never constrain each other).
+fn order_tag(realm: TreeId, key: &OrderKey) -> OrderTag {
+    OrderTag::new(realm.0, key.components())
 }
 
 /// Commits one frame's node into its parent: `waitTurn` (Alg 3), read-set
@@ -736,7 +873,7 @@ fn commit_frame(env: &TxEnv, tree: &TreeCtx, frame: &mut Frame) -> Result<(), Su
         // Fence helping at the committing node's position, for the same
         // reason as in `Tx::eval`: everything this wait depends on is
         // serialized strictly before `node`.
-        let bound = order_tag(tree, &node.path);
+        let bound = order_tag(tree.tree_id, &node.path);
         let mut watch = StallWatch::new(
             StallKind::WaitTurn,
             tree.tree_id.0,
@@ -1072,7 +1209,11 @@ mod tests {
     /// values, and where the first read was served from.
     fn both_reads(tx: &mut Tx, b: &VBox<u64>) -> (u64, u64, Option<Source>) {
         let with = tx.read_with(b, |_, v| *v);
-        let source = tx.current().reads.iter().last().map(|r| r.source);
+        let reads = match &tx.mode {
+            Mode::Top(top) => &top.reads,
+            Mode::Tree(_) => &tx.current().reads,
+        };
+        let source = reads.iter().last().map(|r| r.source);
         (with, *tx.read(b), source)
     }
 
@@ -1131,6 +1272,135 @@ mod tests {
             tx.eval(&f).to_vec()
         });
         assert_eq!(seen, [(1, 1, Some(Permanent)), (21, 21, Some(Local))]);
+    }
+
+    #[test]
+    fn root_writes_before_the_first_submit_reach_both_sides_and_commit_once() {
+        let tm = Rtf::builder().workers(1).build();
+        let (x, y) = (VBox::new(0u64), VBox::new(0u64));
+        let clock = tm.clock_now();
+        let seen = tm.atomic(|tx| {
+            tx.write(&x, 5);
+            tx.write(&y, 1);
+            let f = tx.submit({
+                let x = x.clone();
+                move |tx| both_reads(tx, &x)
+            });
+            let cont = both_reads(tx, &x);
+            // The continuation's write is tentative and overrides the root
+            // write-set's value of `y` at the root commit.
+            tx.write(&y, 2);
+            (*tx.eval(&f), cont)
+        });
+        let local = (5, 5, Some(Source::Local));
+        assert_eq!(seen, (local, local), "future, continuation");
+        assert_eq!((*x.read_committed(), *y.read_committed()), (5, 2));
+        assert_eq!(tm.clock_now(), clock + 1, "one commit record");
+        assert_eq!(tm.stats().top_commits, 1);
+    }
+
+    #[test]
+    fn reads_before_the_first_submit_are_validated_at_the_root_commit() {
+        use std::sync::atomic::AtomicU32;
+        let tm = Rtf::builder().workers(1).build();
+        let (x, y) = (VBox::new(1u64), VBox::new(0u64));
+        let attempts = AtomicU32::new(0);
+        tm.atomic(|tx| {
+            let v = *tx.read(&x);
+            if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                // Another transaction overwrites the read before the tree
+                // exists.
+                let (tm, x) = (tm.clone(), x.clone());
+                std::thread::spawn(move || tm.atomic(|tx| tx.write(&x, 5))).join().unwrap();
+            }
+            let f = tx.submit(|_| ());
+            tx.eval(&f);
+            tx.write(&y, v + 1);
+        });
+        assert_eq!(attempts.load(Ordering::Relaxed), 2, "the stale read aborts the first attempt");
+        assert_eq!(tm.stats().top_validation_aborts, 1);
+        assert_eq!(*y.read_committed(), 6);
+    }
+
+    #[test]
+    fn a_root_that_never_submits_evaluates_another_transactions_handle() {
+        let tm = Rtf::builder().workers(1).build();
+        let (x, y) = (VBox::new(1u64), VBox::new(0u64));
+        let f = tm.atomic(|tx| {
+            tx.write(&x, 10);
+            tx.submit({
+                let x = x.clone();
+                move |tx| *tx.read(&x) * 2
+            })
+        });
+        let (v, built) = tm.atomic(|tx| {
+            let v = *tx.eval(&f);
+            tx.write(&y, v);
+            (v, matches!(tx.mode, Mode::Tree(_)))
+        });
+        assert_eq!(v, 20);
+        assert!(!built, "an eval builds no tree");
+        assert_eq!(*y.read_committed(), 20);
+    }
+
+    #[test]
+    fn restart_and_cancel_work_before_the_first_submit() {
+        use std::sync::atomic::AtomicU32;
+        // Threshold 2: the re-execution after one restart is still parallel.
+        let tm = Rtf::builder().workers(1).fallback_threshold(2).build();
+        let x = VBox::new(0u64);
+        let attempts = AtomicU32::new(0);
+        let got = tm.run(|tx| {
+            tx.write(&x, 10);
+            if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                tx.restart();
+            }
+            assert!(!tx.is_fallback());
+            let f = tx.submit({
+                let x = x.clone();
+                move |tx| *tx.read(&x)
+            });
+            *tx.eval(&f)
+        });
+        assert_eq!(got, Ok(10));
+        assert_eq!(attempts.load(Ordering::Relaxed), 2);
+        assert_eq!(tm.stats().continuation_restarts, 1);
+        assert_eq!(*x.read_committed(), 10);
+
+        let cancelled = tm.run(|tx| {
+            tx.write(&x, 11);
+            tx.cancel()
+        });
+        assert_eq!(cancelled, Err(TxError::Cancelled));
+        assert_eq!(*x.read_committed(), 10);
+        assert!(x.cell().tentative_lock().is_empty());
+    }
+
+    #[test]
+    fn a_fallback_run_returns_what_a_tree_returns_and_builds_no_tree() {
+        let run = |tm: Rtf| {
+            let (x, y) = (VBox::new(0u64), VBox::new(0u64));
+            let built = std::cell::Cell::new(false);
+            let out = tm.atomic(|tx| {
+                tx.write(&x, 3);
+                let f = tx.submit({
+                    let (x, y) = (x.clone(), y.clone());
+                    move |tx| {
+                        let v = *tx.read(&x);
+                        tx.write(&y, v * 10);
+                        v
+                    }
+                });
+                built.set(matches!(tx.mode, Mode::Tree(_)));
+                let cont = *tx.read(&x);
+                tx.write(&x, cont + 1);
+                (*tx.eval(&f), cont)
+            });
+            (out, *x.read_committed(), *y.read_committed(), built.get())
+        };
+        assert_eq!(run(Rtf::builder().workers(1).build()), ((3, 3), 4, 30, true));
+        let fallback = Rtf::builder().workers(1).fallback_threshold(0).build();
+        assert_eq!(run(fallback), ((3, 3), 4, 30, false));
     }
 
     /// The count of the value a read observes, sampled inside the read
